@@ -11,19 +11,17 @@ from .adversary import (AdversaryError, cdf_shift, corrupt, mhr_lb_family,
 from .ball import minimal_in_ks_ball
 from .distributions import (AppxC1, AppxC2, Distribution, DownShiftSpike,
                             EqualRevenue, Exponential, PiecewiseLinkCDF,
-                            PointMass, ProductDist, StepCDF, Truncated,
-                            UpShift, Uniform, dist_from_dict, dominates,
-                            empirical_from_samples, ks_distance,
-                            parse_dist_spec, truncate)
+                            PointMass, ProductDist, StepCDF, UpShift, Uniform,
+                            dist_from_dict, empirical_from_samples,
+                            ks_distance, parse_dist_spec)
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       reproduce_counterexample1, run_sweep, write_rows)
-from .links import (PiecewiseConstantFn, PiecewiseLinearFn, convex_envelope,
-                    link_forward, link_inverse)
+from .links import (PiecewiseLinearFn, convex_envelope, link_forward,
+                    link_inverse)
 from .myerson import (Mechanism, Outcome, VirtualValueFn, inverse_virtual,
                       optimal_reserve, run_auction, virtual_value)
-from .pipeline import (ShadingParams, StepMechanism, mechanism_from_dict,
-                       population_robust_myerson, robust_empirical_myerson,
-                       shade_quantiles)
+from .pipeline import (ShadingParams, population_robust_myerson,
+                       robust_empirical_myerson, shade_quantiles)
 from .revenue import (RevenueEstimate, opt_single, rev_monte_carlo,
                       revenue_at_reserve, revenue_ratio)
 
@@ -32,17 +30,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversaryError", "AppxC1", "AppxC2", "CheckFailure", "ConfigError",
     "Distribution", "DownShiftSpike", "EqualRevenue", "ExperimentConfig",
-    "Exponential", "Mechanism", "Outcome", "PiecewiseConstantFn",
-    "PiecewiseLinearFn", "PiecewiseLinkCDF", "PointMass", "ProductDist",
-    "RevenueEstimate", "ShadingParams", "StepCDF", "StepMechanism",
-    "Truncated", "Uniform", "UpShift", "VirtualValueFn", "cdf_shift",
-    "convex_envelope", "corrupt", "dist_from_dict", "dominates",
+    "Exponential", "Mechanism", "Outcome", "PiecewiseLinearFn",
+    "PiecewiseLinkCDF", "PointMass", "ProductDist", "RevenueEstimate",
+    "ShadingParams", "StepCDF", "Uniform", "UpShift", "VirtualValueFn",
+    "cdf_shift", "convex_envelope", "corrupt", "dist_from_dict",
     "empirical_from_samples", "inverse_virtual", "ks_distance",
-    "link_forward", "link_inverse", "mechanism_from_dict", "mhr_lb_family",
-    "mhr_lb_radius", "minimal_in_ks_ball", "opt_single", "optimal_reserve",
-    "parse_dist_spec", "population_robust_myerson", "regular_lb_family",
-    "regular_lb_radius", "reproduce_counterexample1", "rev_monte_carlo",
-    "revenue_at_reserve", "revenue_ratio", "robust_empirical_myerson",
-    "run_auction", "run_sweep", "shade_quantiles", "tail_spike", "truncate",
-    "virtual_value", "write_rows",
+    "link_forward", "link_inverse", "mhr_lb_family", "mhr_lb_radius",
+    "minimal_in_ks_ball", "opt_single", "optimal_reserve", "parse_dist_spec",
+    "population_robust_myerson", "regular_lb_family", "regular_lb_radius",
+    "reproduce_counterexample1", "rev_monte_carlo", "revenue_at_reserve",
+    "revenue_ratio", "robust_empirical_myerson", "run_auction", "run_sweep",
+    "shade_quantiles", "tail_spike", "virtual_value", "write_rows",
 ]

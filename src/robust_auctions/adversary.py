@@ -11,6 +11,7 @@ import numpy as np
 
 from .distributions import (AppxC1, AppxC2, Distribution, DownShiftSpike,
                             UpShift, appx_c1, appx_c2, ks_distance)
+from .links import check_alpha
 
 _VERIFY_TOL = 1e-9
 
@@ -43,11 +44,9 @@ def tail_spike(d_star: Distribution, alpha: float, c: float) -> Distribution:
 def cdf_shift(d_star: Distribution, alpha: float, direction: str) -> Distribution:
     """Shift the CDF by alpha: 'up' pushes mass toward 0, 'down' pushes mass
     toward larger values (closed off by a far-quantile spike)."""
-    alpha = float(alpha)
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
+    alpha = check_alpha(alpha)
     if alpha == 0.0:
         return d_star
     if direction == "up":
@@ -103,9 +102,7 @@ def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
     family member (they swap it for its confusable partner) and check that
     the family's exact radius fits the alpha budget.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
+    alpha = check_alpha(alpha)
     name, _, arg = adversary.partition(":")
     if name == "tailspike":
         if alpha == 0.0:

@@ -62,9 +62,7 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
     """Largest `kind`-shaped CDF dominated by every shaped member of the
     alpha-ball around `dist`."""
     links.check_kind(kind)
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
+    alpha = links.check_alpha(alpha)
 
     if alpha == 0.0 and isinstance(dist, PiecewiseLinkCDF):
         if dist.kind == kind:

@@ -23,7 +23,8 @@ from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       RESULT_COLUMNS, format_row, reproduce_counterexample1,
                       run_sweep, write_rows)
 from .links import convex_envelope
-from .pipeline import mechanism_from_dict, robust_empirical_myerson
+from .myerson import Mechanism
+from .pipeline import robust_empirical_myerson
 from .revenue import revenue_ratio_detail
 
 
@@ -95,7 +96,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_eval(args) -> int:
     with open(args.mech) as fh:
-        mech = mechanism_from_dict(json.load(fh))
+        mech = Mechanism.from_dict(json.load(fh))
     truths = _load_dists(args.true)
     ratio, ci, opt, rev = revenue_ratio_detail(mech, ProductDist(truths),
                                                args.draws, args.seed)

@@ -21,19 +21,16 @@ _ATOM_TOL = 1e-15
 
 
 class Distribution:
-    """Base interface. Subclasses implement _cdf/_ppf (and _cdf_left when
-    they carry atoms) on 1-d float arrays; scalar handling lives here."""
+    """Base interface. Subclasses implement _cdf/_ppf on 1-d float arrays;
+    scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
+    Pr[V < x], which differs from the CDF only at atoms."""
 
     purely_atomic = False
     piecewise_exact = False
 
     # -- array core, overridden by subclasses ------------------------------
-    def _cdf(self, arr: np.ndarray) -> np.ndarray:
+    def _cdf(self, arr: np.ndarray, left: bool = False) -> np.ndarray:
         raise NotImplementedError
-
-    def _cdf_left(self, arr: np.ndarray) -> np.ndarray:
-        # continuous distributions: left limit equals the CDF
-        return self._cdf(arr)
 
     def _ppf(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -48,7 +45,7 @@ class Distribution:
 
     def cdf_left(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.clip(self._cdf_left(arr), 0.0, 1.0)
+        out = np.clip(self._cdf(arr, True), 0.0, 1.0)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def survival_quantile(self, v):
@@ -113,11 +110,9 @@ class StepCDF(Distribution):
         self._cum = cum
         self._cum0 = np.concatenate(([0.0], cum))
 
-    def _cdf(self, arr):
-        return self._cum0[np.searchsorted(self.values, arr, side="right")]
-
-    def _cdf_left(self, arr):
-        return self._cum0[np.searchsorted(self.values, arr, side="left")]
+    def _cdf(self, arr, left=False):
+        side = "left" if left else "right"
+        return self._cum0[np.searchsorted(self.values, arr, side=side)]
 
     def _ppf(self, q):
         idx = np.searchsorted(self._cum, q, side="left")
@@ -190,17 +185,11 @@ class PiecewiseLinkCDF(Distribution):
     def _interp_cdf(self, arr):
         return links.link_inverse(self.kind, np.interp(arr, self.xs, self.hs))
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
         f_last = self.f_knots[-1]
         return np.select(
-            [arr >= self._top, arr > self.xs[-1], arr >= self.xs[0]],
-            [1.0, f_last, self._interp_cdf(arr)],
-            default=0.0)
-
-    def _cdf_left(self, arr):
-        f_last = self.f_knots[-1]
-        return np.select(
-            [arr > self._top, arr > self.xs[-1], arr > self.xs[0]],
+            [ge(arr, self._top), arr > self.xs[-1], ge(arr, self.xs[0])],
             [1.0, f_last, self._interp_cdf(arr)],
             default=0.0)
 
@@ -251,11 +240,9 @@ class PointMass(Distribution):
             raise ValueError("point mass location must be nonnegative")
         self.value = value
 
-    def _cdf(self, arr):
-        return np.where(arr >= self.value, 1.0, 0.0)
-
-    def _cdf_left(self, arr):
-        return np.where(arr > self.value, 1.0, 0.0)
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
+        return np.where(ge(arr, self.value), 1.0, 0.0)
 
     def _ppf(self, q):
         return np.full(q.shape, self.value)
@@ -280,7 +267,7 @@ class Exponential(Distribution):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
         return np.where(arr <= 0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)))
 
     def _ppf(self, q):
@@ -307,7 +294,7 @@ class Uniform(Distribution):
             raise ValueError("need 0 <= lo < hi")
         self.lo, self.hi = lo, hi
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
         return np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def _ppf(self, q):
@@ -343,20 +330,12 @@ class EqualRevenue(Distribution):
             raise ValueError("cap must exceed lo")
         self.lo, self.cap = lo, cap
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
         out = np.zeros(arr.shape)
-        m = arr >= self.cap
-        out[m] = 1.0
-        m = (arr >= self.lo) & (arr < self.cap)
+        m = ge(arr, self.lo)
         out[m] = 1.0 - self.lo / arr[m]
-        return out
-
-    def _cdf_left(self, arr):
-        out = np.zeros(arr.shape)
-        m = arr > self.cap
-        out[m] = 1.0
-        m = (arr > self.lo) & (arr <= self.cap)
-        out[m] = 1.0 - self.lo / arr[m]
+        out[ge(arr, self.cap)] = 1.0
         return out
 
     def _ppf(self, q):
@@ -408,22 +387,15 @@ class AppxC1(Distribution):
         if self.v0 <= 0:
             raise ValueError("base value v0 = ln(n) - ln(1-beta) - 1 must be positive")
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
         if self.which == "l":
             body = -np.expm1(-np.maximum(arr, 0.0))
-            return np.select([arr >= self.v1, arr >= 0], [1.0, body], 0.0)
+            return np.select([ge(arr, self.v1), ge(arr, 0)], [1.0, body], 0.0)
         low = -np.expm1(-(self.b_ / self.a) * np.maximum(arr, 0.0))
         mid = -np.expm1(-(2.0 * (arr - self.a) + self.b_))
-        return np.select([arr >= self.v1, arr >= self.v2, arr >= 0],
-                         [1.0, mid, low], 0.0)
-
-    def _cdf_left(self, arr):
-        if self.which == "l":
-            body = -np.expm1(-np.maximum(arr, 0.0))
-            return np.select([arr > self.v1, arr > 0], [1.0, body], 0.0)
-        low = -np.expm1(-(self.b_ / self.a) * np.maximum(arr, 0.0))
-        mid = -np.expm1(-(2.0 * (arr - self.a) + self.b_))
-        return np.select([arr > self.v1, arr >= self.v2, arr > 0],
+        # the CDF is continuous at the kink v2, so both sides use >= there
+        return np.select([ge(arr, self.v1), arr >= self.v2, ge(arr, 0)],
                          [1.0, mid, low], 0.0)
 
     def _ppf(self, q):
@@ -473,7 +445,7 @@ class AppxC2(Distribution):
         self.bottom = 1.0 + 1.0 / n
         self.v2 = 1.0 + 1.0 / beta
 
-    def _cdf(self, arr):
+    def _cdf(self, arr, left=False):
         out = np.zeros(arr.shape)
         if self.which == "l":
             m = arr >= self.bottom
@@ -540,13 +512,11 @@ class UpShift(Distribution):
         self.purely_atomic = base.purely_atomic
         self.piecewise_exact = base.piecewise_exact
 
-    def _cdf(self, arr):
-        return np.where(arr < 0, 0.0,
-                        np.minimum(np.asarray(self.base.cdf(arr)) + self.alpha, 1.0))
-
-    def _cdf_left(self, arr):
-        return np.where(arr <= 0, 0.0,
-                        np.minimum(np.asarray(self.base.cdf_left(arr)) + self.alpha, 1.0))
+    def _cdf(self, arr, left=False):
+        below = np.less_equal if left else np.less
+        base = self.base.cdf_left if left else self.base.cdf
+        return np.where(below(arr, 0), 0.0,
+                        np.minimum(np.asarray(base(arr)) + self.alpha, 1.0))
 
     def _ppf(self, q):
         at_zero = self.alpha + float(self.base.cdf(0.0))
@@ -585,13 +555,11 @@ class DownShiftSpike(Distribution):
         self.purely_atomic = base.purely_atomic
         self.piecewise_exact = base.piecewise_exact
 
-    def _cdf(self, arr):
-        return np.where(arr >= self.spike_x, 1.0,
-                        np.maximum(np.asarray(self.base.cdf(arr)) - self.alpha, 0.0))
-
-    def _cdf_left(self, arr):
-        return np.where(arr > self.spike_x, 1.0,
-                        np.maximum(np.asarray(self.base.cdf_left(arr)) - self.alpha, 0.0))
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
+        base = self.base.cdf_left if left else self.base.cdf
+        return np.where(ge(arr, self.spike_x), 1.0,
+                        np.maximum(np.asarray(base(arr)) - self.alpha, 0.0))
 
     def _ppf(self, q):
         shifted = np.asarray(self.base.ppf(np.minimum(q + self.alpha, 1.0)))
@@ -613,47 +581,6 @@ class DownShiftSpike(Distribution):
     def to_dict(self):
         return {"type": "downshift_spike", "alpha": self.alpha,
                 "spike_x": self.spike_x, "base": self.base.to_dict()}
-
-
-class Truncated(Distribution):
-    """Mass Pr[V >= cutoff] collapsed onto an atom at the cutoff."""
-
-    def __init__(self, base: Distribution, cutoff):
-        cutoff = float(cutoff)
-        if cutoff < 0 or not np.isfinite(cutoff):
-            raise ValueError("cutoff must be finite and nonnegative")
-        self.base = base
-        self.cutoff = cutoff
-        self.purely_atomic = base.purely_atomic
-        self.piecewise_exact = base.piecewise_exact
-
-    def _cdf(self, arr):
-        return np.where(arr >= self.cutoff, 1.0, np.asarray(self.base.cdf(arr)))
-
-    def _cdf_left(self, arr):
-        return np.where(arr > self.cutoff, 1.0, np.asarray(self.base.cdf_left(arr)))
-
-    def _ppf(self, q):
-        return np.minimum(np.asarray(self.base.ppf(q)), self.cutoff)
-
-    def support_bottom(self):
-        return min(self.base.support_bottom(), self.cutoff)
-
-    def support_top(self):
-        return min(self.base.support_top(), self.cutoff)
-
-    def breakpoints(self):
-        base_pts = self.base.breakpoints()
-        return np.unique(np.concatenate((base_pts[base_pts < self.cutoff],
-                                         [self.cutoff])))
-
-    def to_dict(self):
-        return {"type": "truncated", "cutoff": self.cutoff,
-                "base": self.base.to_dict()}
-
-
-def truncate(dist: Distribution, cutoff) -> Truncated:
-    return Truncated(dist, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +623,7 @@ class ProductDist:
 
 
 # ---------------------------------------------------------------------------
-# KS distance and dominance
+# KS distance
 # ---------------------------------------------------------------------------
 
 _KS_GRID = 100_000
@@ -771,15 +698,6 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     return best
 
 
-def dominates(d1: Distribution, d2: Distribution, slack: float = 1e-9) -> bool:
-    """True when F1 <= F2 + slack at evaluation points (d1 first-order
-    dominates d2)."""
-    cand = _candidate_points(d1, d2)
-    f1r, f2r = np.asarray(d1.cdf(cand)), np.asarray(d2.cdf(cand))
-    f1l, f2l = np.asarray(d1.cdf_left(cand)), np.asarray(d2.cdf_left(cand))
-    return bool(np.all(f1r <= f2r + slack) and np.all(f1l <= f2l + slack))
-
-
 # ---------------------------------------------------------------------------
 # spec strings and JSON round trip
 # ---------------------------------------------------------------------------
@@ -835,6 +753,4 @@ def dist_from_dict(d: dict) -> Distribution:
     if kind == "downshift_spike":
         return DownShiftSpike(dist_from_dict(d["base"]), d["alpha"],
                               d["spike_x"])
-    if kind == "truncated":
-        return Truncated(dist_from_dict(d["base"]), d["cutoff"])
     raise ValueError(f"unknown distribution dict type {kind!r}")

@@ -17,7 +17,7 @@ import numpy as np
 from .adversary import corrupt
 from .distributions import (Distribution, Exponential, ProductDist,
                             dist_from_dict, parse_dist_spec)
-from .links import KINDS
+from .links import KINDS, check_alpha
 from .pipeline import population_robust_myerson, robust_empirical_myerson
 from .revenue import revenue_ratio_detail
 
@@ -72,9 +72,10 @@ class ExperimentConfig:
             raise ConfigError("alphas must be non-empty")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        self.alphas = [float(a) for a in self.alphas]
-        if any(not 0.0 <= a < 1.0 for a in self.alphas):
-            raise ConfigError("alphas must lie in [0, 1)")
+        try:
+            self.alphas = [check_alpha(a) for a in self.alphas]
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         self.seeds = [int(s) for s in self.seeds]
         self.ms = [int(m) for m in self.ms]
         if any(m < 1 for m in self.ms):

@@ -31,6 +31,14 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def check_alpha(alpha) -> float:
+    """A corruption budget, as a float in [0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    return alpha
+
+
 def link_origin(kind: str) -> float:
     """Value of the link at p = 0 (the lowest attainable link value)."""
     return 0.0 if check_kind(kind) == "mhr" else 1.0
@@ -99,32 +107,6 @@ class PiecewiseLinearFn:
     def __repr__(self):
         pts = ", ".join(f"({x:g}, {y:g})" for x, y in zip(self.xs, self.ys))
         return f"PiecewiseLinearFn[{pts}]"
-
-
-class PiecewiseConstantFn:
-    """Right-continuous step function: value values[j] on [xs[j], xs[j+1]).
-
-    Below xs[0] the function is undefined by contract; we clamp to values[0]
-    which is what link-transformed CDF inputs want (flat at the origin value).
-    """
-
-    def __init__(self, xs, values):
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if xs.shape != values.shape or xs.ndim != 1 or xs.size == 0:
-            raise ValueError("xs and values must be matching nonempty 1-d arrays")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("values must be non-decreasing")
-        self.xs = xs
-        self.values = values
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right") - 1
-        idx = np.clip(idx, 0, self.xs.size - 1)
-        out = self.values[idx]
-        return float(out) if np.isscalar(x) else out
 
 
 def convex_envelope(xs, ys) -> PiecewiseLinearFn:

@@ -191,11 +191,14 @@ class Mechanism:
         """Vectorized truthful auction over rows of `profiles`.
 
         Returns (winners, payments); winner is -1 when nobody clears their
-        reserve.  Bids above a bidder's support top are clamped.
+        reserve.  Bids above a bidder's support top are clamped; negative and
+        NaN bids are rejected.
         """
         B = np.asarray(profiles, dtype=float)
         if B.ndim != 2 or B.shape[1] != self.n:
             raise ValueError("profile matrix arity mismatch")
+        if not np.all(B >= 0.0):
+            raise ValueError("bids must be nonnegative")
         rows = B.shape[0]
         phi = np.empty_like(B)
         for j, vv in enumerate(self.vvs):
@@ -238,6 +241,8 @@ class Mechanism:
     @classmethod
     def from_dict(cls, d: dict) -> "Mechanism":
         bidders = [dist_from_dict(b) for b in d["bidders"]]
+        if not all(isinstance(b, PiecewiseLinkCDF) for b in bidders):
+            raise ValueError("mechanism bidders must be link_cdf entries")
         return cls(kind=d["kind"], bidders=bidders, alpha=d.get("alpha"),
                    provenance=d.get("provenance") or {})
 
@@ -246,8 +251,6 @@ def run_auction(mech: Mechanism, bids) -> Outcome:
     bids = np.asarray(bids, dtype=float)
     if bids.shape != (mech.n,):
         raise ValueError("arity mismatch")
-    if np.any(bids < 0):
-        raise ValueError("bids must be nonnegative")
     winners, payments = mech.payments_batch(bids.reshape(1, -1))
     w = int(winners[0])
     return Outcome(winner=None if w < 0 else w, payment=float(payments[0]))

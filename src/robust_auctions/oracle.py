@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .distributions import Distribution, _candidate_points
 from .links import PiecewiseLinearFn
 
 
@@ -49,3 +50,12 @@ def grid_reserve(dist, step: float):
     revs = grid * np.asarray(dist.survival_quantile(grid))
     i = int(np.argmax(revs))
     return float(grid[i]), float(revs[i])
+
+
+def dominates(d1: Distribution, d2: Distribution, slack: float = 1e-9) -> bool:
+    """True when F1 <= F2 + slack at evaluation points (d1 first-order
+    dominates d2)."""
+    cand = _candidate_points(d1, d2)
+    f1r, f2r = np.asarray(d1.cdf(cand)), np.asarray(d2.cdf(cand))
+    f1l, f2l = np.asarray(d1.cdf_left(cand)), np.asarray(d2.cdf_left(cand))
+    return bool(np.all(f1r <= f2r + slack) and np.all(f1l <= f2l + slack))

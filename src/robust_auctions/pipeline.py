@@ -15,18 +15,23 @@ The no-envelope ablation keeps the confidence shading but skips both the
 corruption term and the convexification, selling at the discrete revenue
 argmax of the shaded empirical CDF.  That is the classical empirical Myerson
 reserve, and it is exactly the construction the tail-spike corruption blows
-up, so it is kept runnable on purpose (single bidder only).
+up, so it is kept runnable on purpose (single bidder only).  A posted price r
+is the one-bidder Myerson auction on a one-knot link CDF closing at r, so the
+ablation returns a plain Mechanism too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import minimal_in_ks_ball
-from .distributions import ProductDist, StepCDF, empirical_from_samples
-from .myerson import Mechanism, Outcome
+from .distributions import (PiecewiseLinkCDF, ProductDist, StepCDF,
+                            empirical_from_samples)
+from .links import check_alpha, link_origin
+from .myerson import Mechanism
+from .revenue import opt_single
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,9 @@ class ShadingParams:
             raise ValueError("delta must lie in (0, 1)")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        object.__setattr__(self, "alpha", tuple(map(check_alpha, self.alpha)))
         if len(self.alpha) != self.n:
             raise ValueError("need one alpha per bidder")
-        if any(not 0.0 <= a < 1.0 for a in self.alpha):
-            raise ValueError("alpha entries must lie in [0, 1)")
 
 
 def _shaded_survivals(E: StepCDF, m, n, delta, alpha_i, include_alpha=True):
@@ -89,79 +92,11 @@ def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> Ste
     return _step_from_survivals(xs, q_hat)
 
 
-@dataclass
-class StepMechanism:
-    """Single-bidder posted price at the discrete revenue argmax of a StepCDF.
-
-    This is the no-envelope ablation's mechanism: the reserve maximizes
-    x * Pr[V >= x] over the atoms (smallest maximizer on ties), which is the
-    discrete-virtual-value optimum for one bidder.
-    """
-
-    kind: str
-    bidder: StepCDF
-    alpha: list | None = None
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        xs = self.bidder.values
-        revs = xs * (1.0 - np.asarray(self.bidder.cdf_left(xs)))
-        self._reserve = float(xs[int(np.argmax(revs))])
-
-    @property
-    def n(self) -> int:
-        return 1
-
-    @property
-    def reserves(self) -> list:
-        return [self._reserve]
-
-    def payments_batch(self, profiles):
-        B = np.asarray(profiles, dtype=float)
-        if B.ndim != 2 or B.shape[1] != 1:
-            raise ValueError("profile matrix arity mismatch")
-        sold = B[:, 0] >= self._reserve
-        winners = np.where(sold, 0, -1)
-        payments = np.where(sold, self._reserve, 0.0)
-        return winners, payments
-
-    def run(self, bids) -> Outcome:
-        bids = np.asarray(bids, dtype=float)
-        if bids.shape != (1,):
-            raise ValueError("arity mismatch")
-        if np.any(bids < 0):
-            raise ValueError("bids must be nonnegative")
-        sold = bool(bids[0] >= self._reserve)
-        return Outcome(winner=0 if sold else None,
-                       payment=self._reserve if sold else 0.0)
-
-    def to_dict(self) -> dict:
-        return {"n": 1, "kind": self.kind,
-                "bidders": [dict(self.bidder.to_dict(), reserve=self._reserve)],
-                "alpha": self.alpha, "provenance": self.provenance}
-
-
-def mechanism_from_dict(d: dict):
-    """Load either mechanism flavor from its JSON dict."""
-    types = {b.get("type") for b in d["bidders"]}
-    if types == {"step"}:
-        if d["n"] != 1 or len(d["bidders"]) != 1:
-            raise ValueError("step mechanisms are single-bidder")
-        b = d["bidders"][0]
-        return StepMechanism(kind=d["kind"],
-                             bidder=StepCDF(b["values"], b["masses"]),
-                             alpha=d.get("alpha"),
-                             provenance=d.get("provenance") or {})
-    return Mechanism.from_dict(d)
-
-
 def population_robust_myerson(f_tilde: ProductDist, alpha, kind: str) -> Mechanism:
     """Myerson auction on the minimal KS-ball member of each reported CDF."""
-    alphas = [float(a) for a in alpha]
+    alphas = [check_alpha(a) for a in alpha]
     if len(alphas) != f_tilde.n:
         raise ValueError("need one alpha per bidder")
-    if any(not 0.0 <= a < 1.0 for a in alphas):
-        raise ValueError("alpha entries must lie in [0, 1)")
     bidders = [minimal_in_ks_ball(dist, a, kind)
                for dist, a in zip(f_tilde.components, alphas)]
     return Mechanism(kind=kind, bidders=bidders, alpha=alphas,
@@ -190,9 +125,10 @@ def robust_empirical_myerson(samples, alpha, delta: float, kind: str,
         E = empirical_from_samples(cols[0])
         xs, q_hat = _shaded_survivals(E, m, n, params.delta, 0.0,
                                       include_alpha=False)
-        shaded = _step_from_survivals(xs, q_hat)
-        return StepMechanism(kind=kind, bidder=shaded,
-                             alpha=list(params.alpha), provenance=prov)
+        price, _ = opt_single(_step_from_survivals(xs, q_hat))
+        posted = PiecewiseLinkCDF(kind, [price], [link_origin(kind)], price)
+        return Mechanism(kind=kind, bidders=[posted],
+                         alpha=list(params.alpha), provenance=prov)
     bidders = []
     for i, col in enumerate(cols):
         shaded = shade_quantiles(empirical_from_samples(col), params, i)

@@ -76,6 +76,8 @@ def rev_monte_carlo(mech: Mechanism, d_true: ProductDist, n_draws: int,
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
     n_draws = int(n_draws)
+    if n_draws < 1:
+        raise ValueError("n_draws must be at least 1")
     total = 0.0
     total_sq = 0.0
     done = 0

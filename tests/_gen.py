@@ -5,7 +5,7 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 import numpy as np
 
-from robust_auctions.distributions import PiecewiseLinkCDF, StepCDF
+from robust_auctions.distributions import Distribution, PiecewiseLinkCDF, StepCDF
 from robust_auctions.links import link_origin
 
 
@@ -63,3 +63,39 @@ def random_step_cdf(rng, k_max=12, lo=0.0, hi=10.0):
     while np.any(masses < 1e-9):
         masses = rng.dirichlet(np.ones(values.size))
     return StepCDF(values, masses)
+
+
+class Truncated(Distribution):
+    """Mass Pr[V >= cutoff] collapsed onto an atom at the cutoff."""
+
+    def __init__(self, base: Distribution, cutoff):
+        cutoff = float(cutoff)
+        if cutoff < 0 or not np.isfinite(cutoff):
+            raise ValueError("cutoff must be finite and nonnegative")
+        self.base = base
+        self.cutoff = cutoff
+        self.purely_atomic = base.purely_atomic
+        self.piecewise_exact = base.piecewise_exact
+
+    def _cdf(self, arr, left=False):
+        ge = np.greater if left else np.greater_equal
+        base = self.base.cdf_left if left else self.base.cdf
+        return np.where(ge(arr, self.cutoff), 1.0, np.asarray(base(arr)))
+
+    def _ppf(self, q):
+        return np.minimum(np.asarray(self.base.ppf(q)), self.cutoff)
+
+    def support_bottom(self):
+        return min(self.base.support_bottom(), self.cutoff)
+
+    def support_top(self):
+        return min(self.base.support_top(), self.cutoff)
+
+    def breakpoints(self):
+        base_pts = self.base.breakpoints()
+        return np.unique(np.concatenate((base_pts[base_pts < self.cutoff],
+                                         [self.cutoff])))
+
+
+def truncate(dist: Distribution, cutoff) -> Truncated:
+    return Truncated(dist, cutoff)

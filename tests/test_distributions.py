@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from robust_auctions.distributions import (
     AppxC1,
     AppxC2,
+    Distribution,
     DownShiftSpike,
     EqualRevenue,
     Exponential,
@@ -16,21 +17,19 @@ from robust_auctions.distributions import (
     PointMass,
     ProductDist,
     StepCDF,
-    Truncated,
     Uniform,
     UpShift,
     appx_c1,
     appx_c2,
     dist_from_dict,
-    dominates,
     empirical_from_samples,
     ks_distance,
     parse_dist_spec,
-    truncate,
 )
 from robust_auctions.links import link_forward
+from robust_auctions.oracle import dominates
 
-from _gen import random_link_cdf, random_step_cdf
+from _gen import Truncated, random_link_cdf, random_step_cdf, truncate
 
 
 def _zoo():
@@ -80,6 +79,45 @@ def test_cdf_shape():
         assert dist.cdf(-1.0) == 0.0
         if np.isfinite(top):
             assert dist.cdf(top) == pytest.approx(1.0, abs=1e-12)
+
+
+def _closed_form_atoms(d):
+    """(locations, masses) of the point masses of a _zoo() member."""
+    if isinstance(d, PointMass):
+        return [d.value], [1.0]
+    if isinstance(d, EqualRevenue):
+        return [d.cap], [d.lo / d.cap]
+    if isinstance(d, AppxC1):
+        return [d.v1], [np.exp(-d.v1)]
+    if isinstance(d, UpShift):          # continuous base with F(0) = 0
+        return [0.0], [d.alpha]
+    if isinstance(d, DownShiftSpike):
+        return [d.spike_x], [d.alpha + d.base.survival_quantile(d.spike_x)]
+    if isinstance(d, Truncated):
+        return [d.cutoff], [d.base.survival_quantile(d.cutoff)]
+    if isinstance(d, StepCDF):
+        return d.values, d.masses
+    if isinstance(d, PiecewiseLinkCDF):  # mass at the first knot, top atom
+        return [d.xs[0], d.support_top()], [d.f_knots[0], d.top_atom]
+    return [], []
+
+
+def test_left_limit_closed_forms():
+    """cdf - cdf_left is the atom mass at every breakpoint: atoms() (and the
+    generic jump scan for types that override it) match closed forms, and
+    at breakpoints without an atom, such as AppxC1 'h' at v2 or
+    DownShiftSpike at base.ppf(alpha), the left limit equals the CDF
+    exactly."""
+    # in AppxC1(7, 0.8, 'h') the piece below v2 rounds one ulp away from
+    # the piece above it at v2, so the left limit must use the upper piece
+    for d in _zoo() + [AppxC1(7, 0.8, "h")]:
+        want_x, want_m = _closed_form_atoms(d)
+        for xs, ms in (d.atoms(), Distribution.atoms(d)):
+            np.testing.assert_array_equal(xs, want_x)
+            assert_allclose(ms, want_m, rtol=0, atol=1e-12)
+        pts = d.breakpoints()
+        smooth = pts[np.isfinite(pts) & ~np.isin(pts, want_x)]
+        np.testing.assert_array_equal(d.cdf_left(smooth), d.cdf(smooth))
 
 
 def test_cdf_scalar_vs_array():
@@ -424,6 +462,8 @@ def test_parse_dist_spec():
 
 def test_dict_roundtrip():
     for dist in _zoo():
+        if isinstance(dist, Truncated):
+            continue            # a test-only type without a dict form
         clone = dist_from_dict(dist.to_dict())
         top = dist.support_top()
         hi = top if np.isfinite(top) else dist.ppf(1 - 1e-9)

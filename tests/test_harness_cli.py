@@ -24,7 +24,9 @@ from robust_auctions.harness import (
     write_rows,
 )
 from robust_auctions.links import convex_envelope
-from robust_auctions.pipeline import mechanism_from_dict, population_robust_myerson
+from robust_auctions.myerson import Mechanism
+from robust_auctions.pipeline import (population_robust_myerson,
+                                      robust_empirical_myerson)
 from robust_auctions.revenue import revenue_ratio_detail
 
 
@@ -45,7 +47,7 @@ def test_config_validation_errors():
     cases = [
         (dict(true_dists=[]), "true_dists must be non-empty"),
         (dict(alphas=[]), "alphas must be non-empty"),
-        (dict(alphas=[1.0]), r"alphas must lie in \[0, 1\)"),
+        (dict(alphas=[1.0]), r"alpha must lie in \[0, 1\)"),
         (dict(seeds=[]), "seeds must be non-empty"),
         (dict(ms=[0]), "sample sizes must be positive"),
         (dict(kind="convex"), "kind must be one of"),
@@ -191,7 +193,7 @@ def test_cli_end_to_end_single_bidder(tmp_path, capsys):
     assert main(["learn", "--kind", "mhr", "--alpha", "0.05", "--samples",
                  str(samples), "--out", str(mech_json)]) == 0
     with open(mech_json) as fh:
-        mech = mechanism_from_dict(json.load(fh))
+        mech = Mechanism.from_dict(json.load(fh))
     assert mech.n == 1
     assert 0.0 < mech.reserves[0] < 3.0
 
@@ -218,11 +220,59 @@ def test_cli_learn_broadcasts_alpha_two_bidders(tmp_path):
     assert main(["learn", "--kind", "regular", "--alpha", "0.02",
                  "--samples", str(samples), "--out", str(mech_json)]) == 0
     with open(mech_json) as fh:
-        mech = mechanism_from_dict(json.load(fh))
+        mech = Mechanism.from_dict(json.load(fh))
     assert mech.n == 2 and mech.alpha == [0.02, 0.02]
 
     assert main(["learn", "--kind", "regular", "--alpha", "0.1,0.2,0.3",
                  "--samples", str(samples), "--out", str(mech_json)]) == 2
+
+
+def test_cli_eval_zero_draws_is_a_config_error(tmp_path, capsys):
+    samples = tmp_path / "two.csv"
+    assert main(["gen", "--dist", "exp:1.0,exp:1.0", "--m", "300",
+                 "--seed", "1", "--out", str(samples)]) == 0
+    mech_json = tmp_path / "mech.json"
+    assert main(["learn", "--kind", "mhr", "--alpha", "0.0", "--samples",
+                 str(samples), "--out", str(mech_json)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--mech", str(mech_json), "--true",
+                 "exp:1.0,exp:1.0", "--draws", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "n_draws must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_no_envelope_round_trip(tmp_path, capsys):
+    """The ablation posts the tail-spike location c / alpha = 20 as its
+    price; its JSON loads as a plain Mechanism and eval reproduces the
+    library's row."""
+    dist_json = tmp_path / "spiked.json"
+    assert main(["corrupt", "--adversary", "tailspike:1.0", "--alpha", "0.05",
+                 "--in", "exp:1.0", "--out", str(dist_json)]) == 0
+    samples = tmp_path / "samples.csv"
+    assert main(["gen", "--dist", str(dist_json), "--m", "20000",
+                 "--seed", "3", "--out", str(samples)]) == 0
+    mech_json = tmp_path / "naive.json"
+    assert main(["learn", "--kind", "mhr", "--alpha", "0.05", "--samples",
+                 str(samples), "--no-envelope", "--out", str(mech_json)]) == 0
+    with open(mech_json) as fh:
+        mech = Mechanism.from_dict(json.load(fh))
+    assert mech.reserves == [20.0]
+
+    capsys.readouterr()
+    assert main(["eval", "--mech", str(mech_json), "--true", "exp:1.0",
+                 "--seed", "0"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    data = np.loadtxt(samples, delimiter=",", skiprows=1, ndmin=2)
+    lib = robust_empirical_myerson([data[:, 0]], [0.05], 0.01, "mhr",
+                                   with_envelope=False)
+    assert lib.reserves == [20.0]
+    ratio, ci, opt, rev = revenue_ratio_detail(
+        lib, ProductDist([parse_dist_spec("exp:1.0")]), 10 ** 6, 0)
+    assert line == format_row({"n": 1, "kind": "mhr", "adversary": "none",
+                               "alpha": 0.05, "m": 20000, "seed": 0,
+                               "ratio": ratio, "ci": ci, "opt": opt,
+                               "rev": rev})
 
 
 def test_cli_sweep_byte_identical(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_auctions.links import (PiecewiseConstantFn, PiecewiseLinearFn,
-                                   convex_envelope, link_forward,
-                                   link_inverse, link_origin)
+from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
+                                   link_forward, link_inverse, link_origin)
 from robust_auctions.oracle import naive_envelope
 
 from _gen import random_points
@@ -65,12 +64,6 @@ def test_piecewise_linear_eval():
     assert f(-1.0) == 0.0
     assert f(10.0) == 4.0
     np.testing.assert_allclose(f.slopes(), [2.0, 1.0])
-
-
-def test_piecewise_constant_right_continuous():
-    f = PiecewiseConstantFn([1.0, 2.0], [0.3, 0.9])
-    np.testing.assert_allclose(f(np.array([0.0, 1.0, 1.5, 2.0, 5.0])),
-                               [0.3, 0.3, 0.3, 0.9, 0.9])
 
 
 # ----------------------------------------------------------- envelope

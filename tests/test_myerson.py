@@ -237,6 +237,13 @@ def test_auction_validation():
         run_auction(mech, [1.0])
     with pytest.raises(ValueError, match="bids must be nonnegative"):
         run_auction(mech, [1.0, -2.0])
+    # a NaN bid would otherwise win the argmax and cancel bidder 1's sale
+    with pytest.raises(ValueError, match="bids must be nonnegative"):
+        mech.run([np.nan, 2.0])
+    with pytest.raises(ValueError, match="bids must be nonnegative"):
+        mech.payments_batch(np.array([[np.nan, 2.0]]))
+    with pytest.raises(ValueError, match="bids must be nonnegative"):
+        mech.payments_batch(np.array([[-1.0, 2.0]]))
     with pytest.raises(ValueError, match="profile matrix arity mismatch"):
         mech.payments_batch(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="need at least one bidder"):

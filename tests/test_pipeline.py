@@ -13,20 +13,19 @@ from robust_auctions.distributions import (
     ProductDist,
     StepCDF,
     Uniform,
-    dominates,
-    truncate,
 )
 from robust_auctions.links import link_origin
 from robust_auctions.myerson import Mechanism
+from robust_auctions.oracle import dominates
 from robust_auctions.pipeline import (
     ShadingParams,
-    StepMechanism,
-    mechanism_from_dict,
     population_robust_myerson,
     robust_empirical_myerson,
     shade_quantiles,
 )
-from robust_auctions.revenue import revenue_ratio
+from robust_auctions.revenue import opt_single, revenue_ratio
+
+from _gen import truncate
 
 
 def test_shading_params_validation():
@@ -40,7 +39,7 @@ def test_shading_params_validation():
         ShadingParams(**dict(ok, delta=1.0))
     with pytest.raises(ValueError, match="need one alpha per bidder"):
         ShadingParams(**dict(ok, alpha=(0.1,)))
-    with pytest.raises(ValueError, match=r"alpha entries must lie in \[0, 1\)"):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
         ShadingParams(**dict(ok, alpha=(0.0, 1.0)))
 
 
@@ -143,12 +142,15 @@ def test_envelope_branch_outputs_valid_link_cdfs():
 def test_no_envelope_ablation_posted_price():
     """Half the mass at 1 and half at 3: the shaded discrete revenues are
     1 * 0.99484 at price 1 and 3 * 0.469444 = 1.40833 at price 3 (m=10^4,
-    delta=0.05), so the ablation posts price 3."""
+    delta=0.05), so the ablation posts price 3: a one-knot link CDF closing
+    at 3."""
     samples = np.concatenate([np.full(5000, 1.0), np.full(5000, 3.0)])
     mech = robust_empirical_myerson([samples], [0.0], 0.05, "mhr",
                                     with_envelope=False)
-    assert isinstance(mech, StepMechanism)
+    assert isinstance(mech, Mechanism)
     assert mech.provenance["with_envelope"] is False
+    posted = mech.bidders[0]
+    assert posted.xs.tolist() == [3.0] and posted.support_top() == 3.0
     assert mech.reserves == [3.0]
     assert mech.run([2.9]).winner is None
     out = mech.run([3.0])
@@ -156,6 +158,10 @@ def test_no_envelope_ablation_posted_price():
     winners, pays = mech.payments_batch(np.array([[0.5], [3.0], [10.0]]))
     np.testing.assert_array_equal(winners, [-1, 0, 0])
     np.testing.assert_allclose(pays, [0.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match="profile matrix arity mismatch"):
+        mech.payments_batch(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="bids must be nonnegative"):
+        mech.run([-1.0])
     # the corruption budget is recorded but not subtracted in this branch
     mech2 = robust_empirical_myerson([samples], [0.2], 0.05, "mhr",
                                      with_envelope=False)
@@ -164,33 +170,29 @@ def test_no_envelope_ablation_posted_price():
 
 
 def test_step_mechanism_tie_takes_smaller_price():
-    mech = StepMechanism(kind="mhr", bidder=StepCDF([1.0, 2.0], [0.5, 0.5]))
-    assert mech.reserves == [1.0]
-    with pytest.raises(ValueError, match="profile matrix arity mismatch"):
-        mech.payments_batch(np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="bids must be nonnegative"):
-        mech.run([-1.0])
+    # the ablation's price: revenue 1 at both atoms, the smaller one wins
+    assert opt_single(StepCDF([1.0, 2.0], [0.5, 0.5])) == (1.0, 1.0)
 
 
-def test_mechanism_from_dict_dispatch():
-    step = StepMechanism(kind="mhr", bidder=StepCDF([1.0, 3.0], [0.4, 0.6]),
-                         alpha=[0.1])
-    back = mechanism_from_dict(step.to_dict())
-    assert isinstance(back, StepMechanism)
-    assert back.reserves == step.reserves
+def test_mechanism_from_dict_round_trip():
+    samples = np.concatenate([np.full(400, 1.0), np.full(600, 3.0)])
+    posted = robust_empirical_myerson([samples], [0.1], 0.05, "mhr",
+                                      with_envelope=False)
+    back = Mechanism.from_dict(posted.to_dict())
+    assert back.reserves == posted.reserves == [3.0]
     assert back.alpha == [0.1]
+    assert back.provenance == posted.provenance
 
     link = PiecewiseLinkCDF("mhr", [0.0, 4.0], [0.0, 4.0], 4.0)
     mech = Mechanism(kind="mhr", bidders=[link])
-    back2 = mechanism_from_dict(mech.to_dict())
-    assert isinstance(back2, Mechanism)
+    back2 = Mechanism.from_dict(mech.to_dict())
     assert back2.reserves == mech.reserves
 
-    bad = step.to_dict()
-    bad["n"] = 2
-    bad["bidders"] = bad["bidders"] * 2
-    with pytest.raises(ValueError, match="step mechanisms are single-bidder"):
-        mechanism_from_dict(bad)
+    step = dict(posted.to_dict(),
+                bidders=[{"type": "step", "values": [1.0, 3.0],
+                          "masses": [0.4, 0.6]}])
+    with pytest.raises(ValueError, match="bidders must be link_cdf entries"):
+        Mechanism.from_dict(step)
 
 
 def test_robust_empirical_myerson_validation():
@@ -225,7 +227,7 @@ def test_population_robust_myerson():
 
     with pytest.raises(ValueError, match="need one alpha per bidder"):
         population_robust_myerson(ProductDist([exp]), [0.1, 0.1], "mhr")
-    with pytest.raises(ValueError, match=r"alpha entries must lie in \[0, 1\)"):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
         population_robust_myerson(ProductDist([exp]), [1.0], "mhr")
 
 

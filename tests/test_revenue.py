@@ -3,7 +3,7 @@ population-level revenue inequalities they are meant to satisfy."""
 
 import numpy as np
 import pytest
-from _gen import random_link_cdf
+from _gen import random_link_cdf, truncate
 
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
@@ -14,11 +14,10 @@ from robust_auctions.distributions import (
     ProductDist,
     Uniform,
     UpShift,
-    dominates,
     ks_distance,
-    truncate,
 )
 from robust_auctions.myerson import Mechanism
+from robust_auctions.oracle import dominates
 from robust_auctions.revenue import (
     opt_single,
     rev_monte_carlo,
@@ -137,6 +136,8 @@ def test_revenue_ratio_errors():
         rev_monte_carlo(mech, ProductDist([Exponential(1.0)] * 2), 10, seed=0)
     with pytest.raises(ValueError, match="arity mismatch"):
         revenue_ratio(mech, ProductDist([Exponential(1.0)] * 2), 10, seed=0)
+    with pytest.raises(ValueError, match="n_draws must be at least 1"):
+        rev_monte_carlo(mech, ProductDist([Exponential(1.0)]), 0, seed=0)
     with pytest.raises(ValueError, match="zero OPT"):
         revenue_ratio(mech, ProductDist([PointMass(0.0)]), 10, seed=0)
 
