@@ -94,37 +94,51 @@ def regular_lb_radius(n: int, beta: float) -> float:
     return float((1.0 - np.sqrt(1.0 - beta)) ** 2 / n)
 
 
-def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
-    """Dispatch on an adversary spec string.
+def parse_adversary(spec: str):
+    """(name, argument) of 'tailspike:C', 'shift:up|down', 'mhr-lb[:BETA]'
+    or 'regular-lb[:BETA]', with C and BETA as floats and a missing BETA as
+    None (the input family's own beta); ValueError for anything else."""
+    name, _, arg = str(spec).partition(":")
+    if name == "shift":
+        if arg not in ("up", "down"):
+            raise ValueError("shift adversary direction must be up or down")
+        return name, arg
+    if name not in ("tailspike", "mhr-lb", "regular-lb"):
+        raise ValueError(f"unknown adversary spec {spec!r}")
+    if not arg and name != "tailspike":
+        return name, None
+    try:
+        return name, float(arg)
+    except ValueError:
+        raise ValueError(f"adversary {spec!r} needs a numeric argument") from None
 
-    Formats: 'tailspike:C', 'shift:up', 'shift:down', 'mhr-lb:BETA',
-    'regular-lb:BETA'.  The lower-bound families require the input to be a
-    family member (they swap it for its confusable partner) and check that
-    the family's exact radius fits the alpha budget.
-    """
+
+def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
+    """Apply an adversary spec (see `parse_adversary`).  The lower-bound
+    families require the input to be a family member (they swap it for its
+    confusable partner) and check that the family's exact radius fits the
+    alpha budget."""
     alpha = check_alpha(alpha)
-    name, _, arg = adversary.partition(":")
+    name, arg = parse_adversary(adversary)
     if name == "tailspike":
         if alpha == 0.0:
             return d_star
-        return tail_spike(d_star, alpha, float(arg))
+        return tail_spike(d_star, alpha, arg)
     if name == "shift":
         return cdf_shift(d_star, alpha, arg)
-    if name in ("mhr-lb", "regular-lb"):
-        cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
-                          else (AppxC2, regular_lb_radius))
-        if not isinstance(d_star, cls) :
-            raise ValueError(
-                f"{name} adversary needs a matching family member as input")
-        beta = float(arg) if arg else d_star.beta
-        if abs(beta - d_star.beta) > 1e-12:
-            raise ValueError("adversary beta does not match the input family")
-        radius = radius_fn(d_star.n, beta)
-        if radius > alpha + _VERIFY_TOL:
-            raise AdversaryError(
-                f"{name}: family radius {radius:.6g} exceeds budget {alpha:.6g}")
-        partner = {"l": "h", "h": "l"}.get(d_star.which)
-        if partner is None:
-            raise ValueError("input must be the family's low or high member")
-        return cls(d_star.n, beta, partner)
-    raise ValueError(f"unknown adversary spec {adversary!r}")
+    cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
+                      else (AppxC2, regular_lb_radius))
+    if not isinstance(d_star, cls):
+        raise ValueError(
+            f"{name} adversary needs a matching family member as input")
+    beta = d_star.beta if arg is None else arg
+    if abs(beta - d_star.beta) > 1e-12:
+        raise ValueError("adversary beta does not match the input family")
+    radius = radius_fn(d_star.n, beta)
+    if radius > alpha + _VERIFY_TOL:
+        raise AdversaryError(
+            f"{name}: family radius {radius:.6g} exceeds budget {alpha:.6g}")
+    partner = {"l": "h", "h": "l"}.get(d_star.which)
+    if partner is None:
+        raise ValueError("input must be the family's low or high member")
+    return cls(d_star.n, beta, partner)

@@ -74,20 +74,16 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
         # let the remaining sliver of mass ride on the top atom
         new_top = float(dist.ppf(grid / (grid + 1.0)))
     xs = _anchor_xs(dist, alpha, new_top, grid)
-    if xs.size == 0:
-        # everything at or above new_top: the ball collapses to a point mass
-        return PiecewiseLinkCDF(kind, [new_top], [links.link_origin(kind)],
-                                new_top)
-
     g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
     if dist.purely_atomic and not isinstance(dist, PiecewiseLinkCDF) \
-            and xs[0] == 0.0:
+            and xs.size and xs[0] == 0.0:
         # the x = 0 anchor keeps the input's own mass at zero, uncapped
         g[0] = float(dist.cdf(0.0))
     # anchors at G = 1 belong to the closing atom, not the envelope
     keep = g < 1.0
     xs, g = xs[keep], g[keep]
     if xs.size == 0:
+        # everything at or above new_top: the ball collapses to a point mass
         return PiecewiseLinkCDF(kind, [new_top], [links.link_origin(kind)],
                                 new_top)
 

@@ -40,11 +40,10 @@ def _load_dists(arg: str):
     return [_load_dist(part) for part in arg.split(",") if part]
 
 
-def _write_samples(path, profiles: np.ndarray):
-    n = profiles.shape[1]
+def _write_csv(path, header, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(f"bidder_{j + 1}" for j in range(n)) + "\n")
-        for row in profiles:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -62,7 +61,8 @@ def _read_samples(path) -> np.ndarray:
 def _cmd_gen(args) -> int:
     dists = _load_dists(args.dist)
     profiles = ProductDist(dists).sample_profiles(args.m, args.seed)
-    _write_samples(args.out, profiles)
+    _write_csv(args.out, [f"bidder_{j + 1}" for j in range(len(dists))],
+               profiles)
     print(f"gen: wrote {profiles.shape[0]} x {profiles.shape[1]} samples "
           f"to {args.out}")
     return 0
@@ -105,12 +105,10 @@ def _cmd_eval(args) -> int:
            "alpha": float(alpha),
            "m": int((mech.provenance or {}).get("m", 0)), "seed": args.seed,
            "ratio": ratio, "ci": ci, "opt": opt, "rev": rev}
-    line = format_row(row)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(",".join(RESULT_COLUMNS) + "\n" + line + "\n")
+        write_rows([row], args.out)
     print(",".join(RESULT_COLUMNS))
-    print(line)
+    print(format_row(row))
     return 0
 
 
@@ -132,10 +130,7 @@ def _cmd_envelope(args) -> int:
             raise ConfigError(f"{path}: expected an x,y header")
         pts = np.loadtxt(fh, delimiter=",", ndmin=2)
     env = convex_envelope(pts[:, 0], pts[:, 1])
-    with open(args.out, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in zip(env.xs, env.ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    _write_csv(args.out, ["x", "y"], zip(env.xs, env.ys))
     print(f"envelope: {pts.shape[0]} points -> {env.xs.size} vertices "
           f"({args.out})")
     return 0
@@ -166,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("corrupt", help="apply a KS-ball adversary")
     c.add_argument("--adversary", required=True,
-                   help="tailspike:C | mhr-lb:BETA | regular-lb:BETA | "
+                   help="tailspike:C | mhr-lb[:BETA] | regular-lb[:BETA] | "
                         "shift:up | shift:down")
     c.add_argument("--alpha", type=float, required=True)
     c.add_argument("--in", required=True, help="dist spec or dist.json")

@@ -23,10 +23,12 @@ _ATOM_TOL = 1e-15
 class Distribution:
     """Base interface. Subclasses implement _cdf/_ppf on 1-d float arrays;
     scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
-    Pr[V < x], which differs from the CDF only at atoms."""
+    Pr[V < x], which differs from the CDF only at atoms.  A type with a dict
+    form names it in TYPE and its constructor arguments, in dict order, in
+    FIELDS: the table the JSON codec and the spec strings read."""
 
+    TYPE, FIELDS = None, ()
     purely_atomic = False
-    piecewise_exact = False
 
     # -- array core, overridden by subclasses ------------------------------
     def _cdf(self, arr: np.ndarray, left: bool = False) -> np.ndarray:
@@ -50,8 +52,7 @@ class Distribution:
 
     def survival_quantile(self, v):
         """Pr[V >= v], atoms at v included."""
-        return 1.0 - self.cdf_left(v) if np.ndim(v) == 0 \
-            else 1.0 - np.asarray(self.cdf_left(v))
+        return 1.0 - self.cdf_left(v)
 
     def ppf(self, q):
         arr = np.atleast_1d(np.asarray(q, dtype=float))
@@ -62,9 +63,6 @@ class Distribution:
 
     def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
         return self._ppf(uniform_stream(seed, start, count))
-
-    def support_bottom(self) -> float:
-        raise NotImplementedError
 
     def support_top(self) -> float:
         raise NotImplementedError
@@ -81,14 +79,21 @@ class Distribution:
         return xs[keep], m[keep]
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        if self.TYPE is None:
+            raise NotImplementedError
+        out = {"type": self.TYPE}
+        for name in self.FIELDS:
+            v = getattr(self, name)
+            out[name] = (v.to_dict() if isinstance(v, Distribution)
+                         else v.tolist() if isinstance(v, np.ndarray) else v)
+        return out
 
 
 class StepCDF(Distribution):
     """Finite discrete distribution: mass masses[i] at values[i]."""
 
+    TYPE, FIELDS = "step", ("values", "masses")
     purely_atomic = True
-    piecewise_exact = True
 
     def __init__(self, values, masses):
         values = np.asarray(values, dtype=float)
@@ -118,9 +123,6 @@ class StepCDF(Distribution):
         idx = np.searchsorted(self._cum, q, side="left")
         return self.values[np.minimum(idx, self.values.size - 1)]
 
-    def support_bottom(self):
-        return float(self.values[0])
-
     def support_top(self):
         return float(self.values[-1])
 
@@ -129,10 +131,6 @@ class StepCDF(Distribution):
 
     def atoms(self):
         return self.values.copy(), self.masses.copy()
-
-    def to_dict(self):
-        return {"type": "step", "values": self.values.tolist(),
-                "masses": self.masses.tolist()}
 
     def __repr__(self):
         return f"StepCDF({self.values.size} atoms on [{self.values[0]:g}, {self.values[-1]:g}])"
@@ -147,7 +145,7 @@ class PiecewiseLinkCDF(Distribution):
     construction (no ironing here: non-convex inputs are rejected).
     """
 
-    piecewise_exact = True
+    TYPE, FIELDS = "link_cdf", ("kind", "knots", "support_top")
 
     def __init__(self, kind, xs, hs, support_top):
         links.check_kind(kind)
@@ -209,9 +207,6 @@ class PiecewiseLinkCDF(Distribution):
             out[mid] = self.xs[j - 1] + frac * dx
         return out
 
-    def support_bottom(self):
-        return float(self.xs[0])
-
     def support_top(self):
         return self._top
 
@@ -219,6 +214,12 @@ class PiecewiseLinkCDF(Distribution):
         if self._top > self.xs[-1]:
             return np.concatenate((self.xs, [self._top]))
         return self.xs.copy()
+
+    @classmethod
+    def from_fields(cls, kind, knots, support_top):
+        """The dict form's fields, for which the constructor's differ."""
+        knots = np.asarray(knots, dtype=float).reshape(-1, 2)
+        return cls(kind, knots[:, 0], knots[:, 1], support_top)
 
     def to_dict(self):
         return {"type": "link_cdf", "kind": self.kind,
@@ -231,8 +232,8 @@ class PiecewiseLinkCDF(Distribution):
 
 
 class PointMass(Distribution):
+    TYPE, FIELDS = "point", ("value",)
     purely_atomic = True
-    piecewise_exact = True
 
     def __init__(self, value):
         value = float(value)
@@ -247,20 +248,16 @@ class PointMass(Distribution):
     def _ppf(self, q):
         return np.full(q.shape, self.value)
 
-    def support_bottom(self):
-        return self.value
-
     def support_top(self):
         return self.value
 
     def breakpoints(self):
         return np.array([self.value])
 
-    def to_dict(self):
-        return {"type": "point", "value": self.value}
-
 
 class Exponential(Distribution):
+    TYPE, FIELDS = "exp", ("rate",)
+
     def __init__(self, rate):
         rate = float(rate)
         if rate <= 0:
@@ -274,20 +271,16 @@ class Exponential(Distribution):
         with np.errstate(divide="ignore"):
             return -np.log1p(-q) / self.rate
 
-    def support_bottom(self):
-        return 0.0
-
     def support_top(self):
         return np.inf
 
     def breakpoints(self):
         return np.array([0.0])
 
-    def to_dict(self):
-        return {"type": "exp", "rate": self.rate}
-
 
 class Uniform(Distribution):
+    TYPE, FIELDS = "unif", ("lo", "hi")
+
     def __init__(self, lo, hi):
         lo, hi = float(lo), float(hi)
         if lo < 0 or hi <= lo:
@@ -300,17 +293,11 @@ class Uniform(Distribution):
     def _ppf(self, q):
         return self.lo + q * (self.hi - self.lo)
 
-    def support_bottom(self):
-        return self.lo
-
     def support_top(self):
         return self.hi
 
     def breakpoints(self):
         return np.array([self.lo, self.hi])
-
-    def to_dict(self):
-        return {"type": "unif", "lo": self.lo, "hi": self.hi}
 
 
 class EqualRevenue(Distribution):
@@ -320,7 +307,7 @@ class EqualRevenue(Distribution):
     straight line h_r(x) = x / lo.
     """
 
-    piecewise_exact = True
+    TYPE, FIELDS = "eqrev", ("lo", "cap")
 
     def __init__(self, lo, cap):
         lo, cap = float(lo), float(cap)
@@ -345,17 +332,23 @@ class EqualRevenue(Distribution):
         out[m] = self.lo / (1.0 - q[m])
         return out
 
-    def support_bottom(self):
-        return self.lo
-
     def support_top(self):
         return self.cap
 
     def breakpoints(self):
         return np.array([self.lo, self.cap])
 
-    def to_dict(self):
-        return {"type": "eqrev", "lo": self.lo, "cap": self.cap}
+
+def _family_member(n, beta, which, n_min):
+    """Checked (n, beta, which) of a confusable pair's low or high member."""
+    n, beta = int(n), float(beta)
+    if n < n_min:
+        raise ValueError(f"need n >= {n_min}")
+    if not 0 < beta < 1:
+        raise ValueError("beta must be in (0, 1)")
+    if which not in ("l", "h"):
+        raise ValueError("which must be 'l' or 'h'")
+    return n, beta, which
 
 
 class AppxC1(Distribution):
@@ -368,21 +361,15 @@ class AppxC1(Distribution):
     v2) for the generator that declares the pair's exact KS radius.
     """
 
+    TYPE, FIELDS = "appxC1", ("n", "beta", "which")
+
     def __init__(self, n, beta, which):
-        n = int(n)
-        if n < 2:
-            raise ValueError("need n >= 2")
-        beta = float(beta)
-        if not 0 < beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if which not in ("l", "h"):
-            raise ValueError("which must be 'l' or 'h'")
-        c = -np.log1p(-beta)
-        self.n, self.beta, self.which = n, beta, which
-        self.a = float(np.log(n) + c)
-        self.b_ = float(np.log(n))
+        self.n, self.beta, self.which = _family_member(n, beta, which, n_min=2)
+        c = -np.log1p(-self.beta)
+        self.a = float(np.log(self.n) + c)
+        self.b_ = float(np.log(self.n))
         self.v0 = self.a - 1.0
-        self.v1 = float(np.log(n) + 2 * c)
+        self.v1 = float(np.log(self.n) + 2 * c)
         self.v2 = self.a
         if self.v0 <= 0:
             raise ValueError("base value v0 = ln(n) - ln(1-beta) - 1 must be positive")
@@ -409,9 +396,6 @@ class AppxC1(Distribution):
                          [self.v1, self.a + 0.5 * (t - self.b_)],
                          (self.a / self.b_) * t)
 
-    def support_bottom(self):
-        return 0.0
-
     def support_top(self):
         return self.v1
 
@@ -419,10 +403,6 @@ class AppxC1(Distribution):
         if self.which == "l":
             return np.array([0.0, self.v1])
         return np.array([0.0, self.v2, self.v1])
-
-    def to_dict(self):
-        return {"type": "appxC1", "n": self.n, "beta": self.beta,
-                "which": self.which}
 
 
 class AppxC2(Distribution):
@@ -432,18 +412,12 @@ class AppxC2(Distribution):
     its support, the upper one thickens the tail beyond v2 = 1 + 1/beta.
     """
 
+    TYPE, FIELDS = "appxC2", ("n", "beta", "which")
+
     def __init__(self, n, beta, which):
-        n = int(n)
-        if n < 1:
-            raise ValueError("need n >= 1")
-        beta = float(beta)
-        if not 0 < beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if which not in ("l", "h"):
-            raise ValueError("which must be 'l' or 'h'")
-        self.n, self.beta, self.which = n, beta, which
-        self.bottom = 1.0 + 1.0 / n
-        self.v2 = 1.0 + 1.0 / beta
+        self.n, self.beta, self.which = _family_member(n, beta, which, n_min=1)
+        self.bottom = 1.0 + 1.0 / self.n
+        self.v2 = 1.0 + 1.0 / self.beta
 
     def _cdf(self, arr, left=False):
         out = np.zeros(arr.shape)
@@ -465,9 +439,6 @@ class AppxC2(Distribution):
             high = 2.0 + (1.0 - self.beta) / (self.n * (1.0 - q))
         return np.where(q < 1.0 - self.beta / self.n, low, high)
 
-    def support_bottom(self):
-        return self.bottom
-
     def support_top(self):
         return np.inf
 
@@ -475,10 +446,6 @@ class AppxC2(Distribution):
         if self.which == "l":
             return np.array([self.bottom])
         return np.array([self.bottom, self.v2])
-
-    def to_dict(self):
-        return {"type": "appxC2", "n": self.n, "beta": self.beta,
-                "which": self.which}
 
 
 def appx_c1(n, beta, which) -> Distribution:
@@ -502,6 +469,8 @@ def appx_c2(n, beta, which) -> Distribution:
 class UpShift(Distribution):
     """min(F + alpha, 1): moves alpha of mass to an atom at 0."""
 
+    TYPE, FIELDS = "upshift", ("alpha", "base")
+
     def __init__(self, base: Distribution, alpha):
         alpha = float(alpha)
         if not 0 < alpha < 1:
@@ -510,7 +479,6 @@ class UpShift(Distribution):
         self.alpha = alpha
         self._top = float(base.ppf(1.0 - alpha))
         self.purely_atomic = base.purely_atomic
-        self.piecewise_exact = base.piecewise_exact
 
     def _cdf(self, arr, left=False):
         below = np.less_equal if left else np.less
@@ -523,9 +491,6 @@ class UpShift(Distribution):
         shifted = np.asarray(self.base.ppf(np.clip(q - self.alpha, 0.0, 1.0)))
         return np.where(q <= at_zero, 0.0, np.minimum(shifted, self._top))
 
-    def support_bottom(self):
-        return 0.0
-
     def support_top(self):
         return self._top
 
@@ -534,12 +499,11 @@ class UpShift(Distribution):
         pts = np.concatenate(([0.0], base_pts[base_pts < self._top], [self._top]))
         return np.unique(pts)
 
-    def to_dict(self):
-        return {"type": "upshift", "alpha": self.alpha, "base": self.base.to_dict()}
-
 
 class DownShiftSpike(Distribution):
     """max(F - alpha, 0) below spike_x, with all remaining mass at spike_x."""
+
+    TYPE, FIELDS = "downshift_spike", ("alpha", "spike_x", "base")
 
     def __init__(self, base: Distribution, alpha, spike_x):
         alpha = float(alpha)
@@ -553,7 +517,6 @@ class DownShiftSpike(Distribution):
         self.spike_x = spike_x
         self._left_at_spike = max(float(base.cdf_left(spike_x)) - alpha, 0.0)
         self.purely_atomic = base.purely_atomic
-        self.piecewise_exact = base.piecewise_exact
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -566,9 +529,6 @@ class DownShiftSpike(Distribution):
         return np.where(q <= self._left_at_spike,
                         np.minimum(shifted, self.spike_x), self.spike_x)
 
-    def support_bottom(self):
-        return float(self.base.ppf(self.alpha))
-
     def support_top(self):
         return self.spike_x
 
@@ -577,10 +537,6 @@ class DownShiftSpike(Distribution):
         pts = np.concatenate((base_pts[base_pts < self.spike_x],
                               [float(self.base.ppf(self.alpha)), self.spike_x]))
         return np.unique(pts)
-
-    def to_dict(self):
-        return {"type": "downshift_spike", "alpha": self.alpha,
-                "spike_x": self.spike_x, "base": self.base.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +574,6 @@ class ProductDist:
     def __iter__(self):
         return iter(self.components)
 
-    def __getitem__(self, i):
-        return self.components[i]
-
 
 # ---------------------------------------------------------------------------
 # KS distance
@@ -630,19 +583,16 @@ _KS_GRID = 100_000
 _KS_QGRID = 4096
 
 
-def _finite_breakpoints(dist):
-    pts = np.asarray(dist.breakpoints(), dtype=float)
-    return pts[np.isfinite(pts)]
-
-
 def _candidate_points(d1, d2):
-    pts = [_finite_breakpoints(d1), _finite_breakpoints(d2)]
-    if not (d1.piecewise_exact and d2.piecewise_exact):
+    """(points where the CDF gap can peak, whether they are exact)."""
+    exact = d1.purely_atomic or d2.purely_atomic
+    pts = [np.asarray(d.breakpoints(), dtype=float) for d in (d1, d2)]
+    if not exact:
         tops = []
         for d in (d1, d2):
             t = d.support_top()
             tops.append(t if np.isfinite(t) else float(d.ppf(1.0 - 1e-9)))
-        lo = min(d1.support_bottom(), d2.support_bottom())
+        lo = min(d1.ppf(0.0), d2.ppf(0.0))
         hi = max(tops)
         if hi > lo:
             pts.append(np.linspace(lo, hi, _KS_GRID))
@@ -650,7 +600,7 @@ def _candidate_points(d1, d2):
         pts.append(np.asarray(d1.ppf(qs)))
         pts.append(np.asarray(d2.ppf(qs)))
     cand = np.unique(np.concatenate(pts))
-    return cand[np.isfinite(cand)]
+    return cand[np.isfinite(cand)], exact
 
 
 def _golden_max(f, lo, hi, iters=80):
@@ -676,16 +626,17 @@ def _golden_max(f, lo, hi, iters=80):
 def ks_distance(d1: Distribution, d2: Distribution) -> float:
     """sup-norm distance between the two CDFs.
 
-    Piecewise pairs (step or link CDFs) are evaluated exactly over the union
-    of their breakpoints with one-sided limits; when a parametric side is
-    involved, a dense grid plus golden-section refinement (to well below 1e-7)
-    finds interior maxima between breakpoints.
+    With a piecewise-constant (purely atomic) side the gap peaks at a
+    breakpoint, and the union of both sides' breakpoints with one-sided
+    limits is exact.  Otherwise (two link CDFs too, between knots) a dense
+    grid plus golden-section refinement (to well below 1e-7) finds interior
+    maxima between breakpoints.
     """
-    cand = _candidate_points(d1, d2)
+    cand, exact = _candidate_points(d1, d2)
     gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
     gap_l = np.abs(np.asarray(d1.cdf_left(cand)) - np.asarray(d2.cdf_left(cand)))
     best = float(max(gap_r.max(), gap_l.max()))
-    if d1.piecewise_exact and d2.piecewise_exact:
+    if exact:
         return best
     # refine around the best few grid points; the gap is continuous there
     order = np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]
@@ -702,55 +653,66 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
 # spec strings and JSON round trip
 # ---------------------------------------------------------------------------
 
+# every type with a dict form, by the TYPE its class declares
+_TYPES = {cls.TYPE: cls for cls in Distribution.__subclasses__() if cls.TYPE}
+# the types with a spec string; 'b' picks a confusable family's base
+_SPEC_BUILDERS = {"exp": Exponential, "unif": Uniform, "eqrev": EqualRevenue,
+                  "point": PointMass, "appxC1": appx_c1, "appxC2": appx_c2}
+
+
+# the JSON shape of each field that is not a number: [s] is a list of s,
+# (s, t) a two-element list, float a finite number (not a bool)
+_SHAPES = {"kind": str, "which": str, "values": [float], "masses": [float],
+           "knots": [(float, float)], "base": dict}
+
+
+def _fits(v, shape) -> bool:
+    """Whether the JSON value v has the given shape (see _SHAPES)."""
+    if isinstance(shape, list):
+        return isinstance(v, list) and all(_fits(x, shape[0]) for x in v)
+    if isinstance(shape, tuple):
+        return (isinstance(v, list) and len(v) == len(shape)
+                and all(map(_fits, v, shape)))
+    if shape is float:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) < np.inf)
+    return isinstance(v, shape)
+
+
 def parse_dist_spec(spec: str) -> Distribution:
-    """Build a distribution from a compact string.
+    """Build a distribution from a compact string: a type name, then its
+    fields in order, colon-separated.
 
     Syntax: exp:RATE | unif:A:B | eqrev:LO:CAP | point:V |
     appxC1:N:BETA:b|h|l | appxC2:N:BETA:b|h|l
     """
-    parts = str(spec).strip().split(":")
-    name, args = parts[0], parts[1:]
+    name, *args = str(spec).strip().split(":")
+    build = _SPEC_BUILDERS.get(name)
+    if build is None or len(args) != len(_TYPES[name].FIELDS):
+        raise ValueError(f"unknown distribution spec {spec!r}")
     try:
-        if name == "exp" and len(args) == 1:
-            return Exponential(float(args[0]))
-        if name == "unif" and len(args) == 2:
-            return Uniform(float(args[0]), float(args[1]))
-        if name == "eqrev" and len(args) == 2:
-            return EqualRevenue(float(args[0]), float(args[1]))
-        if name == "point" and len(args) == 1:
-            return PointMass(float(args[0]))
-        if name == "appxC1" and len(args) == 3:
-            return appx_c1(int(args[0]), float(args[1]), args[2])
-        if name == "appxC2" and len(args) == 3:
-            return appx_c2(int(args[0]), float(args[1]), args[2])
+        return build(*[a if f == "which" else int(a) if f == "n" else float(a)
+                       for f, a in zip(_TYPES[name].FIELDS, args)])
     except ValueError as exc:
         raise ValueError(f"bad distribution spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown distribution spec {spec!r}")
 
 
-def dist_from_dict(d: dict) -> Distribution:
-    kind = d.get("type")
-    if kind == "step":
-        return StepCDF(d["values"], d["masses"])
-    if kind == "link_cdf":
-        knots = np.asarray(d["knots"], dtype=float)
-        return PiecewiseLinkCDF(d["kind"], knots[:, 0], knots[:, 1],
-                                d["support_top"])
-    if kind == "point":
-        return PointMass(d["value"])
-    if kind == "exp":
-        return Exponential(d["rate"])
-    if kind == "unif":
-        return Uniform(d["lo"], d["hi"])
-    if kind == "eqrev":
-        return EqualRevenue(d["lo"], d["cap"])
-    if kind == "appxC1":
-        return AppxC1(d["n"], d["beta"], d["which"])
-    if kind == "appxC2":
-        return AppxC2(d["n"], d["beta"], d["which"])
-    if kind == "upshift":
-        return UpShift(dist_from_dict(d["base"]), d["alpha"])
-    if kind == "downshift_spike":
-        return DownShiftSpike(dist_from_dict(d["base"]), d["alpha"],
-                              d["spike_x"])
-    raise ValueError(f"unknown distribution dict type {kind!r}")
+def dist_from_dict(d) -> Distribution:
+    """Inverse of `to_dict`; ValueError, naming the field, on any bad input."""
+    if not isinstance(d, dict):
+        raise ValueError("a distribution must be a JSON object")
+    name = d.get("type")
+    cls = _TYPES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown distribution dict type {name!r}")
+    fields = {}
+    for f in cls.FIELDS:
+        if f not in d:
+            raise ValueError(f"{name}: missing field {f!r}")
+        if not _fits(d[f], _SHAPES.get(f, float)):
+            raise ValueError(f"{name}: field {f!r} has the wrong type or shape")
+        fields[f] = dist_from_dict(d[f]) if f == "base" else d[f]
+    try:
+        return getattr(cls, "from_fields", cls)(**fields)
+    except (TypeError, OverflowError) as exc:   # a number too large to use
+        raise ValueError(f"{name}: {exc}") from exc

@@ -117,18 +117,13 @@ def convex_envelope(xs, ys) -> PiecewiseLinearFn:
     slope sequence is strictly increasing.  The first and last input points
     are always vertices.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be 1-d arrays of equal length")
-    if xs.size < 2:
+    pts = PiecewiseLinearFn(xs, ys)     # checks the input
+    if pts.xs.size < 2:
         raise ValueError("need at least two points")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing")
 
     hull_x: list[float] = []
     hull_y: list[float] = []
-    for x, y in zip(xs, ys):
+    for x, y in zip(pts.xs, pts.ys):
         # pop the middle point b while (a, b, x) is not strictly convex:
         # slope(a,b) >= slope(b,c) <=> cross >= 0, with tolerance merging ties
         while len(hull_x) >= 2:

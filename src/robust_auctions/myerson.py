@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import PiecewiseLinkCDF, dist_from_dict
+from .distributions import PiecewiseLinkCDF, _fits, dist_from_dict
+from .links import check_kind
 
 _NEG_INF = float("-inf")
 
@@ -65,11 +66,9 @@ class VirtualValueFn:
         self._lefts = lefts
         self._rights = rights
         self._inv_s = inv_s
-        if self.kind == "mhr":
-            self._sups = np.maximum.accumulate(vals) if vals.size else vals
-        else:
-            self._consts = np.maximum.accumulate(vals) if vals.size else vals
-            self._sups = self._consts
+        # running max of each piece's largest virtual value: its right end
+        # (mhr) or its constant (regular)
+        self._sups = np.maximum.accumulate(vals) if vals.size else vals
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, v):
@@ -85,7 +84,7 @@ class VirtualValueFn:
                 vals = arr - self._inv_s[idx]
                 vals[~np.isfinite(self._inv_s[idx])] = _NEG_INF
             else:
-                vals = self._consts[idx]
+                vals = self._sups[idx]
             out[inside] = vals[inside]
         out[arr >= self.top] = self.top
         out[arr < self.cdf.xs[0]] = _NEG_INF
@@ -151,7 +150,12 @@ def optimal_reserve(cdf: PiecewiseLinkCDF):
         cands.append(stat[ok])
     xs = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in cands]))
     xs = xs[xs > 0] if xs.size > 1 else xs
-    revs = xs * (1.0 - np.asarray(cdf.cdf_left(xs)))
+    return best_price(cdf, xs)
+
+
+def best_price(dist, xs):
+    """(x, revenue) at the smallest argmax of x * Pr[V >= x] over xs."""
+    revs = xs * (1.0 - np.asarray(dist.cdf_left(xs)))
     i = int(np.argmax(revs))
     return float(xs[i]), float(revs[i])
 
@@ -207,10 +211,6 @@ class Mechanism:
         best = phi[np.arange(rows), winners]
         winners = np.where(best >= 0, winners, -1)
         payments = np.zeros(rows)
-        if self.n == 1:
-            sold = winners == 0
-            payments[sold] = self.vvs[0].inverse(0.0)
-            return winners, payments
         # prefix/suffix maxima of phi excluding each column
         pad = np.full((rows, 1), _NEG_INF)
         prefix = np.maximum.accumulate(np.concatenate([pad, phi[:, :-1]], axis=1),
@@ -239,12 +239,23 @@ class Mechanism:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Mechanism":
+    def from_dict(cls, d) -> "Mechanism":
+        """Inverse of `to_dict`; ValueError, naming the field, on bad input."""
+        if not isinstance(d, dict):
+            raise ValueError("a mechanism must be a JSON object")
+        alpha, provenance = d.get("alpha"), d.get("provenance") or {}
+        for field, ok, what in (
+                ("bidders", isinstance(d.get("bidders"), list), "a list"),
+                ("alpha", alpha is None or _fits(alpha, [float]),
+                 "null or a list of numbers"),
+                ("provenance", isinstance(provenance, dict), "an object")):
+            if not ok:
+                raise ValueError(f"mechanism: field {field!r} must be {what}")
         bidders = [dist_from_dict(b) for b in d["bidders"]]
         if not all(isinstance(b, PiecewiseLinkCDF) for b in bidders):
             raise ValueError("mechanism bidders must be link_cdf entries")
-        return cls(kind=d["kind"], bidders=bidders, alpha=d.get("alpha"),
-                   provenance=d.get("provenance") or {})
+        return cls(kind=check_kind(d.get("kind")), bidders=bidders, alpha=alpha,
+                   provenance=provenance)
 
 
 def run_auction(mech: Mechanism, bids) -> Outcome:

@@ -20,12 +20,10 @@ def naive_envelope(xs, ys) -> PiecewiseLinearFn:
     runs collapse to their endpoints (the printed procedure leaves the
     tie-break open; this choice matches the tie-merging of the fast hull).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    pts = PiecewiseLinearFn(xs, ys)     # checks the input
+    xs, ys = pts.xs, pts.ys
     if xs.size < 2:
         raise ValueError("need at least two points")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing")
     hull_x = [xs[0]]
     hull_y = [ys[0]]
     i = 0
@@ -55,7 +53,7 @@ def grid_reserve(dist, step: float):
 def dominates(d1: Distribution, d2: Distribution, slack: float = 1e-9) -> bool:
     """True when F1 <= F2 + slack at evaluation points (d1 first-order
     dominates d2)."""
-    cand = _candidate_points(d1, d2)
+    cand, _ = _candidate_points(d1, d2)
     f1r, f2r = np.asarray(d1.cdf(cand)), np.asarray(d2.cdf(cand))
     f1l, f2l = np.asarray(d1.cdf_left(cand)), np.asarray(d2.cdf_left(cand))
     return bool(np.all(f1r <= f2r + slack) and np.all(f1l <= f2l + slack))

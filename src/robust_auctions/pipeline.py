@@ -22,7 +22,7 @@ ablation returns a plain Mechanism too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,43 +53,30 @@ class ShadingParams:
             raise ValueError("need one alpha per bidder")
 
 
-def _shaded_survivals(E: StepCDF, m, n, delta, alpha_i, include_alpha=True):
-    """Apply the quantile shading formula at every atom of E.
+def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
+    """Shaded pessimistic version of an empirical CDF.
 
-    q_hat(v) = max{0, q(v) - sqrt(2 q (1-q) L / m) - 4 L / m - alpha_i} with
-    L = ln(2 m n / delta), and q_hat(0) = 1.  Atoms whose shaded survival
-    reaches 0 are truncated away; the last atom with positive shaded survival
-    closes the support.  Returns (values, shaded survivals) with a 0 atom
-    prepended, shaded survivals non-increasing by construction.
+    Every atom's survival is shaded to q_hat(v) = max{0, q(v) -
+    sqrt(2 q (1-q) L / m) - 4 L / m - alpha_i} with L = ln(2 m n / delta),
+    and q_hat(0) = 1.  Atoms whose shaded survival reaches 0 are truncated
+    away; the last atom with positive shaded survival closes the support.
     """
+    m = params.m
     xs = E.values
     q = 1.0 - np.asarray(E.cdf_left(xs))        # Pr[V >= x], atom included
-    L = np.log(2.0 * m * n / delta)
+    L = np.log(2.0 * m * params.n / params.delta)
     shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
-    if include_alpha:
-        shaved = shaved - alpha_i
-    q_hat = np.maximum(shaved, 0.0)
+    q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)
     q_hat[xs == 0.0] = 1.0
     q_hat = np.minimum.accumulate(q_hat)
     if xs[0] > 0.0:
         xs = np.concatenate(([0.0], xs))
         q_hat = np.concatenate(([1.0], q_hat))
-    return xs, q_hat
-
-
-def _step_from_survivals(xs, q_hat) -> StepCDF:
     masses = np.append(-np.diff(q_hat), q_hat[-1])
     keep = masses > 0
     if not np.any(keep):
         return StepCDF([0.0], [1.0])
     return StepCDF(xs[keep], masses[keep])
-
-
-def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
-    """Shaded pessimistic version of an empirical CDF (see _shaded_survivals)."""
-    xs, q_hat = _shaded_survivals(E, params.m, params.n, params.delta,
-                                  params.alpha[bidder_index])
-    return _step_from_survivals(xs, q_hat)
 
 
 def population_robust_myerson(f_tilde: ProductDist, alpha, kind: str) -> Mechanism:
@@ -119,19 +106,18 @@ def robust_empirical_myerson(samples, alpha, delta: float, kind: str,
     params = ShadingParams(m=m, n=n, delta=float(delta), alpha=tuple(alpha))
     prov = {"algorithm": "empirical", "m": m, "delta": float(delta),
             "with_envelope": bool(with_envelope)}
-    if not with_envelope:
-        if n != 1:
-            raise ValueError("the no-envelope ablation is single-bidder only")
-        E = empirical_from_samples(cols[0])
-        xs, q_hat = _shaded_survivals(E, m, n, params.delta, 0.0,
-                                      include_alpha=False)
-        price, _ = opt_single(_step_from_survivals(xs, q_hat))
-        posted = PiecewiseLinkCDF(kind, [price], [link_origin(kind)], price)
-        return Mechanism(kind=kind, bidders=[posted],
-                         alpha=list(params.alpha), provenance=prov)
+    if not (with_envelope or n == 1):
+        raise ValueError("the no-envelope ablation is single-bidder only")
+    # the ablation shades by the confidence term only, not the budget
+    shading = params if with_envelope else replace(params, alpha=(0.0,))
     bidders = []
     for i, col in enumerate(cols):
-        shaded = shade_quantiles(empirical_from_samples(col), params, i)
-        bidders.append(minimal_in_ks_ball(shaded, 0.0, kind))
+        shaded = shade_quantiles(empirical_from_samples(col), shading, i)
+        if with_envelope:
+            bidders.append(minimal_in_ks_ball(shaded, 0.0, kind))
+        else:
+            price, _ = opt_single(shaded)
+            bidders.append(PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
+                                            price))
     return Mechanism(kind=kind, bidders=bidders, alpha=list(params.alpha),
                      provenance=prov)

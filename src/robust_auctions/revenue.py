@@ -13,7 +13,7 @@ import numpy as np
 
 from .ball import minimal_in_ks_ball
 from .distributions import Distribution, PiecewiseLinkCDF, ProductDist
-from .myerson import Mechanism, optimal_reserve
+from .myerson import Mechanism, best_price, optimal_reserve
 
 _CHUNK = 1 << 20
 _OPT_GRID = 200_000
@@ -38,10 +38,7 @@ def opt_single(dist: Distribution):
     if isinstance(dist, PiecewiseLinkCDF):
         return optimal_reserve(dist)
     if dist.purely_atomic:
-        xs, _ = dist.atoms()
-        revs = xs * (1.0 - np.asarray(dist.cdf_left(xs)))
-        i = int(np.argmax(revs))
-        return float(xs[i]), float(revs[i])
+        return best_price(dist, dist.atoms()[0])
     qs = np.linspace(0.0, 1.0, _OPT_GRID, endpoint=False)
     cand = np.unique(np.concatenate([np.asarray(dist.ppf(qs), dtype=float),
                                      dist.breakpoints()]))

@@ -75,7 +75,6 @@ class Truncated(Distribution):
         self.base = base
         self.cutoff = cutoff
         self.purely_atomic = base.purely_atomic
-        self.piecewise_exact = base.piecewise_exact
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -84,9 +83,6 @@ class Truncated(Distribution):
 
     def _ppf(self, q):
         return np.minimum(np.asarray(self.base.ppf(q)), self.cutoff)
-
-    def support_bottom(self):
-        return min(self.base.support_bottom(), self.cutoff)
 
     def support_top(self):
         return min(self.base.support_top(), self.cutoff)

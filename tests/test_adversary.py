@@ -10,6 +10,7 @@ from robust_auctions.adversary import (
     corrupt,
     mhr_lb_family,
     mhr_lb_radius,
+    parse_adversary,
     regular_lb_family,
     regular_lb_radius,
     tail_spike,
@@ -155,6 +156,21 @@ def test_corrupt_dispatch_family_swap():
     assert back.which == "l"
     reg = corrupt(AppxC2(3, 0.5, "h"), "regular-lb:0.5", 0.05)
     assert isinstance(reg, AppxC2) and reg.which == "l"
+
+
+def test_parse_adversary():
+    assert parse_adversary("tailspike:20") == ("tailspike", 20.0)
+    assert parse_adversary("shift:down") == ("shift", "down")
+    assert parse_adversary("mhr-lb:0.4") == ("mhr-lb", 0.4)
+    assert parse_adversary("regular-lb") == ("regular-lb", None)
+    for spec, match in [("gremlin:1", "unknown adversary spec"),
+                        ("shift", "direction must be up or down"),
+                        ("shift:sideways", "direction must be up or down"),
+                        ("tailspike", "needs a numeric argument"),
+                        ("tailspike:big", "needs a numeric argument"),
+                        ("mhr-lb:x", "needs a numeric argument")]:
+        with pytest.raises(ValueError, match=match):
+            parse_adversary(spec)
 
 
 def test_corrupt_errors():

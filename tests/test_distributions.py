@@ -291,7 +291,7 @@ def test_appx_c1_rejects_tiny_settings():
 
 def test_appx_c2_shapes():
     d = AppxC2(1, 0.5, "l")
-    assert d.support_bottom() == 2.0
+    assert d.ppf(0.0) == 2.0
     assert d.cdf(2.0) == 0.0
     assert d.support_top() == np.inf
     h = AppxC2(1, 0.5, "h")
@@ -472,3 +472,52 @@ def test_dict_roundtrip():
         assert_allclose(clone.cdf_left(v), dist.cdf_left(v), atol=1e-12)
     with pytest.raises(ValueError, match="unknown distribution dict"):
         dist_from_dict({"type": "gaussian"})
+
+
+def test_dict_errors_name_the_field():
+    cases = [
+        ([1, 2], "must be a JSON object"),
+        ({"type": ["exp"]}, "unknown distribution dict type"),
+        ({"rate": 1.0}, "unknown distribution dict type None"),
+        ({"type": "exp"}, "exp: missing field 'rate'"),
+        ({"type": "exp", "rate": None}, "exp: field 'rate' has the wrong"),
+        ({"type": "exp", "rate": "1.5"}, "field 'rate' has the wrong"),
+        ({"type": "exp", "rate": True}, "field 'rate' has the wrong"),
+        ({"type": "exp", "rate": float("inf")}, "field 'rate' has the wrong"),
+        ({"type": "step", "values": [float("nan")], "masses": [1.0]},
+         "field 'values' has the wrong"),
+        ({"type": "step", "values": [None], "masses": [1.0]},
+         "field 'values' has the wrong"),
+        ({"type": "link_cdf", "kind": "mhr", "knots": [1, 2],
+          "support_top": 2.0}, "field 'knots' has the wrong"),
+        ({"type": "link_cdf", "kind": "mhr", "knots": [[0, 0, 1]],
+          "support_top": 2.0}, "field 'knots' has the wrong"),
+        ({"type": "link_cdf", "kind": 3, "knots": [[0, 0]],
+          "support_top": 2.0}, "field 'kind' has the wrong"),
+        ({"type": "upshift", "alpha": 0.1, "base": {"type": "exp"}},
+         "exp: missing field 'rate'"),
+        ({"type": "appxC1", "n": 10 ** 30, "beta": 0.1, "which": "l"},
+         "appxC1: "),
+        ({"type": "exp", "rate": -1.0}, "rate must be positive"),
+    ]
+    for d, match in cases:
+        with pytest.raises(ValueError, match=match):
+            dist_from_dict(d)
+
+
+def test_ks_link_pair_between_knots():
+    """Two link CDFs differ most between their knots: 1 - e^-x against
+    1 - e^-2x peaks at x = ln 2 with gap 1/2 - 1/4, above the knot gap
+    e^-1 - e^-2 = 0.2325."""
+    a = PiecewiseLinkCDF("mhr", [0.0, 1.0], [0.0, 1.0], 1.0)
+    b = PiecewiseLinkCDF("mhr", [0.0, 1.0], [0.0, 2.0], 1.0)
+    assert abs(ks_distance(a, b) - 0.25) < 1e-9
+    assert abs(ks_distance(b, a) - 0.25) < 1e-9
+
+
+def test_spike_below_the_shifted_base_is_the_bottom():
+    """A spike below base.ppf(alpha) holds all the mass, so it is where the
+    support starts."""
+    d = DownShiftSpike(Exponential(1.0), 0.5, 0.002)
+    assert d.ppf(0.0) == 0.002
+    assert d.cdf(0.002) == 1.0 and d.cdf_left(0.002) == 0.0

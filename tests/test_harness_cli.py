@@ -343,3 +343,51 @@ def test_cli_exit_codes(tmp_path, capsys):
                  str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err
     assert "check failed" in err
+
+
+def test_cli_malformed_json_is_a_config_error(tmp_path, capsys):
+    """Malformed distribution, mechanism and config JSON exits 2 with a
+    one-line error, never a traceback."""
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    link = {"type": "link_cdf", "kind": "mhr", "knots": [[0.0, 0.0]],
+            "support_top": 1.0}
+    out = str(tmp_path / "out")
+    cases = [
+        (["corrupt", "--adversary", "shift:up", "--alpha", "0.1",
+          "--in", write("exp.json", {"type": "exp"}), "--out", out],
+         "missing field 'rate'"),
+        (["gen", "--dist", write("knots.json", dict(link, knots=[1, 2])),
+          "--m", "10", "--seed", "0", "--out", out], "field 'knots'"),
+        (["eval", "--mech", write("list.json", [1, 2]), "--true", "exp:1.0"],
+         "must be a JSON object"),
+        (["eval", "--mech", write("nobidders.json", {"n": 1, "kind": "mhr"}),
+          "--true", "exp:1.0"], "field 'bidders'"),
+        (["eval", "--mech", write("notop.json", {
+            "kind": "mhr", "bidders": [{k: v for k, v in link.items()
+                                        if k != "support_top"}]}),
+          "--true", "exp:1.0"], "missing field 'support_top'"),
+        (["sweep", "--config", write("cfg.json", {
+            "true_dists": [{"type": "exp"}], "adversary": "shift:up",
+            "kind": "mhr", "alphas": [0.0], "seeds": [0]}), "--out", out],
+         "missing field 'rate'"),
+        (["sweep", "--config", write("cfglist.json", [1]), "--out", out],
+         "config must be a JSON object"),
+    ]
+    for argv, match in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert match in err, err
+
+
+def test_config_accepts_lb_adversary_without_beta():
+    cfg = _small_config(true_dists=["appxC1:10:0.1:l"], adversary="mhr-lb",
+                        alphas=[0.25])
+    assert cfg.adversary == "mhr-lb"
+    _small_config(true_dists=["appxC2:3:0.5:h"], adversary="regular-lb:0.5")
