@@ -97,13 +97,18 @@ def _cmd_learn(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.mech) as fh:
         mech = Mechanism.from_dict(json.load(fh))
+    m = (mech.provenance or {}).get("m", 0)
+    try:
+        m = int(m)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{args.mech}: provenance.m must be an integer, "
+                          f"got {m!r}")
     truths = _load_dists(args.true)
     ratio, ci, opt, rev = revenue_ratio_detail(mech, ProductDist(truths),
                                                args.draws, args.seed)
     alpha = (mech.alpha or [0.0])[0]
     row = {"n": mech.n, "kind": mech.kind, "adversary": "none",
-           "alpha": float(alpha),
-           "m": int((mech.provenance or {}).get("m", 0)), "seed": args.seed,
+           "alpha": float(alpha), "m": m, "seed": args.seed,
            "ratio": ratio, "ci": ci, "opt": opt, "rev": rev}
     if args.out:
         write_rows([row], args.out)

@@ -38,6 +38,14 @@ class CheckFailure(RuntimeError):
     """A declared runtime assertion did not hold (CLI exit code 3)."""
 
 
+# numeric config fields and their conversions, in checking order
+_CONVERSIONS = (("alphas", lambda v: list(map(check_alpha, v))),
+                ("seeds", lambda v: list(map(int, v))),
+                ("ms", lambda v: list(map(int, v))),
+                ("delta", float),
+                ("mc_draws", int))
+
+
 @dataclass
 class ExperimentConfig:
     true_dists: list
@@ -53,12 +61,12 @@ class ExperimentConfig:
         for name in ("true_dists", "alphas", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
+        for name, convert in _CONVERSIONS:
+            try:
+                setattr(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}: {exc}")
         try:
-            self.alphas = [check_alpha(a) for a in self.alphas]
-            self.seeds = [int(s) for s in self.seeds]
-            self.ms = [int(m) for m in self.ms]
-            self.delta = float(self.delta)
-            self.mc_draws = int(self.mc_draws)
             parse_adversary(self.adversary)
             self._dists = [self._resolve(d) for d in self.true_dists]
         except (TypeError, ValueError, OverflowError) as exc:

@@ -24,6 +24,13 @@ KINDS = ("mhr", "regular")
 # is a tolerance on slope *numerators*.
 _HULL_TOL = 1e-12
 
+# convex_envelope's pruning passes: points per block of a pass, and the most
+# passes before the stack loop takes whatever survived.  A pass drops at
+# least one point per concave run, so inputs such as a convex chain ending
+# in a low point lose only one point a pass and need the loop.
+_BLOCK = 1 << 14
+_MAX_PASSES = 64
+
 
 def check_kind(kind: str) -> str:
     if kind not in KINDS:
@@ -112,20 +119,80 @@ class PiecewiseLinearFn:
 def convex_envelope(xs, ys) -> PiecewiseLinearFn:
     """Lower convex envelope of the points (xs[i], ys[i]).
 
-    Monotone-chain lower hull.  Slope comparisons use cross products with an
-    absolute tolerance of 1e-12, which merges collinear runs so the output
-    slope sequence is strictly increasing.  The first and last input points
-    are always vertices.
+    Two steps.  First, pruning passes in numpy: each pass takes every
+    interior point's cross product with its current neighbours, in the
+    expression the stack loop uses, and drops the points that lie above
+    their neighbours' chord by at least the 1e-12 tolerance, so clearly not
+    vertices.  Passes repeat until one drops nothing or a fixed cap is
+    reached.  Second, the monotone-chain stack loop (`_chain`) runs on the
+    survivors and alone decides near-ties: cross products within 1e-12 of
+    zero merge collinear runs, so the output slope sequence is strictly
+    increasing.  The first and last input points are always vertices.
+
+    Where the cross products are exact (integer points of modest size) the
+    result is the loop's on the whole input; on near-collinear floats a
+    near-tie can resolve differently.
     """
     pts = PiecewiseLinearFn(xs, ys)     # checks the input
     if pts.xs.size < 2:
         raise ValueError("need at least two points")
+    # A pass reads the points (px, py) and compacts its survivors to the
+    # front of (x, y); later passes work in place.  Pages of x and y that no
+    # survivor reaches are never touched, so cost no memory.
+    px, py = pts.xs, pts.ys
+    n = px.size
+    x, y = np.empty(n), np.empty(n)
+    x[0], y[0] = px[0], py[0]
+    # block-sized scratch, reused by every block of every pass, so a pass
+    # over a long input allocates nothing of its length
+    size = min(_BLOCK, n - 2)
+    a, b, c = np.empty(size), np.empty(size), np.empty(size)
+    below = np.empty(size, dtype=bool)
+    for _ in range(_MAX_PASSES):
+        w = 1           # x[:w] holds the survivors so far; x[0] always stays
+        for s in range(1, n - 1, _BLOCK):
+            e = min(s + _BLOCK, n - 1)
+            k = e - s
+            # cross of (i - 1, i, i + 1) for i in [s, e), as _chain takes it.
+            # In place, the writes of earlier blocks end before px[s - 1]
+            # unless they dropped nothing, so these reads see the pass's input.
+            ab, bb, cb, keep = a[:k], b[:k], c[:k], below[:k]
+            np.subtract(py[s:e], py[s - 1:e - 1], out=ab)
+            np.subtract(px[s + 1:e + 1], px[s:e], out=bb)
+            np.multiply(ab, bb, out=ab)
+            np.subtract(py[s + 1:e + 1], py[s:e], out=bb)
+            np.subtract(px[s:e], px[s - 1:e - 1], out=cb)
+            np.multiply(bb, cb, out=bb)
+            np.subtract(ab, bb, out=ab)
+            np.less(ab, _HULL_TOL, out=keep)
+            kept = int(np.count_nonzero(keep))
+            if kept == k and w == s and px is x:    # in place, nothing to move
+                w = e
+                continue
+            np.compress(keep, px[s:e], out=ab[:kept])
+            np.compress(keep, py[s:e], out=bb[:kept])
+            x[w:w + kept] = ab[:kept]
+            y[w:w + kept] = bb[:kept]
+            w += kept
+        x[w], y[w] = px[n - 1], py[n - 1]
+        px, py = x, y
+        if w + 1 == n:
+            break
+        n = w + 1
+    return PiecewiseLinearFn(*_chain(x[:n], y[:n]))
 
+
+def _chain(xs, ys):
+    """Monotone-chain lower hull (Andrew 1979) of points sorted by x, as
+    (vertex xs, vertex ys) arrays.
+
+    The middle point b of the last two hull points (a, b) is popped while
+    (a, b, c) is not strictly convex for the next point c: slope(a, b) >=
+    slope(b, c), i.e. cross >= 0, with a tolerance of 1e-12 merging ties.
+    """
     hull_x: list[float] = []
     hull_y: list[float] = []
-    for x, y in zip(pts.xs, pts.ys):
-        # pop the middle point b while (a, b, x) is not strictly convex:
-        # slope(a,b) >= slope(b,c) <=> cross >= 0, with tolerance merging ties
+    for x, y in zip(xs.tolist(), ys.tolist()):
         while len(hull_x) >= 2:
             ax, ay = hull_x[-2], hull_y[-2]
             bx, by = hull_x[-1], hull_y[-1]
@@ -135,6 +202,6 @@ def convex_envelope(xs, ys) -> PiecewiseLinearFn:
                 hull_y.pop()
             else:
                 break
-        hull_x.append(float(x))
-        hull_y.append(float(y))
-    return PiecewiseLinearFn(np.array(hull_x), np.array(hull_y))
+        hull_x.append(x)
+        hull_y.append(y)
+    return np.array(hull_x), np.array(hull_y)

@@ -53,6 +53,18 @@ class ShadingParams:
             raise ValueError("need one alpha per bidder")
 
 
+def _survival_at_atoms(E: StepCDF) -> np.ndarray:
+    """Pr[V >= v] at each atom v of E, atom included: bit for bit
+    E.survival_quantile(E.values), read off the running mass sums (clipped
+    at 1 as cdf_left clips them) instead of searching every atom for
+    itself."""
+    q = np.empty(E.masses.size)
+    q[0] = 0.0
+    np.cumsum(E.masses[:-1], out=q[1:])
+    np.minimum(q, 1.0, out=q)
+    return np.subtract(1.0, q, out=q)
+
+
 def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
     """Shaded pessimistic version of an empirical CDF.
 
@@ -63,7 +75,7 @@ def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> Ste
     """
     m = params.m
     xs = E.values
-    q = 1.0 - np.asarray(E.cdf_left(xs))        # Pr[V >= x], atom included
+    q = _survival_at_atoms(E)
     L = np.log(2.0 * m * params.n / params.delta)
     shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
     q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)

@@ -57,6 +57,12 @@ def test_config_validation_errors():
         (dict(adversary="shift:sideways"), "direction must be up or down"),
         (dict(adversary="tailspike:big"), "needs a numeric argument"),
         (dict(true_dists=["exp:1:2"]), "distribution spec"),
+        # a value of the wrong type is named by its field
+        (dict(alphas=[None]), "^alphas: "),
+        (dict(seeds=[None]), "^seeds: "),
+        (dict(ms=["x"]), "^ms: "),
+        (dict(delta="x"), "^delta: "),
+        (dict(mc_draws=[1]), "^mc_draws: "),
     ]
     for overrides, match in cases:
         with pytest.raises(ConfigError, match=match):
@@ -376,6 +382,13 @@ def test_cli_malformed_json_is_a_config_error(tmp_path, capsys):
          "missing field 'rate'"),
         (["sweep", "--config", write("cfglist.json", [1]), "--out", out],
          "config must be a JSON object"),
+        (["sweep", "--config", write("nullseed.json", {
+            "true_dists": ["exp:1.0"], "adversary": "shift:up",
+            "kind": "mhr", "alphas": [0.0], "seeds": [None]}), "--out", out],
+         "error: seeds: "),
+        (["eval", "--mech", write("nullm.json", {
+            "kind": "mhr", "bidders": [link], "provenance": {"m": None}}),
+          "--true", "exp:1.0", "--draws", "10"], "provenance.m"),
     ]
     for argv, match in cases:
         capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_auctions import links
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
 from robust_auctions.oracle import naive_envelope
@@ -134,3 +135,120 @@ def test_envelope_below_input_property(increments):
     assert np.all(env(xs) <= ys + 1e-9)
     assert env(xs[0]) == ys[0]
     assert env(xs[-1]) == ys[-1]
+
+
+# Integer points with |coordinate| <= 2**20: every cross product is an exact
+# integer in float64, so the 1e-12 tolerance never decides a case.
+_COORD = 2 ** 20
+
+
+@st.composite
+def lattice_points(draw):
+    if draw(st.booleans()):
+        # chains of small steps: collinear runs whenever a step repeats
+        steps = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)),
+                              min_size=1, max_size=60))
+        scale = draw(st.integers(1, 2 ** 11))
+        y0 = draw(st.integers(-2 ** 19, 2 ** 19))
+        dx, dy = np.array(steps).T * scale
+        xs = np.concatenate(([0], np.cumsum(dx)))
+        ys = y0 + np.concatenate(([0], np.cumsum(dy)))
+    else:
+        xs = np.array(sorted(draw(st.sets(st.integers(-_COORD, _COORD),
+                                          min_size=2, max_size=60))))
+        ys = np.array(draw(st.lists(st.integers(-_COORD, _COORD),
+                                    min_size=xs.size, max_size=xs.size)))
+    return xs.astype(float), ys.astype(float)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lattice_points())
+def test_envelope_equals_stack_loop_on_lattice(points):
+    xs, ys = points
+    env = convex_envelope(xs, ys)
+    hx, hy = links._chain(xs, ys)
+    np.testing.assert_array_equal(env.xs, hx)
+    np.testing.assert_array_equal(env.ys, hy)
+
+
+@st.composite
+def adversarial_points(draw):
+    """Near-collinear, tied and tiny inputs at scales 1e-12 .. 1e12."""
+    n = draw(st.one_of(st.integers(2, 3), st.integers(2, 40)))
+    sx = 10.0 ** draw(st.integers(-12, 12))
+    sy = 10.0 ** draw(st.integers(-12, 12))
+    xs = np.unique(sx * np.array(draw(st.lists(st.floats(0.0, 1.0),
+                                                min_size=n, max_size=n))))
+    if xs.size < 2:
+        xs = np.array([0.0, sx])
+    shape = draw(st.sampled_from(["line", "ties", "free"]))
+    if shape == "line":        # a line, each point nudged near rounding
+        noise = draw(st.lists(st.sampled_from([0.0, 1e-16, -1e-16, 1e-13,
+                                               -1e-13, 1e-10]),
+                              min_size=xs.size, max_size=xs.size))
+        ys = 0.25 + 0.5 * xs / sx + np.array(noise)
+    elif shape == "ties":      # few distinct heights: flats and exact ties
+        ys = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                    min_size=xs.size, max_size=xs.size)))
+    else:
+        ys = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=xs.size,
+                                    max_size=xs.size)))
+    return xs, ys * sy
+
+
+@settings(deadline=None, max_examples=300)
+@given(adversarial_points())
+def test_envelope_properties_on_adversarial_floats(points):
+    xs, ys = points
+    env = convex_envelope(xs, ys)
+    assert (env.xs[0], env.ys[0]) == (xs[0], ys[0])
+    assert (env.xs[-1], env.ys[-1]) == (xs[-1], ys[-1])
+    idx = np.searchsorted(xs, env.xs)
+    np.testing.assert_array_equal(xs[idx], env.xs)
+    np.testing.assert_array_equal(ys[idx], env.ys)
+    # strictly increasing slopes, compared as the hull compares them: the
+    # cross product of every three consecutive vertices is below -1e-12.
+    # (Slopes divided out at these scales can round to equal floats.)
+    dx, dy = np.diff(env.xs), np.diff(env.ys)
+    assert np.all(dy[:-1] * dx[1:] - dy[1:] * dx[:-1] < -links._HULL_TOL)
+
+
+def test_envelope_pass_cap_and_loop_fallback():
+    """Inputs spanning several pruning blocks.  A convex chain ending in a low
+    point loses one point per pass, so the passes stop at their cap and the
+    stack loop finishes the hull.  A parabola with every odd point raised
+    keeps every even point as a vertex, so a point lost at a block edge
+    shows.  A random walk drops points in every block over several passes."""
+    n = 3 * links._BLOCK + 5
+    assert n - 2 > links._MAX_PASSES
+    xs = np.arange(n, dtype=float)
+    ys = xs * xs
+    ys[-1] = -1.0
+    env = convex_envelope(xs, ys)
+    np.testing.assert_array_equal(env.xs, [0.0, xs[-1]])
+    np.testing.assert_array_equal(env.ys, [0.0, -1.0])
+
+    zigzag = xs * xs + n * (np.arange(n) % 2)
+    walk = np.cumsum(np.random.default_rng(3).integers(-50, 51, n))
+    for ys in (zigzag, walk.astype(float)):
+        env = convex_envelope(xs, ys)
+        hx, hy = links._chain(xs, ys)
+        np.testing.assert_array_equal(env.xs, hx)
+        np.testing.assert_array_equal(env.ys, hy)
+    # n is odd, so the last point is even: the hull is exactly the evens
+    np.testing.assert_array_equal(convex_envelope(xs, zigzag).xs, xs[::2])
+
+
+def test_envelope_leaves_near_ties_to_the_loop():
+    """Near-collinear points: the passes drop only points clearly above the
+    chord, so the loop decides the ties as it would on the whole input.
+    (Dropping every point with cross >= -1e-12 in the passes changes the
+    hull here.)"""
+    xs = [0.0007037331785697726, 0.0019264362860078844, 0.005477985114598788,
+          0.005528139211835984, 0.008641989566794338]
+    ys = [3.3119337489278215e-10, 2.481847169165255e-09, 2.0068155572756788e-08,
+          2.0437308403179426e-08, 4.994514046614357e-08]
+    env = convex_envelope(xs, ys)
+    hx, hy = links._chain(np.array(xs), np.array(ys))
+    np.testing.assert_array_equal(env.xs, hx)
+    np.testing.assert_array_equal(env.ys, hy)

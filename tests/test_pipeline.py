@@ -19,6 +19,7 @@ from robust_auctions.myerson import Mechanism
 from robust_auctions.oracle import dominates
 from robust_auctions.pipeline import (
     ShadingParams,
+    _survival_at_atoms,
     population_robust_myerson,
     robust_empirical_myerson,
     shade_quantiles,
@@ -57,6 +58,25 @@ def test_shade_quantiles_worked_example():
                                rtol=0, atol=1e-6)
     # survival at zero is pinned to one, so no mass is lost overall
     np.testing.assert_allclose(np.sum(shaded.masses), 1.0, rtol=0, atol=1e-12)
+
+
+def test_survival_at_atoms_equals_cdf_left():
+    """The running-sum survivals shade_quantiles reads equal 1 - cdf_left at
+    every atom, bit for bit: random step CDFs, one atom, an atom at 0, and
+    partial sums that round past 1 (cdf_left clips them)."""
+    rng = np.random.default_rng(11)
+    cases = [StepCDF([2.5], [1.0]), StepCDF([0.0, 1.0, 3.0], [0.2, 0.3, 0.5]),
+             StepCDF([1.0, 2.0, 3.0], [0.5, 0.5 + 5e-10, 1e-12])]
+    for _ in range(200):
+        k = int(rng.integers(1, 400))
+        values = np.unique(rng.exponential(size=k))
+        if rng.random() < 0.5:
+            values[0] = 0.0
+        masses = rng.random(values.size) + 1e-3
+        cases.append(StepCDF(values, masses / masses.sum()))
+    for E in cases:
+        np.testing.assert_array_equal(_survival_at_atoms(E),
+                                      1.0 - E.cdf_left(E.values))
 
 
 def test_shade_quantiles_truncates_thin_tail():
