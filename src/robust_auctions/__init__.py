@@ -5,9 +5,8 @@ the value distributions (or the samples drawn from them) within a small
 Kolmogorov-Smirnov ball.
 """
 
-from .adversary import (AdversaryError, cdf_shift, corrupt, mhr_lb_family,
-                        mhr_lb_radius, regular_lb_family, regular_lb_radius,
-                        tail_spike)
+from .adversary import (AdversaryError, cdf_shift, corrupt, mhr_lb_radius,
+                        regular_lb_radius, tail_spike)
 from .ball import minimal_in_ks_ball
 from .distributions import (AppxC1, AppxC2, Distribution, DownShiftSpike,
                             EqualRevenue, Exponential, PiecewiseLinkCDF,
@@ -35,9 +34,9 @@ __all__ = [
     "ShadingParams", "StepCDF", "Uniform", "UpShift", "VirtualValueFn",
     "cdf_shift", "convex_envelope", "corrupt", "dist_from_dict",
     "empirical_from_samples", "inverse_virtual", "ks_distance",
-    "link_forward", "link_inverse", "mhr_lb_family", "mhr_lb_radius",
+    "link_forward", "link_inverse", "mhr_lb_radius",
     "minimal_in_ks_ball", "opt_single", "optimal_reserve", "parse_dist_spec",
-    "population_robust_myerson", "regular_lb_family", "regular_lb_radius",
+    "population_robust_myerson", "regular_lb_radius",
     "reproduce_counterexample1", "rev_monte_carlo", "revenue_at_reserve",
     "revenue_ratio", "robust_empirical_myerson", "run_auction", "run_sweep",
     "shade_quantiles", "tail_spike", "virtual_value", "write_rows",

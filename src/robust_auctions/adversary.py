@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import (AppxC1, AppxC2, Distribution, DownShiftSpike,
-                            UpShift, appx_c1, appx_c2, ks_distance)
+                            UpShift, ks_distance)
 from .links import check_alpha
 
 _VERIFY_TOL = 1e-9
@@ -57,16 +57,6 @@ def cdf_shift(d_star: Distribution, alpha: float, direction: str) -> Distributio
         spike_x = max(spike_x, float(d_star.ppf(alpha)) + 1e-12)
         d = DownShiftSpike(d_star, alpha, spike_x)
     return _verify(d, d_star, alpha, f"cdf_shift({direction})")
-
-
-def mhr_lb_family(n: int, beta: float):
-    """The confusable MHR triple (base point mass, high CDF, low CDF)."""
-    return appx_c1(n, beta, "b"), appx_c1(n, beta, "h"), appx_c1(n, beta, "l")
-
-
-def regular_lb_family(n: int, beta: float):
-    """The confusable regular triple (base point mass, high CDF, low CDF)."""
-    return appx_c2(n, beta, "b"), appx_c2(n, beta, "h"), appx_c2(n, beta, "l")
 
 
 def mhr_lb_radius(n: int, beta: float) -> float:

@@ -20,6 +20,14 @@ from ._rng import profile_uniforms, uniform_stream
 _ATOM_TOL = 1e-15
 
 
+def _check_finite(**params):
+    """NaN slips past checks written as `x <= 0 -> raise`, and a dict form
+    cannot hold an infinity: both are a ValueError naming the parameter."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 class Distribution:
     """Base interface. Subclasses implement _cdf/_ppf on 1-d float arrays;
     scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
@@ -98,6 +106,7 @@ class StepCDF(Distribution):
     def __init__(self, values, masses):
         values = np.asarray(values, dtype=float)
         masses = np.asarray(masses, dtype=float)
+        _check_finite(values=values, masses=masses)
         if values.ndim != 1 or values.shape != masses.shape or values.size == 0:
             raise ValueError("values and masses must be matching nonempty 1-d arrays")
         if np.any(np.diff(values) <= 0):
@@ -151,6 +160,7 @@ class PiecewiseLinkCDF(Distribution):
         links.check_kind(kind)
         xs = np.asarray(xs, dtype=float)
         hs = np.asarray(hs, dtype=float)
+        _check_finite(xs=xs, hs=hs)
         if xs.ndim != 1 or xs.shape != hs.shape or xs.size == 0:
             raise ValueError("xs and hs must be matching nonempty 1-d arrays")
         if np.any(np.diff(xs) <= 0):
@@ -163,8 +173,6 @@ class PiecewiseLinkCDF(Distribution):
         if np.any(np.diff(hs) < -1e-12):
             raise ValueError("h values must be non-decreasing")
         hs = np.maximum.accumulate(np.maximum(hs, origin))
-        if not np.all(np.isfinite(hs)):
-            raise ValueError("h values must be finite")
         if xs.size >= 3:
             slopes = np.diff(hs) / np.diff(xs)
             if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
@@ -237,6 +245,7 @@ class PointMass(Distribution):
 
     def __init__(self, value):
         value = float(value)
+        _check_finite(value=value)
         if value < 0:
             raise ValueError("point mass location must be nonnegative")
         self.value = value
@@ -260,6 +269,7 @@ class Exponential(Distribution):
 
     def __init__(self, rate):
         rate = float(rate)
+        _check_finite(rate=rate)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
@@ -283,6 +293,7 @@ class Uniform(Distribution):
 
     def __init__(self, lo, hi):
         lo, hi = float(lo), float(hi)
+        _check_finite(lo=lo, hi=hi)
         if lo < 0 or hi <= lo:
             raise ValueError("need 0 <= lo < hi")
         self.lo, self.hi = lo, hi
@@ -311,6 +322,7 @@ class EqualRevenue(Distribution):
 
     def __init__(self, lo, cap):
         lo, cap = float(lo), float(cap)
+        _check_finite(lo=lo, cap=cap)
         if lo < 1:
             raise ValueError("scale lo must be >= 1")
         if cap <= lo:

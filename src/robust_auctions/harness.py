@@ -19,7 +19,7 @@ from .distributions import (Distribution, Exponential, ProductDist,
                             dist_from_dict, parse_dist_spec)
 from .links import KINDS, check_alpha
 from .pipeline import population_robust_myerson, robust_empirical_myerson
-from .revenue import revenue_ratio_detail
+from .revenue import revenue_ratio_detail, truth_mechanism
 
 # Evaluation draws must not reuse the learning sample stream: the learner and
 # the evaluator both consume (seed, profile index) substreams, so the eval
@@ -107,11 +107,13 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int) -> dict:
-    """One sweep cell: corrupt, learn (population when m is None), evaluate."""
+def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int, corrupted,
+             bench) -> dict:
+    """One sweep cell: learn from the truths corrupted at alpha (population
+    when m is None) and evaluate against `bench`, the truth mechanism (None
+    for one bidder, whose ratio is exact)."""
     truths = cfg.dists()
     n = len(truths)
-    corrupted = [corrupt(d, cfg.adversary, alpha) for d in truths]
     if m is None:
         mech = population_robust_myerson(ProductDist(corrupted), [alpha] * n,
                                          cfg.kind)
@@ -120,21 +122,33 @@ def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int) -> dict:
         mech = robust_empirical_myerson([profiles[:, j] for j in range(n)],
                                         [alpha] * n, cfg.delta, cfg.kind)
     ratio, ci, opt, rev = revenue_ratio_detail(
-        mech, ProductDist(truths), cfg.mc_draws, seed + _EVAL_SEED_OFFSET)
+        mech, ProductDist(truths), cfg.mc_draws, seed + _EVAL_SEED_OFFSET,
+        bench=bench)
     return {"n": n, "kind": cfg.kind, "adversary": cfg.adversary,
             "alpha": alpha, "m": 0 if m is None else int(m), "seed": seed,
             "ratio": ratio, "ci": ci, "opt": opt, "rev": rev}
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
-    """All cells of the sweep, sorted by (alpha, m, seed)."""
+    """All cells of the sweep, sorted by (alpha, m, seed).  Each alpha's
+    corruption (KS self-check included) and the truth mechanism are built
+    once, before the cells are dispatched."""
+    truths = cfg.dists()
+    corrupted = {a: [corrupt(d, cfg.adversary, a) for d in truths]
+                 for a in set(cfg.alphas)}
+    bench = (truth_mechanism(ProductDist(truths), cfg.kind)
+             if len(truths) > 1 else None)
     cells = [(a, m, s) for a in cfg.alphas for m in (cfg.ms or [None])
              for s in cfg.seeds]
+
+    def cell(c):
+        return run_cell(cfg, *c, corrupted[c[0]], bench)
+
     if workers <= 1:
-        rows = [run_cell(cfg, a, m, s) for a, m, s in cells]
+        rows = list(map(cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: run_cell(cfg, *c), cells))
+            rows = list(pool.map(cell, cells))
     rows.sort(key=lambda r: (r["alpha"], r["m"], r["seed"]))
     return rows
 
@@ -152,23 +166,6 @@ def write_rows(rows, path):
         fh.write(",".join(RESULT_COLUMNS) + "\n")
         for row in rows:
             fh.write(format_row(row) + "\n")
-
-
-def read_rows(path) -> list:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != RESULT_COLUMNS:
-            raise ValueError(f"unexpected results header {header}")
-        for line in fh:
-            vals = line.strip().split(",")
-            row = dict(zip(RESULT_COLUMNS, vals))
-            for k in ("n", "m", "seed"):
-                row[k] = int(row[k])
-            for k in ("alpha", "ratio", "ci", "opt", "rev"):
-                row[k] = float(row[k])
-            out.append(row)
-    return out
 
 
 def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,

@@ -105,12 +105,6 @@ class PiecewiseLinearFn:
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys)
 
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.ys) / np.diff(self.xs)
-
-    def vertices(self):
-        return self.xs.copy(), self.ys.copy()
-
     def __repr__(self):
         pts = ", ".join(f"({x:g}, {y:g})" for x, y in zip(self.xs, self.ys))
         return f"PiecewiseLinearFn[{pts}]"

@@ -30,6 +30,39 @@ from .links import check_kind
 _NEG_INF = float("-inf")
 
 
+class _KnotRank:
+    """np.searchsorted(knots, a, "right") for a nonempty strictly increasing
+    table and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi) - lo) * s),
+    s = 2 len(knots) / (hi - lo), is monotone in floating point, so knots in
+    lower buckets than a are < a and in higher ones > a: the rank is start[f(a)]
+    plus ceil(log2(occupancy + 1)) branchless steps within a's bucket."""
+
+    def __init__(self, knots):
+        knots = np.asarray(knots, dtype=float)
+        self._lo, self._hi = knots[0], knots[-1]
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = 2 * knots.size / (self._hi - self._lo)   # numpy: 1/0 is inf
+        # one knot, or a span so small that the scale overflows: one bucket
+        self._scale = scale if scale < np.inf else 1.0
+        counts = np.bincount(self._bucket(knots))
+        self._start = np.cumsum(counts) - counts
+        steps = int(counts.max()).bit_length()
+        self._steps = [1 << k for k in reversed(range(steps))]
+        # NaN compares false, so a step never counts past the table's end
+        self._padded = np.concatenate((knots, np.full(1 << steps, np.nan)))
+
+    def _bucket(self, a):
+        b = np.clip(a, self._lo, self._hi) - self._lo
+        b *= self._scale                    # so b >= 0: truncation floors it
+        return b.astype(np.intp)
+
+    def __call__(self, a):
+        rank = self._start[self._bucket(a)]
+        for step in self._steps:
+            np.add(rank, step, out=rank, where=self._padded[step - 1:][rank] <= a)
+        return rank
+
+
 class VirtualValueFn:
     """Per-piece closed-form virtual values for one PiecewiseLinkCDF."""
 
@@ -63,31 +96,30 @@ class VirtualValueFn:
             else:
                 gap_sup = vals[-1] if nreal else _NEG_INF
             vals = np.append(vals, gap_sup)
-        self._lefts = lefts
-        self._rights = rights
-        self._inv_s = inv_s
         # running max of each piece's largest virtual value: its right end
         # (mhr) or its constant (regular)
-        self._sups = np.maximum.accumulate(vals) if vals.size else vals
+        self._sups = np.maximum.accumulate(vals)
+        # a closing piece [top, top] with 1/slope 0 ends the piece tables;
+        # phi's tables also start with the part below the first knot, where
+        # phi is v - inf (mhr) or -inf (regular)
+        self._lefts = np.append(lefts, self.top)
+        self._rights = np.append(rights, self.top)
+        self._inv_s = np.append(inv_s, 0.0)
+        self._rank = _KnotRank(self._lefts)
+        self._inv_tab = np.append(np.inf, self._inv_s)
+        self._sup_tab = np.concatenate(([_NEG_INF], self._sups, [self.top]))
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, v):
         """Virtual value, vectorized; -inf below the first knot, clamped to
-        the top-atom value for v >= support top."""
+        the top-atom value for v >= support top.  v must not be NaN."""
         arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.full(arr.shape, _NEG_INF)
-        if self._lefts.size:
-            idx = np.searchsorted(self._lefts, arr, side="right") - 1
-            inside = idx >= 0
-            idx = np.maximum(idx, 0)
-            if self.kind == "mhr":
-                vals = arr - self._inv_s[idx]
-                vals[~np.isfinite(self._inv_s[idx])] = _NEG_INF
-            else:
-                vals = self._sups[idx]
-            out[inside] = vals[inside]
-        out[arr >= self.top] = self.top
-        out[arr < self.cdf.xs[0]] = _NEG_INF
+        i = self._rank(arr)
+        if self.kind == "mhr":
+            out = arr - self._inv_tab[i]
+            np.minimum(out, self.top, out=out)    # v - 1/slope <= v < top below it
+        else:
+            out = self._sup_tab[i]
         return float(out[0]) if np.ndim(v) == 0 else out
 
     def inverse(self, t, strict: bool = False):
@@ -97,18 +129,15 @@ class VirtualValueFn:
         public `inverse_virtual` wrapper turns that into an error instead.
         """
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        side = "right" if strict else "left"
-        out = np.full(arr.shape, self.top)
-        if self._sups.size:
-            idx = np.searchsorted(self._sups, arr, side=side)
-            hit = idx < self._sups.size
-            safe = np.minimum(idx, self._sups.size - 1)
-            if self.kind == "mhr":
-                vals = np.maximum(self._lefts[safe], arr + self._inv_s[safe])
-                vals = np.minimum(vals, self._rights[safe])
-            else:
-                vals = self._lefts[safe]
-            out[hit] = vals[hit]
+        # a target above every sup lands on the closing piece: the top
+        i = np.searchsorted(self._sups, arr, side="right" if strict else "left")
+        if self.kind == "mhr":
+            # a flat piece (1/slope inf) meets t = -inf at its left end
+            with np.errstate(invalid="ignore"):
+                out = np.fmax(self._lefts[i], arr + self._inv_s[i])
+            np.minimum(out, self._rights[i], out=out)
+        else:
+            out = self._lefts[i]
         return float(out[0]) if np.ndim(t) == 0 else out
 
     @property
@@ -117,7 +146,9 @@ class VirtualValueFn:
 
 
 def virtual_value(cdf: PiecewiseLinkCDF, v):
-    """phi(v); errors if v is beyond the support top."""
+    """phi(v); errors if v is NaN, negative or beyond the support top."""
+    if np.any(np.isnan(np.asarray(v, dtype=float))):
+        raise ValueError("v must not be NaN")
     if np.any(np.asarray(v) > cdf.support_top() + 1e-12):
         raise ValueError("v beyond support top")
     if np.any(np.asarray(v) < 0):
@@ -126,7 +157,10 @@ def virtual_value(cdf: PiecewiseLinkCDF, v):
 
 
 def inverse_virtual(cdf: PiecewiseLinkCDF, t):
-    """Smallest v with phi(v) >= t; errors if t exceeds the top-atom value."""
+    """Smallest v with phi(v) >= t; errors if t is NaN or exceeds the
+    top-atom value."""
+    if np.any(np.isnan(np.asarray(t, dtype=float))):
+        raise ValueError("t must not be NaN")
     top = cdf.support_top()
     if np.any(np.asarray(t) > top):
         raise ValueError("t exceeds max virtual value")
@@ -204,31 +238,31 @@ class Mechanism:
         if not np.all(B >= 0.0):
             raise ValueError("bids must be nonnegative")
         rows = B.shape[0]
-        phi = np.empty_like(B)
+        # the best phi and its bidder, and the runner-up (the first index
+        # among the maxima of the others): `lower` if below the winner's
+        best, second = np.full((2, rows), _NEG_INF)
+        win = np.zeros(rows, dtype=np.intp)
+        lower = np.zeros(rows, dtype=bool)
         for j, vv in enumerate(self.vvs):
-            phi[:, j] = vv.phi(np.minimum(B[:, j], vv.top))
-        winners = np.argmax(phi, axis=1)            # first max: lowest index
-        best = phi[np.arange(rows), winners]
-        winners = np.where(best >= 0, winners, -1)
+            phi = vv.phi(np.minimum(B[:, j], vv.top))
+            new = phi > best                         # ties keep the lower index
+            lower &= phi <= second                   # else j is the runner-up
+            lower |= new                             # else the old best is
+            np.maximum(second, phi, out=second)
+            np.copyto(second, best, where=new)
+            np.maximum(best, phi, out=best)
+            np.copyto(win, j, where=new)
+        winners = np.where(best >= 0, win, -1)
         payments = np.zeros(rows)
-        # prefix/suffix maxima of phi excluding each column
-        pad = np.full((rows, 1), _NEG_INF)
-        prefix = np.maximum.accumulate(np.concatenate([pad, phi[:, :-1]], axis=1),
-                                       axis=1)
-        suffix = np.maximum.accumulate(
-            np.concatenate([pad, phi[:, :0:-1]], axis=1), axis=1)[:, ::-1]
         for j, vv in enumerate(self.vvs):
-            won = winners == j
-            if not np.any(won):
-                continue
-            t_weak = np.maximum(suffix[won, j], 0.0)     # higher index: weak beat
-            pay = np.asarray(vv.inverse(t_weak, strict=False))
-            t_strict = prefix[won, j]                    # lower index: strict beat
-            finite = np.isfinite(t_strict)
-            if np.any(finite):
-                alt = np.asarray(vv.inverse(t_strict[finite], strict=True))
-                pay[finite] = np.maximum(pay[finite], alt)
-            payments[won] = pay
+            won = np.flatnonzero(winners == j)
+            # the winner beats a higher-index runner-up weakly and a
+            # lower-index one strictly; an all -inf field leaves the reserve
+            r = second[won]
+            strict = lower[won] & (r > _NEG_INF)
+            payments[won[~strict]] = vv.inverse(np.maximum(r[~strict], 0.0))
+            payments[won[strict]] = np.maximum(
+                vv.reserve, vv.inverse(r[strict], strict=True))
         return winners, payments
 
     def to_dict(self) -> dict:

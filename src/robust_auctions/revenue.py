@@ -67,29 +67,44 @@ class RevenueEstimate:
     seed: int
 
 
-def rev_monte_carlo(mech: Mechanism, d_true: ProductDist, n_draws: int,
-                    seed: int) -> RevenueEstimate:
-    """Average truthful-auction payment over n_draws sampled profiles."""
-    if d_true.n != mech.n:
+def _payment_moments(mechs, d_true: ProductDist, n_draws: int, seed: int):
+    """The one Monte Carlo pass: each chunk is sampled once and run through
+    every mechanism.  Returns the mean payments and their covariance, from
+    chunk co-moments merged by Chan, Golub and LeVeque's pairwise update."""
+    if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    total = 0.0
-    total_sq = 0.0
+    totals = [0.0] * len(mechs)
+    mean = np.zeros(len(mechs))
+    co = np.zeros((len(mechs), len(mechs)))
     done = 0
     while done < n_draws:
         take = min(_CHUNK, n_draws - done)
         profiles = d_true.sample_profiles(take, seed, first_profile=done)
-        _, pay = mech.payments_batch(profiles)
-        total += float(np.sum(pay))
-        total_sq += float(np.sum(pay * pay))
+        pays = [mech.payments_batch(profiles)[1] for mech in mechs]
+        sums = [float(np.sum(pay)) for pay in pays]
+        totals = [t + s for t, s in zip(totals, sums)]
+        chunk_mean = np.array(sums) / take
+        devs = [pay - m for pay, m in zip(pays, chunk_mean)]
+        # single-threaded reductions: a BLAS dot would wake worker threads
+        chunk_co = np.array([[np.sum(a * b) for b in devs] for a in devs])
+        delta = chunk_mean - mean
+        co += chunk_co + np.multiply.outer(delta, delta) * (done * take
+                                                            / (done + take))
+        mean += delta * (take / (done + take))
         done += take
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
-    hw = 1.96 * np.sqrt(var / n_draws)
-    return RevenueEstimate(mean=mean, half_width_95=float(hw),
-                           n_draws=n_draws, seed=int(seed))
+    return [t / n_draws for t in totals], co / n_draws / n_draws
+
+
+def rev_monte_carlo(mech: Mechanism, d_true: ProductDist, n_draws: int,
+                    seed: int) -> RevenueEstimate:
+    """Average truthful-auction payment over n_draws sampled profiles."""
+    (mean,), cov = _payment_moments([mech], d_true, n_draws, seed)
+    return RevenueEstimate(mean=mean,
+                           half_width_95=1.96 * float(np.sqrt(cov[0, 0])),
+                           n_draws=int(n_draws), seed=int(seed))
 
 
 def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:
@@ -102,10 +117,10 @@ def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:
 
 
 def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
-                         seed: int):
-    """(ratio, ci, opt, rev).  OPT is exact for n=1, Monte Carlo (common
-    random numbers) against the true-distribution Myerson mechanism for n>1.
-    The ci is the propagated 95% half width in ratio units."""
+                         seed: int, bench: Mechanism | None = None):
+    """(ratio, ci, opt, rev).  OPT is exact for n=1; for n>1 it is the Monte
+    Carlo revenue of `bench`, the truth mechanism (built if not given), on
+    mech's profiles.  The ci is the paired 95% delta-method half width."""
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
     if mech.n == 1:
@@ -114,17 +129,16 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
             raise ValueError("zero OPT")
         rev = revenue_at_reserve(d_true.components[0], mech.reserves[0])
         return rev / opt, 0.0, opt, rev
-    bench = truth_mechanism(d_true, mech.kind)
-    est_opt = rev_monte_carlo(bench, d_true, n_draws, seed)
-    est_rev = rev_monte_carlo(mech, d_true, n_draws, seed)
-    opt, rev = est_opt.mean, est_rev.mean
+    if bench is None:
+        bench = truth_mechanism(d_true, mech.kind)
+    (opt, rev), cov = _payment_moments([bench, mech], d_true, n_draws, seed)
     if opt <= 0:
         raise ValueError("zero OPT")
     ratio = rev / opt
-    rel = np.hypot(est_rev.half_width_95 / max(rev, 1e-300),
-                   est_opt.half_width_95 / opt)
-    ci = ratio * float(rel) if rev > 0 else est_rev.half_width_95 / opt
-    return ratio, ci, opt, rev
+    # the variance of the mean residual rev_i - ratio * opt_i (Cochran's
+    # ratio estimator); 0 for a mechanism against itself
+    var = max(cov[1, 1] - 2 * ratio * cov[0, 1] + ratio * ratio * cov[0, 0], 0.0)
+    return ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
 
 
 def revenue_ratio(mech: Mechanism, d_true: ProductDist, n_draws: int,

@@ -5,7 +5,9 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 import numpy as np
 
-from robust_auctions.distributions import Distribution, PiecewiseLinkCDF, StepCDF
+from robust_auctions.distributions import (Distribution, PiecewiseLinkCDF,
+                                           StepCDF, appx_c1, appx_c2)
+from robust_auctions.harness import RESULT_COLUMNS
 from robust_auctions.links import link_origin
 
 
@@ -95,3 +97,64 @@ class Truncated(Distribution):
 
 def truncate(dist: Distribution, cutoff) -> Truncated:
     return Truncated(dist, cutoff)
+
+
+def reference_payments(mech, profiles):
+    """(winners, payments) of `mech.payments_batch` by the prefix/suffix
+    maxima algorithm it used to run: for each column, the best virtual value
+    among the lower indices (beaten strictly) and among the higher ones
+    (beaten weakly), from (rows, n + 1) running-maximum copies."""
+    B = np.asarray(profiles, dtype=float)
+    rows = B.shape[0]
+    phi = np.empty_like(B)
+    for j, vv in enumerate(mech.vvs):
+        phi[:, j] = vv.phi(np.minimum(B[:, j], vv.top))
+    winners = np.argmax(phi, axis=1)
+    best = phi[np.arange(rows), winners]
+    winners = np.where(best >= 0, winners, -1)
+    payments = np.zeros(rows)
+    pad = np.full((rows, 1), -np.inf)
+    prefix = np.maximum.accumulate(np.concatenate([pad, phi[:, :-1]], axis=1),
+                                   axis=1)
+    suffix = np.maximum.accumulate(
+        np.concatenate([pad, phi[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    for j, vv in enumerate(mech.vvs):
+        won = winners == j
+        if not np.any(won):
+            continue
+        pay = np.asarray(vv.inverse(np.maximum(suffix[won, j], 0.0)))
+        t_strict = prefix[won, j]
+        finite = np.isfinite(t_strict)
+        if np.any(finite):
+            alt = np.asarray(vv.inverse(t_strict[finite], strict=True))
+            pay[finite] = np.maximum(pay[finite], alt)
+        payments[won] = pay
+    return winners, payments
+
+
+def mhr_lb_family(n: int, beta: float):
+    """The confusable MHR triple (base point mass, high CDF, low CDF)."""
+    return appx_c1(n, beta, "b"), appx_c1(n, beta, "h"), appx_c1(n, beta, "l")
+
+
+def regular_lb_family(n: int, beta: float):
+    """The confusable regular triple (base point mass, high CDF, low CDF)."""
+    return appx_c2(n, beta, "b"), appx_c2(n, beta, "h"), appx_c2(n, beta, "l")
+
+
+def read_rows(path) -> list:
+    """The rows of a results CSV written by `harness.write_rows`."""
+    out = []
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if tuple(header) != RESULT_COLUMNS:
+            raise ValueError(f"unexpected results header {header}")
+        for line in fh:
+            vals = line.strip().split(",")
+            row = dict(zip(RESULT_COLUMNS, vals))
+            for k in ("n", "m", "seed"):
+                row[k] = int(row[k])
+            for k in ("alpha", "ratio", "ci", "opt", "rev"):
+                row[k] = float(row[k])
+            out.append(row)
+    return out

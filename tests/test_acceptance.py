@@ -45,8 +45,8 @@ def test_1_envelope_matches_reference():
     t0 = time.perf_counter()
     for i in range(1000):
         xs, ys = random_points(rng, k_max=50)
-        fx, fy = convex_envelope(xs, ys).vertices()
-        sx, sy = naive_envelope(xs, ys).vertices()
+        fast, slow = convex_envelope(xs, ys), naive_envelope(xs, ys)
+        fx, fy, sx, sy = fast.xs, fast.ys, slow.xs, slow.ys
         if fx.size != sx.size:
             problems.append(f"set {i}: {fx.size} vs {sx.size} vertices")
             continue

@@ -8,10 +8,8 @@ from robust_auctions.adversary import (
     AdversaryError,
     cdf_shift,
     corrupt,
-    mhr_lb_family,
     mhr_lb_radius,
     parse_adversary,
-    regular_lb_family,
     regular_lb_radius,
     tail_spike,
 )
@@ -24,6 +22,8 @@ from robust_auctions.distributions import (
     appx_c2,
     ks_distance,
 )
+
+from _gen import mhr_lb_family, regular_lb_family
 
 
 def test_tail_spike_exponential():

@@ -180,6 +180,29 @@ def test_step_cdf_validation():
         StepCDF([1.0], [1.0]).ppf(1.5)
 
 
+@pytest.mark.parametrize("spec", ["exp:nan", "point:nan", "unif:nan:1",
+                                  "point:inf", "unif:0:inf", "eqrev:1:nan",
+                                  "eqrev:nan:5", "exp:inf"])
+def test_spec_with_non_finite_parameter_is_rejected(spec):
+    # each of these used to build a distribution that sampled NaN or inf
+    # (or, for eqrev:nan:5 and exp:inf, a constant) and had no dict form
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_dist_spec(spec)
+
+
+def test_constructors_reject_non_finite_parameters():
+    for build in (lambda: StepCDF([np.nan], [1.0]),
+                  lambda: StepCDF([1.0, 2.0], [0.5, np.nan]),
+                  lambda: PiecewiseLinkCDF("mhr", [np.nan, 1.0], [0.0, 1.0], 1.0),
+                  lambda: PiecewiseLinkCDF("mhr", [0.0, 1.0], [0.0, np.inf], 1.0),
+                  lambda: EqualRevenue(1.0, np.inf),
+                  lambda: Uniform(0.0, np.nan),
+                  lambda: PointMass(np.inf),
+                  lambda: Exponential(np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
 def test_link_cdf_validation():
     with pytest.raises(ValueError, match="convex"):
         PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5],

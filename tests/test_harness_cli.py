@@ -17,7 +17,6 @@ from robust_auctions.harness import (
     ConfigError,
     ExperimentConfig,
     format_row,
-    read_rows,
     reproduce_counterexample1,
     run_cell,
     run_sweep,
@@ -27,7 +26,9 @@ from robust_auctions.links import convex_envelope
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
-from robust_auctions.revenue import revenue_ratio_detail
+from robust_auctions.revenue import revenue_ratio_detail, truth_mechanism
+
+from _gen import read_rows
 
 
 def _small_config(**overrides):
@@ -112,13 +113,44 @@ def test_sweep_deterministic_across_runs_and_workers(tmp_path):
     assert p1.read_bytes() == p8.read_bytes()
 
 
+def test_sweep_builds_seed_free_work_once(monkeypatch):
+    """run_sweep corrupts each distinct alpha once (the KS self-checks run
+    inside corrupt, once per corruption) and builds the truth mechanism
+    once, whatever the number of seeds, sample sizes and workers."""
+    import robust_auctions.harness as harness
+    import robust_auctions.revenue as revenue
+
+    calls = {"corrupt": 0, "truth": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(harness, "corrupt", counting("corrupt", corrupt))
+    truth = counting("truth", revenue.truth_mechanism)
+    monkeypatch.setattr(harness, "truth_mechanism", truth)
+    monkeypatch.setattr(revenue, "truth_mechanism", truth)   # a cell's own
+    cfg = _small_config(true_dists=["exp:1.0", "exp:0.5"],
+                        alphas=[0.0, 0.05, 0.05], seeds=[1, 2, 3])
+    for workers in (1, 2):
+        calls.update(corrupt=0, truth=0)
+        rows = run_sweep(cfg, workers=workers)
+        assert len(rows) == 18
+        assert calls == {"corrupt": 2 * 2, "truth": 1}
+
+
 def test_population_cells_use_eval_seed_offset():
     """A sweep with no sample sizes runs the population variant (m reported
     as 0) and evaluates on the seed displaced by the fixed offset."""
     cfg = ExperimentConfig(true_dists=["exp:1.0", "exp:1.0"],
                            adversary="shift:up", kind="mhr", alphas=[0.05],
                            seeds=[7], ms=[], mc_draws=20_000)
-    row = run_cell(cfg, 0.05, None, 7)
+    truths = cfg.dists()
+    row = run_cell(cfg, 0.05, None, 7,
+                   [corrupt(d, "shift:up", 0.05) for d in truths],
+                   truth_mechanism(ProductDist(truths), "mhr"))
     assert row["m"] == 0 and row["seed"] == 7
 
     truths = [parse_dist_spec("exp:1.0")] * 2

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from robust_auctions.distributions import PiecewiseLinkCDF
 from robust_auctions.myerson import (
     Mechanism,
+    _KnotRank,
     Outcome,
     VirtualValueFn,
     inverse_virtual,
@@ -16,7 +19,7 @@ from robust_auctions.myerson import (
 )
 from robust_auctions.oracle import grid_reserve
 
-from _gen import random_link_cdf
+from _gen import random_link_cdf, reference_payments
 
 
 def _exp_link(top=4.0):
@@ -87,6 +90,21 @@ def test_public_wrappers_validate():
     assert inverse_virtual(d, 1.0) == 2.0
     with pytest.raises(ValueError, match="t exceeds max virtual value"):
         inverse_virtual(d, 4.5)
+
+
+def test_public_wrappers_reject_nan():
+    # a NaN used to come back as NaN from virtual_value and as the support
+    # top from inverse_virtual
+    d = _exp_link()
+    for x in (np.nan, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="v must not be NaN"):
+            virtual_value(d, x)
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            inverse_virtual(d, x)
+    # and -inf on a flat first piece (phi = -inf there) gave NaN, not 0
+    flat = PiecewiseLinkCDF("mhr", [0.0, 1.0, 3.0], [0.0, 0.0, 2.0], 3.0)
+    assert inverse_virtual(flat, -np.inf) == 0.0
+    assert inverse_virtual(flat, -1e300) == 1.0
 
 
 def test_reserve_matches_argmax_without_gap():
@@ -248,3 +266,77 @@ def test_auction_validation():
         mech.payments_batch(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="need at least one bidder"):
         Mechanism("mhr", [])
+
+
+# ---------------------------------------------------------------------------
+# the bucketed knot lookup and the top-two payment reduction
+# ---------------------------------------------------------------------------
+
+
+def _knot_table(rng, size, scale, spacing):
+    """A strictly increasing table of `size` knots near `scale`."""
+    if spacing == "uniform":
+        xs = rng.uniform(0.0, scale, size)
+    elif spacing == "heavy":       # equal-revenue quantiles: lo / (1 - q)
+        xs = scale / (1.0 - rng.uniform(0.0, 1.0 - 1e-9, size))
+    elif spacing == "clustered":   # dense clumps far apart
+        xs = scale * (rng.integers(0, 4, size) * 1e3
+                      + rng.uniform(0.0, 1e-6, size))
+    else:                          # consecutive floats
+        xs = scale + np.arange(size) * np.spacing(scale)
+    xs = np.unique(xs)
+    return xs if xs.size else np.array([scale])
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_size=st.floats(0.0, 4.0),
+       log_scale=st.integers(-12, 12),
+       spacing=st.sampled_from(["uniform", "heavy", "clustered", "ulps"]))
+def test_knot_rank_equals_searchsorted(seed, log_size, log_scale, spacing):
+    """The bucketed rank is np.searchsorted(knots, a, "right") bit for bit,
+    at exact knots, one ulp either side of each, 0, the top, beyond the top,
+    +inf and random points, on 1 to 10^4 knots at scales 1e-12 to 1e12."""
+    rng = np.random.default_rng(seed)
+    knots = _knot_table(rng, int(10 ** log_size), 10.0 ** log_scale, spacing)
+    top = knots[-1]
+    queries = np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, -0.0, top, 2 * top, np.finfo(float).max, np.inf, -np.inf],
+        rng.uniform(0.0, 2 * top, 500)])
+    rank = _KnotRank(knots)
+    assert np.array_equal(rank(queries),
+                          np.searchsorted(knots, queries, side="right"))
+
+
+def test_knot_rank_degenerate_tables():
+    for knots in ([0.0], [3.5], [0.0, 5e-324], [0.0, 1e-310, 1.0],
+                  [1e-300, 1e300]):
+        knots = np.asarray(knots)
+        q = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                            np.nextafter(knots, np.inf), [0.0, np.inf]])
+        assert np.array_equal(_KnotRank(knots)(q),
+                              np.searchsorted(knots, q, side="right"))
+
+
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]),
+       n=st.integers(1, 4), decimals=st.integers(0, 2), shared=st.booleans())
+def test_payments_batch_equals_prefix_suffix_reference(seed, kind, n,
+                                                        decimals, shared):
+    """The top-two reduction gives the winners and payments of the
+    prefix/suffix maxima algorithm bit for bit.  Rounded bids, knots and
+    support tops as bids, and (with `shared`) bidders drawing the same CDF
+    force exact virtual-value ties across bidders."""
+    rng = np.random.default_rng(seed)
+    pool = [random_link_cdf(rng, kind, from_zero=bool(rng.random() < 0.5))
+            for _ in range(1 if shared else n)]
+    bidders = [pool[int(rng.integers(0, len(pool)))] for _ in range(n)]
+    mech = Mechanism(kind, bidders)
+    profiles = np.round(rng.uniform(0.0, 8.0, size=(400, n)), decimals)
+    for j, b in enumerate(bidders):
+        rows = rng.integers(0, 400, size=80)
+        profiles[rows, j] = rng.choice(np.append(b.xs, b.support_top()), 80)
+    winners, payments = mech.payments_batch(profiles)
+    ref_w, ref_p = reference_payments(mech, profiles)
+    assert np.array_equal(winners, ref_w)
+    assert payments.tobytes() == ref_p.tobytes()

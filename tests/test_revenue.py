@@ -120,14 +120,65 @@ def test_revenue_ratio_posted_price_two_over_e():
 def test_revenue_ratio_two_bidders_benchmark_and_suboptimal():
     truth = ProductDist([Exponential(1.0), Exponential(1.0)])
     bench = truth_mechanism(truth, "mhr")
-    # common random numbers make the benchmark ratio exactly one
+    # common random numbers make the benchmark ratio exactly one, and every
+    # per-draw residual rev_i - ratio * opt_i zero, so the paired ci is too
     ratio, ci = revenue_ratio(bench, truth, 200_000, seed=11)
     assert ratio == 1.0
-    assert ci > 0.0
+    assert ci == 0.0
     posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
     ratio2, ci2 = revenue_ratio(posted, truth, 200_000, seed=11)
     assert ratio2 <= 1.0 + 3 * (ci + ci2)
     assert ratio2 > 0.3
+
+
+def test_revenue_ratio_ci_covers_exact_ratio():
+    """Two Exp(1) bidders: reserve-2 second price against the Myerson
+    auction (reserve 1).  With R(r) = 2r e^-r - e^-2r (2r - 1) / 2 the exact
+    ratio is R(2) / R(1).  Over the fixed seeds 0..199 at 2e4 draws, the
+    paired 95% half width must cover it on 92-98% of seeds: an interval
+    hundreds of times too wide covers every seed and fails."""
+    def rev(r):
+        return 2 * r * np.exp(-r) - np.exp(-2 * r) * (2 * r - 1) / 2
+
+    exact = rev(2.0) / rev(1.0)
+    assert abs(exact - 0.76915792827) < 1e-10
+    truth = ProductDist([Exponential(1.0)] * 2)
+    bench = truth_mechanism(truth, "mhr")
+    posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
+    covered = 0
+    for seed in range(200):
+        ratio, ci, _, _ = revenue_ratio_detail(posted, truth, 20_000, seed,
+                                               bench=bench)
+        covered += abs(ratio - exact) <= ci
+    assert 0.92 <= covered / 200 <= 0.98
+
+
+def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
+    """With chunks of 997 draws, the merged co-moments give the standard
+    errors of one pass over all the payments (rev_monte_carlo's and the
+    paired ratio's), and the chunk sums the same means."""
+    import robust_auctions.revenue as revenue
+
+    truth = ProductDist([Exponential(1.0), Uniform(0.0, 3.0)])
+    bench = truth_mechanism(truth, "mhr")
+    posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
+    draws, seed = 10_000, 5
+    profiles = truth.sample_profiles(draws, seed)
+    opt_i = bench.payments_batch(profiles)[1]
+    rev_i = posted.payments_batch(profiles)[1]
+    ratio = rev_i.mean() / opt_i.mean()
+    hw_rev = 1.96 * rev_i.std() / np.sqrt(draws)
+    hw_ratio = 1.96 * (rev_i - ratio * opt_i).std() / np.sqrt(draws) / opt_i.mean()
+
+    monkeypatch.setattr(revenue, "_CHUNK", 997)
+    est = rev_monte_carlo(posted, truth, draws, seed)
+    got_ratio, ci, opt, rev = revenue_ratio_detail(posted, truth, draws, seed,
+                                                   bench=bench)
+    np.testing.assert_allclose([est.mean, rev, opt, got_ratio],
+                               [rev_i.mean(), rev_i.mean(), opt_i.mean(), ratio],
+                               rtol=1e-12)
+    np.testing.assert_allclose([est.half_width_95, ci], [hw_rev, hw_ratio],
+                               rtol=1e-9)
 
 
 def test_revenue_ratio_errors():
