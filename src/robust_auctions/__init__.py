@@ -18,7 +18,7 @@ from .harness import (CheckFailure, ConfigError, ExperimentConfig,
 from .links import (PiecewiseLinearFn, convex_envelope, link_forward,
                     link_inverse)
 from .myerson import (Mechanism, Outcome, VirtualValueFn, inverse_virtual,
-                      optimal_reserve, run_auction, virtual_value)
+                      virtual_value)
 from .pipeline import (ShadingParams, population_robust_myerson,
                        robust_empirical_myerson, shade_quantiles)
 from .revenue import (RevenueEstimate, opt_single, rev_monte_carlo,
@@ -35,9 +35,9 @@ __all__ = [
     "cdf_shift", "convex_envelope", "corrupt", "dist_from_dict",
     "empirical_from_samples", "inverse_virtual", "ks_distance",
     "link_forward", "link_inverse", "mhr_lb_radius",
-    "minimal_in_ks_ball", "opt_single", "optimal_reserve", "parse_dist_spec",
+    "minimal_in_ks_ball", "opt_single", "parse_dist_spec",
     "population_robust_myerson", "regular_lb_radius",
     "reproduce_counterexample1", "rev_monte_carlo", "revenue_at_reserve",
-    "revenue_ratio", "robust_empirical_myerson", "run_auction", "run_sweep",
+    "revenue_ratio", "robust_empirical_myerson", "run_sweep",
     "shade_quantiles", "tail_spike", "virtual_value", "write_rows",
 ]

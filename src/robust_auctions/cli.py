@@ -134,6 +134,8 @@ def _cmd_envelope(args) -> int:
         if header[:2] != ["x", "y"]:
             raise ConfigError(f"{path}: expected an x,y header")
         pts = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if pts.shape[1] != 2:
+        raise ConfigError(f"{path}: expected rows of two numbers, x and y")
     env = convex_envelope(pts[:, 0], pts[:, 1])
     _write_csv(args.out, ["x", "y"], zip(env.xs, env.ys))
     print(f"envelope: {pts.shape[0]} points -> {env.xs.size} vertices "

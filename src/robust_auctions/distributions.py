@@ -173,16 +173,16 @@ class PiecewiseLinkCDF(Distribution):
         if np.any(np.diff(hs) < -1e-12):
             raise ValueError("h values must be non-decreasing")
         hs = np.maximum.accumulate(np.maximum(hs, origin))
-        if xs.size >= 3:
-            slopes = np.diff(hs) / np.diff(xs)
-            if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
-                raise ValueError("link knots must be convex")
+        slopes = np.diff(hs) / np.diff(xs)      # >= 0: hs is non-decreasing
+        if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
+            raise ValueError("link knots must be convex")
         support_top = float(support_top)
         if not np.isfinite(support_top) or support_top < xs[-1]:
             raise ValueError("support_top must be finite, at or beyond the last knot")
         self.kind = kind
         self.xs = xs
         self.hs = hs
+        self.slopes = slopes
         self._top = support_top
         self.f_knots = np.asarray(links.link_inverse(kind, hs))
         self.top_atom = 1.0 - float(self.f_knots[-1])

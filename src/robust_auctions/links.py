@@ -97,6 +97,8 @@ class PiecewiseLinearFn:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if xs.size < 1:
             raise ValueError("need at least one vertex")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("vertices must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         self.xs = xs

@@ -72,10 +72,8 @@ class VirtualValueFn:
         self.top = cdf.support_top()
         xs, hs = cdf.xs, cdf.hs
         nreal = xs.size - 1
-        slopes = np.diff(hs) / np.diff(xs) if nreal else np.empty(0)
         with np.errstate(divide="ignore"):
-            inv_s = np.where(slopes > 0, 1.0 / np.where(slopes > 0, slopes, 1.0),
-                             np.inf)
+            inv_s = 1.0 / cdf.slopes        # a flat piece (slope 0) gives inf
         if self.kind == "mhr":
             vals = np.where(np.isfinite(inv_s), xs[1:] - inv_s, _NEG_INF)
         else:
@@ -167,33 +165,6 @@ def inverse_virtual(cdf: PiecewiseLinkCDF, t):
     return VirtualValueFn(cdf).inverse(t)
 
 
-def optimal_reserve(cdf: PiecewiseLinkCDF):
-    """(reserve, revenue) maximizing x * Pr[V >= x]; smallest argmax on ties.
-
-    Candidates: knots, the support top, and (MHR only) interior stationary
-    points x = 1/slope of each piece.  Regular pieces have monotone revenue,
-    so their endpoints suffice.
-    """
-    cands = [cdf.xs, [cdf.support_top()]]
-    if cdf.kind == "mhr" and cdf.xs.size >= 2:
-        slopes = np.diff(cdf.hs) / np.diff(cdf.xs)
-        with np.errstate(divide="ignore"):
-            stat = np.where(slopes > 0, 1.0 / np.where(slopes > 0, slopes, 1.0),
-                            np.nan)
-        ok = (stat > cdf.xs[:-1]) & (stat < cdf.xs[1:])
-        cands.append(stat[ok])
-    xs = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in cands]))
-    xs = xs[xs > 0] if xs.size > 1 else xs
-    return best_price(cdf, xs)
-
-
-def best_price(dist, xs):
-    """(x, revenue) at the smallest argmax of x * Pr[V >= x] over xs."""
-    revs = xs * (1.0 - np.asarray(dist.cdf_left(xs)))
-    i = int(np.argmax(revs))
-    return float(xs[i]), float(revs[i])
-
-
 @dataclass(frozen=True)
 class Outcome:
     winner: int | None
@@ -223,7 +194,13 @@ class Mechanism:
         return [vv.reserve for vv in self.vvs]
 
     def run(self, bids) -> Outcome:
-        return run_auction(self, bids)
+        """The truthful auction on one bid profile."""
+        bids = np.asarray(bids, dtype=float)
+        if bids.shape != (self.n,):
+            raise ValueError("arity mismatch")
+        winners, payments = self.payments_batch(bids.reshape(1, -1))
+        w = int(winners[0])
+        return Outcome(winner=None if w < 0 else w, payment=float(payments[0]))
 
     def payments_batch(self, profiles: np.ndarray):
         """Vectorized truthful auction over rows of `profiles`.
@@ -291,11 +268,3 @@ class Mechanism:
         return cls(kind=check_kind(d.get("kind")), bidders=bidders, alpha=alpha,
                    provenance=provenance)
 
-
-def run_auction(mech: Mechanism, bids) -> Outcome:
-    bids = np.asarray(bids, dtype=float)
-    if bids.shape != (mech.n,):
-        raise ValueError("arity mismatch")
-    winners, payments = mech.payments_batch(bids.reshape(1, -1))
-    w = int(winners[0])
-    return Outcome(winner=None if w < 0 else w, payment=float(payments[0]))

@@ -13,44 +13,61 @@ import numpy as np
 
 from .ball import minimal_in_ks_ball
 from .distributions import Distribution, PiecewiseLinkCDF, ProductDist
-from .myerson import Mechanism, best_price, optimal_reserve
+from .myerson import Mechanism
 
 _CHUNK = 1 << 20
 _OPT_GRID = 200_000
 _TRUTH_GRID = 8192
 
 
-def revenue_at_reserve(dist: Distribution, price) -> float:
-    """Expected revenue of a posted price: price * Pr[V >= price]."""
-    price = float(price)
-    if price < 0:
-        raise ValueError("price must be nonnegative")
-    return price * (1.0 - float(dist.cdf_left(price)))
+def revenue_at_reserve(dist: Distribution, price):
+    """Expected revenue of posted prices: price * Pr[V >= price].  A scalar
+    price gives a float, an array of prices an array."""
+    arr = np.asarray(price, dtype=float)
+    # min and max propagate NaN; an elementwise mask over a learner's 10^6
+    # atoms would cost the learn op ~8 MB of peak memory
+    if arr.size and not (arr.min() >= 0 and arr.max() < np.inf):
+        raise ValueError("price must be nonnegative and finite")
+    rev = arr * (1.0 - np.asarray(dist.cdf_left(arr)))
+    return float(rev) if arr.ndim == 0 else rev
 
 
 def opt_single(dist: Distribution):
-    """(reserve, revenue) of the best posted price for one bidder.
+    """(reserve, revenue) of the best posted price for one bidder; the
+    smallest argmax on ties.
 
-    PiecewiseLinkCDF inputs use the closed form.  Purely atomic inputs scan
-    their atoms.  Everything else is a quantile-uniform grid search refined
-    locally to 1e-6.
+    The candidates: for a PiecewiseLinkCDF its knots, its support top and
+    (MHR only) each piece's interior stationary point 1/slope, which are
+    exact (regular pieces have monotone revenue, so their ends suffice); for
+    a purely atomic input its atoms; for anything else a quantile-uniform
+    grid plus the breakpoints, whose best point is refined locally to 1e-6.
     """
+    exact = isinstance(dist, PiecewiseLinkCDF) or dist.purely_atomic
     if isinstance(dist, PiecewiseLinkCDF):
-        return optimal_reserve(dist)
-    if dist.purely_atomic:
-        return best_price(dist, dist.atoms()[0])
-    qs = np.linspace(0.0, 1.0, _OPT_GRID, endpoint=False)
-    cand = np.unique(np.concatenate([np.asarray(dist.ppf(qs), dtype=float),
-                                     dist.breakpoints()]))
-    cand = cand[np.isfinite(cand) & (cand >= 0)]
-    revs = cand * (1.0 - np.asarray(dist.cdf_left(cand)))
+        cand = [dist.xs, [dist.support_top()]]
+        if dist.kind == "mhr":
+            with np.errstate(divide="ignore"):
+                stat = 1.0 / dist.slopes        # a flat piece gives inf
+            cand.append(stat[(stat > dist.xs[:-1]) & (stat < dist.xs[1:])])
+        cand = np.unique(np.concatenate(cand))
+        cand = cand[cand > 0] if cand.size > 1 else cand
+    elif dist.purely_atomic:
+        cand = dist.atoms()[0]
+    else:
+        qs = np.linspace(0.0, 1.0, _OPT_GRID, endpoint=False)
+        cand = np.unique(np.concatenate([np.asarray(dist.ppf(qs), dtype=float),
+                                         dist.breakpoints()]))
+        cand = cand[np.isfinite(cand) & (cand >= 0)]
+    revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
+    best_x, best_r = float(cand[i]), float(revs[i])
+    if exact:
+        return best_x, best_r
     lo = cand[i - 1] if i > 0 else cand[i]
     hi = cand[i + 1] if i + 1 < cand.size else cand[i]
-    best_x, best_r = float(cand[i]), float(revs[i])
     while hi - lo > 1e-6:
         grid = np.linspace(lo, hi, 33)
-        r = grid * (1.0 - np.asarray(dist.cdf_left(grid)))
+        r = revenue_at_reserve(dist, grid)
         j = int(np.argmax(r))
         if r[j] > best_r:
             best_x, best_r = float(grid[j]), float(r[j])
@@ -61,16 +78,19 @@ def opt_single(dist: Distribution):
 
 @dataclass(frozen=True)
 class RevenueEstimate:
-    mean: float
-    half_width_95: float
+    """Monte Carlo payments of mechanisms run on the same profiles: their
+    means, and the covariance matrix of those means."""
+    means: tuple
+    cov: np.ndarray
     n_draws: int
     seed: int
 
 
-def _payment_moments(mechs, d_true: ProductDist, n_draws: int, seed: int):
-    """The one Monte Carlo pass: each chunk is sampled once and run through
-    every mechanism.  Returns the mean payments and their covariance, from
-    chunk co-moments merged by Chan, Golub and LeVeque's pairwise update."""
+def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
+                    seed: int) -> RevenueEstimate:
+    """The one Monte Carlo pass: each chunk of n_draws sampled profiles is
+    run through every mechanism in `mechs`.  The covariance comes from chunk
+    co-moments merged by Chan, Golub and LeVeque's pairwise update."""
     if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
     n_draws = int(n_draws)
@@ -95,16 +115,9 @@ def _payment_moments(mechs, d_true: ProductDist, n_draws: int, seed: int):
                                                             / (done + take))
         mean += delta * (take / (done + take))
         done += take
-    return [t / n_draws for t in totals], co / n_draws / n_draws
-
-
-def rev_monte_carlo(mech: Mechanism, d_true: ProductDist, n_draws: int,
-                    seed: int) -> RevenueEstimate:
-    """Average truthful-auction payment over n_draws sampled profiles."""
-    (mean,), cov = _payment_moments([mech], d_true, n_draws, seed)
-    return RevenueEstimate(mean=mean,
-                           half_width_95=1.96 * float(np.sqrt(cov[0, 0])),
-                           n_draws=int(n_draws), seed=int(seed))
+    return RevenueEstimate(means=tuple(t / n_draws for t in totals),
+                           cov=co / n_draws / n_draws, n_draws=n_draws,
+                           seed=int(seed))
 
 
 def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:
@@ -131,7 +144,8 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
         return rev / opt, 0.0, opt, rev
     if bench is None:
         bench = truth_mechanism(d_true, mech.kind)
-    (opt, rev), cov = _payment_moments([bench, mech], d_true, n_draws, seed)
+    est = rev_monte_carlo([bench, mech], d_true, n_draws, seed)
+    (opt, rev), cov = est.means, est.cov
     if opt <= 0:
         raise ValueError("zero OPT")
     ratio = rev / opt

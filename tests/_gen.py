@@ -132,6 +132,12 @@ def reference_payments(mech, profiles):
     return winners, payments
 
 
+def mean_and_half_width(est, i=0):
+    """Mechanism i's mean payment in a RevenueEstimate, and its 95% half
+    width."""
+    return est.means[i], 1.96 * float(np.sqrt(est.cov[i, i]))
+
+
 def mhr_lb_family(n: int, beta: float):
     """The confusable MHR triple (base point mass, high CDF, low CDF)."""
     return appx_c1(n, beta, "b"), appx_c1(n, beta, "h"), appx_c1(n, beta, "l")

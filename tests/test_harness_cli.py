@@ -4,10 +4,14 @@ CLI commands run in-process through main(argv) so exit codes and written
 files can be checked without spawning subprocesses.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_auctions.adversary import corrupt
 from robust_auctions.cli import main
@@ -349,6 +353,24 @@ def test_cli_envelope_round_trip(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,v\n1.0,2.0\n")
     assert main(["envelope", "--in", str(bad), "--out", str(out)]) == 2
+    # header only, or one column: was an IndexError traceback
+    for text in ("x,y\n", "x,y\n1.0\n2.0\n"):
+        bad.write_text(text)
+        assert main(["envelope", "--in", str(bad), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("rows", ["0,1\n1,nan\n2,0.5\n3,2\n",
+                                  "0,1\nnan,3\n2,0.5\n3,2\n",
+                                  "0,1\n1,inf\n2,0.5\n3,2\n"])
+def test_cli_envelope_rejects_non_finite_points(tmp_path, capsys, rows):
+    # the NaN y case used to exit 0 with the hull (0,1),(3,2)
+    src = tmp_path / "pts.csv"
+    src.write_text("x,y\n" + rows)
+    out = tmp_path / "env.csv"
+    assert main(["envelope", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: vertices must be finite\n"
+    assert not out.exists()
 
 
 def test_cli_reproduce_cex1(tmp_path, capsys):
@@ -436,3 +458,114 @@ def test_config_accepts_lb_adversary_without_beta():
                         alphas=[0.25])
     assert cfg.adversary == "mhr-lb"
     _small_config(true_dists=["appxC2:3:0.5:h"], adversary="regular-lb:0.5")
+
+
+_BAD_NUMS = ["nan", "inf", "-inf", "-1", "1e308", "x", ""]
+_BAD_SPECS = ([f"{f}:{a}" for f in ("exp", "point") for a in _BAD_NUMS]
+              + [f"{f}:{a}:{b}" for f in ("unif", "eqrev")
+                 for a, b in (("nan", "5"), ("0", "inf"), ("1", "nan"),
+                              ("-1", "0"))]
+              + ["appxC2:2:nan:b", "appxC1:0:0.1:h", "bogus:1", "exp", ""])
+_LINK = {"type": "link_cdf", "kind": "mhr", "knots": [[0.0, 0.0], [2.0, 2.0]],
+         "support_top": 2.0}
+_CONFIG = {"true_dists": ["exp:1.0", "unif:0:2"], "adversary": "shift:up",
+           "kind": "mhr", "alphas": [0.05], "seeds": [0], "ms": [200],
+           "mc_draws": 500}
+_FILES = {
+    "empty.csv": "",
+    "bidders_header.csv": "bidder_1\n",
+    "xy_header.csv": "x,y\n",
+    "nan_points.csv": "x,y\n0,1\n1,nan\n2,0.5\n3,2\n",
+    "points.csv": "x,y\n0,1\n1,3\n2,0.5\n3,2\n",
+    "samples.csv": "bidder_1\n" + "".join(f"{v!r}\n" for v in
+                                          np.linspace(0.1, 3.0, 50).tolist()),
+    "nan_samples.csv": "bidder_1\n0.5\nnan\n1.5\n",
+    "two_samples.csv": "bidder_1,bidder_2\n0.5,1.0\n1.5,0.2\n1.0,2.0\n",
+    "bad.json": "{not json",
+    "dist.json": json.dumps({"type": "exp", "rate": 1.0}),
+    "nan_dist.json": json.dumps({"type": "exp", "rate": float("nan")}),
+    "mech.json": json.dumps({"kind": "mhr", "bidders": [_LINK],
+                             "provenance": {"m": 10}}),
+    "nan_mech.json": json.dumps({"kind": "mhr", "bidders": [
+        dict(_LINK, knots=[[0.0, 0.0], [float("nan"), 2.0]])]}),
+    "config.json": json.dumps(_CONFIG),
+    "nan_config.json": json.dumps(dict(_CONFIG, alphas=[float("nan")])),
+    "inf_config.json": json.dumps(dict(_CONFIG, true_dists=["exp:inf"])),
+}
+_JUNK = ["empty.csv", "bad.json", "absent.csv"]
+# per subcommand: flag -> (good values, bad values); names ending in .csv or
+# .json are files.  Counts stay at or below 10^3.
+_GOOD_SEEDS, _BAD_SEEDS = ["0", "7"], ["-3", "nan", "18446744073709551616"]
+_COMMANDS = {
+    "gen": {"--dist": (["exp:1.0", "unif:0:3,point:2", "eqrev:1:5",
+                        "dist.json"],
+                       _BAD_SPECS + ["nan_dist.json", "exp:1.0,"] + _JUNK),
+            "--m": (["1", "7", "1000"], ["0", "-3", "nan", "1e3"]),
+            "--seed": (_GOOD_SEEDS, _BAD_SEEDS)},
+    "corrupt": {"--adversary": (["tailspike:20", "shift:up", "shift:down"],
+                                ["tailspike:nan", "tailspike:inf",
+                                 "shift:sideways", "mhr-lb", "regular-lb:nan"]),
+                "--alpha": (["0.05", "0", "0.3"], _BAD_NUMS + ["1"]),
+                "--in": (["exp:1.0", "unif:0:2", "dist.json"],
+                         _BAD_SPECS + ["nan_dist.json"] + _JUNK)},
+    "learn": {"--kind": (["mhr", "regular"], ["neither"]),
+              "--alpha": (["0.05", "0"], _BAD_NUMS + ["0.05,0.1,0.2"]),
+              "--delta": (["0.01", "0.5"], _BAD_NUMS + ["0", "1"]),
+              "--samples": (["samples.csv", "two_samples.csv"],
+                            ["bidders_header.csv", "nan_samples.csv",
+                             "xy_header.csv"] + _JUNK)},
+    "eval": {"--mech": (["mech.json"], ["nan_mech.json", "dist.json"] + _JUNK),
+             "--true": (["exp:1.0", "unif:0:2", "dist.json"],
+                        _BAD_SPECS + ["exp:1.0,exp:1.0"] + _JUNK),
+             "--draws": (["1", "1000"], ["0", "-3", "nan"]),
+             "--seed": (_GOOD_SEEDS, _BAD_SEEDS)},
+    "sweep": {"--config": (["config.json"], ["nan_config.json",
+                                             "inf_config.json"] + _JUNK),
+              "--workers": (["1", "2"], ["-1", "0", "x"])},
+    "envelope": {"--in": (["points.csv"], ["xy_header.csv", "nan_points.csv",
+                                           "samples.csv"] + _JUNK)},
+    "reproduce-cex1": {"--alpha": (["0.05", "0.2"], _BAD_NUMS + ["0", "1"]),
+                       "--c": (["20", "1"], _BAD_NUMS + ["0"]),
+                       "--m": (["100", "1000"], ["0", "-5", "nan"]),
+                       "--seed": (_GOOD_SEEDS, _BAD_SEEDS)},
+}
+
+
+@st.composite
+def _argv(draw, root):
+    """A command line with at most one bad value and perhaps one lost token,
+    writing only under `root`."""
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[cmd]
+    bad = draw(st.sampled_from([None, None, *flags]))
+    argv = [cmd]
+    for flag, (good, wrong) in flags.items():
+        value = draw(st.sampled_from(wrong if flag == bad else good))
+        if value.endswith((".csv", ".json")):
+            value = str(root / value)
+        argv += [flag, value]
+    if cmd == "learn" and draw(st.booleans()):
+        argv.append("--no-envelope")
+    argv += ["--out", str(root / "out")]
+    if draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+def test_cli_argv_fuzz_exits_0_2_or_3(tmp_path_factory):
+    """main() returns 0, 2 or 3 on any command line and never raises:
+    numeric specs with nan/inf, empty and header-only CSVs, NaN points,
+    NaN JSON fields, missing values and unknown choices."""
+    root = tmp_path_factory.mktemp("argv_fuzz")
+    for name, text in _FILES.items():
+        (root / name).write_text(text)
+
+    @settings(deadline=None, max_examples=150, database=None)
+    @given(_argv(root))
+    def run(argv):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, sink.getvalue())
+
+    run()

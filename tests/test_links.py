@@ -97,6 +97,19 @@ def test_envelope_errors():
         naive_envelope([2.0, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0, np.nan, 0.5, 2.0]),      # NaN y
+    ([0.0, np.nan, 2.0, 3.0], [1.0, 3.0, 0.5, 2.0]),      # NaN x
+    ([0.0, 1.0, 2.0, 3.0], [1.0, np.inf, 0.5, 2.0]),      # inf y
+])
+def test_envelope_rejects_non_finite_vertices(xs, ys):
+    # NaN passed the increasing-xs check and gave the hull (0,1),(3,2),
+    # dropping the true vertex (2,0.5)
+    for envelope in (convex_envelope, naive_envelope, PiecewiseLinearFn):
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            envelope(xs, ys)
+
+
 def test_envelope_matches_oracle_on_random_inputs():
     """Fast hull and the literal argmin-slope walk give identical vertices."""
     rng = np.random.default_rng(20240817)

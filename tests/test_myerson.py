@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from robust_auctions.distributions import PiecewiseLinkCDF
+from robust_auctions.links import link_origin
 from robust_auctions.myerson import (
     Mechanism,
     _KnotRank,
     Outcome,
     VirtualValueFn,
     inverse_virtual,
-    optimal_reserve,
-    run_auction,
     virtual_value,
 )
 from robust_auctions.oracle import grid_reserve
+from robust_auctions.revenue import opt_single
 
 from _gen import random_link_cdf, reference_payments
 
@@ -67,7 +67,7 @@ def test_optimal_reserve_three_knots():
     """Knots (0,0),(2,1),(4,5): the hazard kink at 2 is the best price and
     sells with probability exp(-1)."""
     d = PiecewiseLinkCDF("mhr", [0.0, 2.0, 4.0], [0.0, 1.0, 5.0], 4.0)
-    res, rev = optimal_reserve(d)
+    res, rev = opt_single(d)
     assert res == 2.0
     assert_allclose(rev, 2.0 / np.e, atol=1e-12)
 
@@ -75,7 +75,7 @@ def test_optimal_reserve_three_knots():
 def test_optimal_reserve_interior_stationary_point():
     # single piece of slope 1/2: phi crosses zero at v = 2, inside (0, 4)
     d = PiecewiseLinkCDF("mhr", [0.0, 4.0], [0.0, 2.0], 4.0)
-    res, rev = optimal_reserve(d)
+    res, rev = opt_single(d)
     assert_allclose(res, 2.0, atol=1e-12)
     assert_allclose(rev, 2.0 * np.exp(-1.0), atol=1e-12)
 
@@ -117,7 +117,7 @@ def test_reserve_matches_argmax_without_gap():
             d = random_link_cdf(rng, kind, from_zero=True)
             if d.support_top() != d.xs[-1]:
                 continue
-            res, rev = optimal_reserve(d)
+            res, rev = opt_single(d)
             assert res == VirtualValueFn(d).reserve
             done += 1
 
@@ -129,7 +129,7 @@ def test_argmax_never_loses_to_threshold():
     for kind in ("mhr", "regular"):
         for _ in range(60):
             d = random_link_cdf(rng, kind, from_zero=True)
-            res, rev = optimal_reserve(d)
+            res, rev = opt_single(d)
             vres = VirtualValueFn(d).reserve
             assert rev >= vres * (1.0 - d.cdf_left(vres)) - 1e-12
 
@@ -139,7 +139,7 @@ def test_optimal_reserve_matches_grid_oracle():
     for kind in ("mhr", "regular"):
         for _ in range(25):
             d = random_link_cdf(rng, kind, from_zero=True)
-            res, rev = optimal_reserve(d)
+            res, rev = opt_single(d)
             gres, grev = grid_reserve(d, 1e-5)
             assert rev >= grev - 1e-12
             assert abs(rev - grev) < 1e-4
@@ -252,9 +252,9 @@ def test_mechanism_dict_roundtrip():
 def test_auction_validation():
     mech = Mechanism("mhr", [_exp_link(), _exp_link()])
     with pytest.raises(ValueError, match="arity mismatch"):
-        run_auction(mech, [1.0])
+        mech.run([1.0])
     with pytest.raises(ValueError, match="bids must be nonnegative"):
-        run_auction(mech, [1.0, -2.0])
+        mech.run([1.0, -2.0])
     # a NaN bid would otherwise win the argmax and cancel bidder 1's sale
     with pytest.raises(ValueError, match="bids must be nonnegative"):
         mech.run([np.nan, 2.0])
@@ -340,3 +340,70 @@ def test_payments_batch_equals_prefix_suffix_reference(seed, kind, n,
     ref_w, ref_p = reference_payments(mech, profiles)
     assert np.array_equal(winners, ref_w)
     assert payments.tobytes() == ref_p.tobytes()
+
+
+def _scaled_link_cdf(rng, kind, scale, near_collinear):
+    """A random link CDF whose values live at `scale`; with `near_collinear`
+    consecutive slopes differ by at most 1e-9 relative (or not at all)."""
+    k = int(rng.integers(2, 7))
+    xs = scale * np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.5, k - 1))))
+    if rng.random() < 0.3:
+        xs = xs + scale * rng.uniform(0.0, 0.5)
+    if near_collinear:
+        steps = rng.uniform(0.0, 1e-9, k - 1) * (rng.random(k - 1) < 0.7)
+        slopes = rng.uniform(0.1, 1.0) * np.cumprod(1.0 + steps)
+    else:
+        slopes = np.cumsum(rng.uniform(0.1, 1.0, k - 1))
+    slopes = slopes / scale
+    h0 = link_origin(kind) + rng.uniform(0.0, 1.0)
+    hs = np.concatenate(([h0], h0 + np.cumsum(slopes * np.diff(xs))))
+    top = xs[-1] + (scale * rng.uniform(0.1, 1.5) if rng.random() < 0.5 else 0.0)
+    return PiecewiseLinkCDF(kind, xs, hs, top)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]),
+       n=st.integers(1, 3), log_scale=st.sampled_from([-12, 0, 12]),
+       near_collinear=st.booleans(), shared=st.booleans())
+def test_dsic_ir_and_monotone_at_extreme_scales(seed, kind, n, log_scale,
+                                                near_collinear, shared):
+    """On random link CDFs at value scales 1e-12, 1 and 1e12: no bidder
+    gains by misreporting on a grid of deviations, the winner pays at most
+    their bid, and raising the winner's bid keeps the winner and the
+    payment.  Knots and support tops are among the values and deviations,
+    and with `shared` every bidder draws the same CDF, so that virtual
+    values tie."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    bidders = [_scaled_link_cdf(rng, kind, scale, near_collinear)
+               for _ in range(1 if shared else n)] * (n if shared else 1)
+    mech = Mechanism(kind, bidders)
+    tops = np.array([vv.top for vv in mech.vvs])
+    values = rng.uniform(0.0, 1.2, size=(200, n)) * tops
+    for j, b in enumerate(bidders):
+        rows = rng.integers(0, 200, size=40)
+        values[rows, j] = rng.choice(np.append(b.xs, b.support_top()), 40)
+    tol = 1e-9 * tops.max()
+    rows = np.arange(len(values))
+    winners, payments = mech.payments_batch(values)
+    sold = winners >= 0
+    assert np.all(payments[~sold] == 0.0)
+    win_values = np.minimum(values, tops)[rows, winners]
+    assert np.all(payments[sold] <= win_values[sold] + tol)
+    util = np.where(sold, values[rows, winners] - payments, 0.0)
+
+    for j, b in enumerate(bidders):
+        truthful = np.where(winners == j, util, 0.0)
+        for dev in np.concatenate((np.linspace(0.0, 1.1 * tops[j], 25),
+                                   b.xs, [b.support_top()])):
+            lies = values.copy()
+            lies[:, j] = dev
+            w_lie, p_lie = mech.payments_batch(lies)
+            gain = np.where(w_lie == j, values[:, j] - p_lie, 0.0) - truthful
+            assert gain.max() <= tol, (j, dev)
+
+    raised = values.copy()
+    raised[rows[sold], winners[sold]] *= 1.5
+    w_up, p_up = mech.payments_batch(raised)
+    assert np.array_equal(w_up[sold], winners[sold])
+    assert p_up[sold].tobytes() == payments[sold].tobytes()

@@ -3,7 +3,7 @@ population-level revenue inequalities they are meant to satisfy."""
 
 import numpy as np
 import pytest
-from _gen import random_link_cdf, truncate
+from _gen import mean_and_half_width, random_link_cdf, truncate
 
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
@@ -43,8 +43,19 @@ def test_revenue_at_reserve_exponential():
 
 
 def test_revenue_at_reserve_rejects_negative_price():
-    with pytest.raises(ValueError, match="price must be nonnegative"):
-        revenue_at_reserve(Exponential(1.0), -0.1)
+    # NaN and +-inf prices used to come back as a NaN revenue
+    for price in (-0.1, np.nan, np.inf, -np.inf, [1.0, np.nan], [2.0, -1.0]):
+        with pytest.raises(ValueError, match="price must be nonnegative and finite"):
+            revenue_at_reserve(Exponential(1.0), price)
+
+
+def test_revenue_at_reserve_takes_arrays():
+    d = Exponential(1.0)
+    prices = np.array([0.0, 0.3, 1.0, 2.5])
+    revs = revenue_at_reserve(d, prices)
+    assert isinstance(revs, np.ndarray) and revs.shape == prices.shape
+    assert type(revenue_at_reserve(d, 1.0)) is float
+    assert revs.tolist() == [revenue_at_reserve(d, p) for p in prices]
 
 
 def test_opt_single_frozen_values():
@@ -81,21 +92,21 @@ def test_rev_monte_carlo_exponential_posted_price():
     expectation; the estimate must cover that and repeat bit for bit."""
     mech = Mechanism(kind="mhr", bidders=[_exp_link()])
     truth = ProductDist([Exponential(1.0)])
-    est = rev_monte_carlo(mech, truth, 1_000_000, seed=42)
+    est = rev_monte_carlo([mech], truth, 1_000_000, seed=42)
     assert est.n_draws == 1_000_000 and est.seed == 42
-    assert est.half_width_95 < 2e-3
-    assert abs(est.mean - np.exp(-1.0)) <= 3 * est.half_width_95
-    again = rev_monte_carlo(mech, truth, 1_000_000, seed=42)
-    assert again.mean == est.mean
-    assert again.half_width_95 == est.half_width_95
+    mean, hw = mean_and_half_width(est)
+    assert hw < 2e-3
+    assert abs(mean - np.exp(-1.0)) <= 3 * hw
+    again = rev_monte_carlo([mech], truth, 1_000_000, seed=42)
+    assert again.means == est.means
+    assert np.array_equal(again.cov, est.cov)
 
 
 def test_rev_monte_carlo_zero_when_reserve_above_support():
     mech = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)])  # reserve 2
     assert mech.reserves == [2.0]
-    est = rev_monte_carlo(mech, ProductDist([PointMass(1.0)]), 5000, seed=3)
-    assert est.mean == 0.0
-    assert est.half_width_95 == 0.0
+    est = rev_monte_carlo([mech], ProductDist([PointMass(1.0)]), 5000, seed=3)
+    assert mean_and_half_width(est) == (0.0, 0.0)
 
 
 def test_revenue_ratio_truth_mechanism_single_bidder():
@@ -171,24 +182,24 @@ def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
     hw_ratio = 1.96 * (rev_i - ratio * opt_i).std() / np.sqrt(draws) / opt_i.mean()
 
     monkeypatch.setattr(revenue, "_CHUNK", 997)
-    est = rev_monte_carlo(posted, truth, draws, seed)
+    mean, hw = mean_and_half_width(rev_monte_carlo([posted], truth, draws, seed))
     got_ratio, ci, opt, rev = revenue_ratio_detail(posted, truth, draws, seed,
                                                    bench=bench)
-    np.testing.assert_allclose([est.mean, rev, opt, got_ratio],
+    np.testing.assert_allclose([mean, rev, opt, got_ratio],
                                [rev_i.mean(), rev_i.mean(), opt_i.mean(), ratio],
                                rtol=1e-12)
-    np.testing.assert_allclose([est.half_width_95, ci], [hw_rev, hw_ratio],
+    np.testing.assert_allclose([hw, ci], [hw_rev, hw_ratio],
                                rtol=1e-9)
 
 
 def test_revenue_ratio_errors():
     mech = Mechanism(kind="mhr", bidders=[_exp_link()])
     with pytest.raises(ValueError, match="arity mismatch"):
-        rev_monte_carlo(mech, ProductDist([Exponential(1.0)] * 2), 10, seed=0)
+        rev_monte_carlo([mech], ProductDist([Exponential(1.0)] * 2), 10, seed=0)
     with pytest.raises(ValueError, match="arity mismatch"):
         revenue_ratio(mech, ProductDist([Exponential(1.0)] * 2), 10, seed=0)
     with pytest.raises(ValueError, match="n_draws must be at least 1"):
-        rev_monte_carlo(mech, ProductDist([Exponential(1.0)]), 0, seed=0)
+        rev_monte_carlo([mech], ProductDist([Exponential(1.0)]), 0, seed=0)
     with pytest.raises(ValueError, match="zero OPT"):
         revenue_ratio(mech, ProductDist([PointMass(0.0)]), 10, seed=0)
 
@@ -217,11 +228,13 @@ def test_strong_revenue_monotonicity():
         d_lo = ProductDist([lo] * n)
         d_hi = ProductDist([base] * n)
         mech = truth_mechanism(d_lo, kind)
-        est_lo = rev_monte_carlo(mech, d_lo, draws, seed=1000 + i)
-        est_hi = rev_monte_carlo(mech, d_hi, draws, seed=1000 + i)
-        allowance = 3 * (est_lo.half_width_95 + est_hi.half_width_95)
-        assert est_hi.mean >= est_lo.mean - allowance, (
-            f"pair {i}: {est_hi.mean} < {est_lo.mean} - {allowance}")
+        lo_mean, lo_hw = mean_and_half_width(
+            rev_monte_carlo([mech], d_lo, draws, seed=1000 + i))
+        hi_mean, hi_hw = mean_and_half_width(
+            rev_monte_carlo([mech], d_hi, draws, seed=1000 + i))
+        allowance = 3 * (lo_hw + hi_hw)
+        assert hi_mean >= lo_mean - allowance, (
+            f"pair {i}: {hi_mean} < {lo_mean} - {allowance}")
 
 
 def _mean_and_hw(values):
@@ -274,15 +287,17 @@ def test_truncation_preserves_most_revenue_monte_carlo(n):
     draws = 400_000
     truth = ProductDist([Exponential(1.0)] * n)
     bench = truth_mechanism(truth, "mhr")
-    est = rev_monte_carlo(bench, truth, draws, seed=21)
+    mean, hw = mean_and_half_width(rev_monte_carlo([bench], truth, draws,
+                                                   seed=21))
     for eps in [0.1, 0.25]:
-        u = est.mean / eps
+        u = mean / eps
         trunc = ProductDist([truncate(Exponential(1.0), u)] * n)
         bench_t = truth_mechanism(trunc, "mhr")
-        est_t = rev_monte_carlo(bench_t, trunc, draws, seed=22)
-        allowance = 3 * (est.half_width_95 + est_t.half_width_95)
-        assert est_t.mean <= est.mean + allowance
-        assert est_t.mean >= (1 - 4 * eps) * est.mean - allowance
+        mean_t, hw_t = mean_and_half_width(rev_monte_carlo([bench_t], trunc,
+                                                           draws, seed=22))
+        allowance = 3 * (hw + hw_t)
+        assert mean_t <= mean + allowance
+        assert mean_t >= (1 - 4 * eps) * mean - allowance
 
 
 def test_mhr_ball_opt_ratio_bounds():
