@@ -19,8 +19,9 @@ Working with the capped function G = min(F~ + alpha, 1):
 Anchor selection depends on the input.  Purely atomic inputs anchor at x = 0
 with the input's own mass there (this is the convention the empirical shading
 pipeline needs: the budget is accounted for in the quantiles, never at zero)
-plus one anchor per atom; between atoms G is flat, so nothing is lost.
-Everything else, link CDFs included, is discretized on a quantile-uniform
+plus one anchor per atom, with G read off the input's atom table
+(`atom_cdf`); between atoms G is flat, so nothing is lost.  Everything else,
+link CDFs included, is discretized by `_anchor_xs` on a quantile-uniform
 grid of G joined with the input's breakpoints, which keeps plateaus and
 support tops exact.  Anchoring a link CDF at its own knots alone would be
 wrong for alpha > 0: when ppf(1 - alpha) falls between knots, the rising
@@ -39,22 +40,17 @@ from .distributions import Distribution, PiecewiseLinkCDF
 DEFAULT_GRID = 2048
 
 
-def _anchor_xs(dist: Distribution, alpha: float, new_top: float,
-               grid: int) -> np.ndarray:
-    """x locations (strictly below new_top) at which G is anchored."""
-    if dist.purely_atomic and not isinstance(dist, PiecewiseLinkCDF):
-        locs, _ = dist.atoms()
-        xs = np.concatenate(([0.0], locs))
-    else:
-        qs = np.arange(1, grid + 1) / (grid + 1.0)
-        # G^{-1}(q) = F~^{-1}(q - alpha) for q > G(0), else 0
-        inner = np.asarray(dist.ppf(np.clip(qs - alpha, 0.0, 1.0)))
-        g0 = min(float(dist.cdf(0.0)) + alpha, 1.0)
-        xs = np.where(qs <= g0, 0.0, np.maximum(inner, 0.0))
-        pts = dist.breakpoints()
-        xs = np.concatenate((xs, pts[np.isfinite(pts)], [0.0]))
-    xs = np.unique(xs)
-    return xs[(xs >= 0.0) & (xs < new_top)]
+def _anchor_xs(dist: Distribution, alpha: float, grid: int) -> np.ndarray:
+    """Nonnegative x locations at which G is anchored, for inputs that are
+    not purely atomic."""
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    # G^{-1}(q) = F~^{-1}(q - alpha) for q > G(0), else 0
+    inner = np.asarray(dist.ppf(np.clip(qs - alpha, 0.0, 1.0)))
+    g0 = min(float(dist.cdf(0.0)) + alpha, 1.0)
+    xs = np.where(qs <= g0, 0.0, np.maximum(inner, 0.0))
+    pts = dist.breakpoints()
+    xs = np.unique(np.concatenate((xs, pts[np.isfinite(pts)], [0.0])))
+    return xs[xs >= 0.0]
 
 
 def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
@@ -73,14 +69,19 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
         # unbounded input with alpha = 0: close at the last grid quantile and
         # let the remaining sliver of mass ride on the top atom
         new_top = float(dist.ppf(grid / (grid + 1.0)))
-    xs = _anchor_xs(dist, alpha, new_top, grid)
-    g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
-    if dist.purely_atomic and not isinstance(dist, PiecewiseLinkCDF) \
-            and xs.size and xs[0] == 0.0:
+    if dist.purely_atomic and not isinstance(dist, PiecewiseLinkCDF):
+        xs, g = dist.atom_cdf()[::2]        # the atoms and F at them
+        g = np.minimum(np.add(g, alpha, out=g), 1.0, out=g)
+        if xs[0] > 0.0:
+            xs, g = np.concatenate(([0.0], xs)), np.concatenate(([0.0], g))
         # the x = 0 anchor keeps the input's own mass at zero, uncapped
         g[0] = float(dist.cdf(0.0))
-    # anchors at G = 1 belong to the closing atom, not the envelope
-    keep = g < 1.0
+    else:
+        xs = _anchor_xs(dist, alpha, grid)
+        g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
+    # anchors at or past the top, or at G = 1, belong to the closing atom,
+    # not the envelope
+    keep = (xs < new_top) & (g < 1.0)
     xs, g = xs[keep], g[keep]
     if xs.size == 0:
         # everything at or above new_top: the ball collapses to a point mass

@@ -11,6 +11,7 @@ by calling the library with the same arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -47,12 +48,25 @@ def _write_csv(path, header, rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _read_samples(path) -> np.ndarray:
+def _read_csv(path, header_ok, expected: str):
+    """(header, rows) of a numeric CSV file.  A file without a data row is a
+    ConfigError here, before loadtxt would warn that it holds no data."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if not header or not header[0].startswith("bidder_"):
-            raise ConfigError(f"{path}: expected a bidder_1,... header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not header_ok(header):
+            raise ConfigError(f"{path}: expected {expected} header")
+        # loadtxt skips blank and comment-only lines; so does this search
+        first = next((line for line in fh if line.split("#", 1)[0].strip()),
+                     None)
+        if first is None:
+            raise ConfigError(f"{path}: no data rows")
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+    return header, data
+
+
+def _read_samples(path) -> np.ndarray:
+    header, data = _read_csv(path, lambda h: h[0].startswith("bidder_"),
+                             "a bidder_1,...")
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: column count does not match header")
     return data
@@ -129,11 +143,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_envelope(args) -> int:
     path = getattr(args, "in")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["x", "y"]:
-            raise ConfigError(f"{path}: expected an x,y header")
-        pts = np.loadtxt(fh, delimiter=",", ndmin=2)
+    _, pts = _read_csv(path, lambda h: h[:2] == ["x", "y"], "an x,y")
     if pts.shape[1] != 2:
         raise ConfigError(f"{path}: expected rows of two numbers, x and y")
     env = convex_envelope(pts[:, 0], pts[:, 1])

@@ -86,6 +86,13 @@ class Distribution:
         keep = m > _ATOM_TOL
         return xs[keep], m[keep]
 
+    def atom_cdf(self):
+        """(locs, F(locs-), F(locs)) at the atom locations: the atom table
+        the learner and the KS ball read instead of searching each atom.
+        The two CDF arrays are new; locs may be the distribution's own."""
+        locs, _ = self.atoms()
+        return locs, np.asarray(self.cdf_left(locs)), np.asarray(self.cdf(locs))
+
     def to_dict(self) -> dict:
         if self.TYPE is None:
             raise NotImplementedError
@@ -141,6 +148,12 @@ class StepCDF(Distribution):
     def atoms(self):
         return self.values.copy(), self.masses.copy()
 
+    def atom_cdf(self):
+        # the running sums, clipped as cdf/cdf_left clip them: bit for bit
+        # the searched values, as the atoms strictly increase
+        return (self.values, np.clip(self._cum0[:-1], 0.0, 1.0),
+                np.clip(self._cum, 0.0, 1.0))
+
     def __repr__(self):
         return f"StepCDF({self.values.size} atoms on [{self.values[0]:g}, {self.values[-1]:g}])"
 
@@ -173,7 +186,10 @@ class PiecewiseLinkCDF(Distribution):
         if np.any(np.diff(hs) < -1e-12):
             raise ValueError("h values must be non-decreasing")
         hs = np.maximum.accumulate(np.maximum(hs, origin))
-        slopes = np.diff(hs) / np.diff(xs)      # >= 0: hs is non-decreasing
+        with np.errstate(over="ignore"):
+            slopes = np.diff(hs) / np.diff(xs)  # >= 0: hs is non-decreasing
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("knot slopes must be finite")
         if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
             raise ValueError("link knots must be convex")
         support_top = float(support_top)
@@ -274,11 +290,15 @@ class Exponential(Distribution):
             raise ValueError("rate must be positive")
         self.rate = rate
 
+    # rate * x and the quantiles may pass the float range; their IEEE
+    # limits (F = 1, x = inf) are the answers
     def _cdf(self, arr, left=False):
-        return np.where(arr <= 0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)))
+        with np.errstate(over="ignore"):
+            return np.where(arr <= 0, 0.0,
+                            -np.expm1(-self.rate * np.maximum(arr, 0.0)))
 
     def _ppf(self, q):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return -np.log1p(-q) / self.rate
 
     def support_top(self):
@@ -299,7 +319,8 @@ class Uniform(Distribution):
         self.lo, self.hi = lo, hi
 
     def _cdf(self, arr, left=False):
-        return np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        with np.errstate(over="ignore"):    # a subnormal width: clipped to 0 or 1
+            return np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def _ppf(self, q):
         return self.lo + q * (self.hi - self.lo)
@@ -433,14 +454,16 @@ class AppxC2(Distribution):
 
     def _cdf(self, arr, left=False):
         out = np.zeros(arr.shape)
-        if self.which == "l":
-            m = arr >= self.bottom
-            out[m] = 1.0 - 1.0 / (self.n * (arr[m] - 1.0))
-        else:
-            m = (arr >= self.bottom) & (arr < self.v2)
-            out[m] = 1.0 - 1.0 / (self.n * (arr[m] - 1.0))
-            m = arr >= self.v2
-            out[m] = 1.0 - (1.0 - self.beta) / (self.n * (arr[m] - 2.0))
+        # n (x - 1) past the float range is F = 1, its IEEE limit
+        with np.errstate(over="ignore"):
+            if self.which == "l":
+                m = arr >= self.bottom
+                out[m] = 1.0 - 1.0 / (self.n * (arr[m] - 1.0))
+            else:
+                m = (arr >= self.bottom) & (arr < self.v2)
+                out[m] = 1.0 - 1.0 / (self.n * (arr[m] - 1.0))
+                m = arr >= self.v2
+                out[m] = 1.0 - (1.0 - self.beta) / (self.n * (arr[m] - 2.0))
         return out
 
     def _ppf(self, q):

@@ -72,8 +72,8 @@ class VirtualValueFn:
         self.top = cdf.support_top()
         xs, hs = cdf.xs, cdf.hs
         nreal = xs.size - 1
-        with np.errstate(divide="ignore"):
-            inv_s = 1.0 / cdf.slopes        # a flat piece (slope 0) gives inf
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_s = 1.0 / cdf.slopes  # a flat (or subnormal) slope gives inf
         if self.kind == "mhr":
             vals = np.where(np.isfinite(inv_s), xs[1:] - inv_s, _NEG_INF)
         else:

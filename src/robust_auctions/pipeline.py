@@ -53,18 +53,6 @@ class ShadingParams:
             raise ValueError("need one alpha per bidder")
 
 
-def _survival_at_atoms(E: StepCDF) -> np.ndarray:
-    """Pr[V >= v] at each atom v of E, atom included: bit for bit
-    E.survival_quantile(E.values), read off the running mass sums (clipped
-    at 1 as cdf_left clips them) instead of searching every atom for
-    itself."""
-    q = np.empty(E.masses.size)
-    q[0] = 0.0
-    np.cumsum(E.masses[:-1], out=q[1:])
-    np.minimum(q, 1.0, out=q)
-    return np.subtract(1.0, q, out=q)
-
-
 def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
     """Shaded pessimistic version of an empirical CDF.
 
@@ -74,8 +62,8 @@ def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> Ste
     away; the last atom with positive shaded survival closes the support.
     """
     m = params.m
-    xs = E.values
-    q = _survival_at_atoms(E)
+    xs, q = E.atom_cdf()[:2]
+    q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included
     L = np.log(2.0 * m * params.n / params.delta)
     shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
     q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)

@@ -20,6 +20,11 @@ _OPT_GRID = 200_000
 _TRUTH_GRID = 8192
 
 
+def _posted_revenue(price: np.ndarray, cdf_left: np.ndarray) -> np.ndarray:
+    """price * Pr[V >= price], given F(price-): the one place it is written."""
+    return price * (1.0 - cdf_left)
+
+
 def revenue_at_reserve(dist: Distribution, price):
     """Expected revenue of posted prices: price * Pr[V >= price].  A scalar
     price gives a float, an array of prices an array."""
@@ -28,7 +33,7 @@ def revenue_at_reserve(dist: Distribution, price):
     # atoms would cost the learn op ~8 MB of peak memory
     if arr.size and not (arr.min() >= 0 and arr.max() < np.inf):
         raise ValueError("price must be nonnegative and finite")
-    rev = arr * (1.0 - np.asarray(dist.cdf_left(arr)))
+    rev = _posted_revenue(arr, np.asarray(dist.cdf_left(arr)))
     return float(rev) if arr.ndim == 0 else rev
 
 
@@ -46,19 +51,22 @@ def opt_single(dist: Distribution):
     if isinstance(dist, PiecewiseLinkCDF):
         cand = [dist.xs, [dist.support_top()]]
         if dist.kind == "mhr":
-            with np.errstate(divide="ignore"):
-                stat = 1.0 / dist.slopes        # a flat piece gives inf
+            with np.errstate(divide="ignore", over="ignore"):
+                stat = 1.0 / dist.slopes  # a flat (or subnormal) slope: inf
             cand.append(stat[(stat > dist.xs[:-1]) & (stat < dist.xs[1:])])
         cand = np.unique(np.concatenate(cand))
         cand = cand[cand > 0] if cand.size > 1 else cand
+        revs = revenue_at_reserve(dist, cand)
     elif dist.purely_atomic:
-        cand = dist.atoms()[0]
+        # F(atom-) off the atom table, unsearched; atoms are valid prices
+        cand, f_left, _ = dist.atom_cdf()
+        revs = _posted_revenue(cand, f_left)
     else:
         qs = np.linspace(0.0, 1.0, _OPT_GRID, endpoint=False)
         cand = np.unique(np.concatenate([np.asarray(dist.ppf(qs), dtype=float),
                                          dist.breakpoints()]))
         cand = cand[np.isfinite(cand) & (cand >= 0)]
-    revs = revenue_at_reserve(dist, cand)
+        revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
     best_x, best_r = float(cand[i]), float(revs[i])
     if exact:

@@ -5,10 +5,13 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 import numpy as np
 
-from robust_auctions.distributions import (Distribution, PiecewiseLinkCDF,
-                                           StepCDF, appx_c1, appx_c2)
+from robust_auctions import links
+from robust_auctions.distributions import (Distribution, DownShiftSpike,
+                                           PiecewiseLinkCDF, PointMass,
+                                           StepCDF, UpShift, appx_c1, appx_c2)
 from robust_auctions.harness import RESULT_COLUMNS
 from robust_auctions.links import link_origin
+from robust_auctions.revenue import revenue_at_reserve
 
 
 def random_points(rng, k_max=50, allow_flats=True):
@@ -65,6 +68,60 @@ def random_step_cdf(rng, k_max=12, lo=0.0, hi=10.0):
     while np.any(masses < 1e-9):
         masses = rng.dirichlet(np.ones(values.size))
     return StepCDF(values, masses)
+
+
+def atomic_cases(rng, count=200):
+    """Purely atomic inputs: random step CDFs (half with an atom at 0), one
+    atom, an atom at 0, partial mass sums that round past 1, a PointMass,
+    and UpShift / DownShiftSpike wrappers over step CDFs."""
+    cases = [StepCDF([2.5], [1.0]), StepCDF([0.0], [1.0]),
+             StepCDF([0.0, 1.0, 3.0], [0.2, 0.3, 0.5]),
+             StepCDF([1.0, 2.0, 3.0], [0.5, 0.5 + 5e-10, 1e-12]),
+             PointMass(0.0), PointMass(1.7)]
+    for i in range(count):
+        k = int(rng.integers(1, 400))
+        values = np.unique(rng.exponential(size=k))
+        if rng.random() < 0.5:
+            values[0] = 0.0
+        masses = rng.random(values.size) + 1e-3
+        E = StepCDF(values, masses / masses.sum())
+        cases.append(E)
+        if i % 10 == 0:
+            cases.append(UpShift(E, 0.1))
+            cases.append(DownShiftSpike(E, 0.1, 2.0 * values[-1] + 1.0))
+    return cases
+
+
+def searched_minimal_in_ks_ball(dist, alpha, kind):
+    """The atomic branch of ball.minimal_in_ks_ball as it was before the
+    atom table: anchors from np.unique over 0 and the atoms, and G from
+    dist.cdf searched at every anchor.  A reference for bit-identity."""
+    alpha = links.check_alpha(alpha)
+    new_top = float(dist.ppf(1.0 - alpha))
+    xs = np.unique(np.concatenate(([0.0], dist.atoms()[0])))
+    xs = xs[(xs >= 0.0) & (xs < new_top)]
+    g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
+    if xs.size and xs[0] == 0.0:
+        g[0] = float(dist.cdf(0.0))
+    keep = g < 1.0
+    xs, g = xs[keep], g[keep]
+    if xs.size == 0:
+        return PiecewiseLinkCDF(kind, [new_top], [link_origin(kind)], new_top)
+    hs = np.asarray(links.link_forward(kind, g))
+    if xs.size == 1:
+        return PiecewiseLinkCDF(kind, xs, hs, new_top)
+    env = links.convex_envelope(xs, hs)
+    return PiecewiseLinkCDF(kind, env.xs, env.ys, new_top)
+
+
+def searched_opt_single(dist):
+    """opt_single on a purely atomic input as it was before the atom table:
+    revenue_at_reserve searches F(atom-) for every atom.  A reference for
+    bit-identity."""
+    cand = dist.atoms()[0]
+    revs = revenue_at_reserve(dist, cand)
+    i = int(np.argmax(revs))
+    return float(cand[i]), float(revs[i])
 
 
 class Truncated(Distribution):

@@ -15,7 +15,8 @@ from robust_auctions.distributions import (
 )
 from robust_auctions.oracle import dominates
 
-from _gen import random_link_cdf, truncate
+from _gen import (atomic_cases, random_link_cdf, searched_minimal_in_ks_ball,
+                  truncate)
 
 
 def test_exponential_worked_example():
@@ -125,3 +126,16 @@ def test_alpha_validation():
         minimal_in_ks_ball(Exponential(1.0), -0.1, "mhr")
     with pytest.raises(ValueError, match="kind must be one of"):
         minimal_in_ks_ball(Exponential(1.0), 0.1, "hazard")
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+def test_atomic_inputs_match_searched_anchors(kind, alpha):
+    """The atomic branch reads G off the atom table; its knots and top are
+    bit-identical to anchoring with np.unique and searching dist.cdf."""
+    for dist in atomic_cases(np.random.default_rng(23), count=60):
+        got = minimal_in_ks_ball(dist, alpha, kind)
+        ref = searched_minimal_in_ks_ball(dist, alpha, kind)
+        assert got.xs.tobytes() == ref.xs.tobytes()
+        assert got.hs.tobytes() == ref.hs.tobytes()
+        assert got.support_top() == ref.support_top()

@@ -3,6 +3,7 @@ either return an object or raise ValueError, and valid objects survive a
 to_dict -> from_dict -> to_dict round trip unchanged."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +212,29 @@ def test_mechanism_dict_errors_name_the_field():
     for d, match in cases:
         with pytest.raises(ValueError, match=match):
             Mechanism.from_dict(d)
+
+
+def test_parameters_past_the_float_range_do_not_warn():
+    """Valid parameters whose derived values overflow: the IEEE limit is the
+    answer, with no RuntimeWarning; a link CDF whose knot slope overflows is
+    a ValueError.  The fuzz above draws such dicts only now and then."""
+    exp = {"type": "exp", "rate": 1e17}
+    link = {"type": "link_cdf", "kind": "mhr", "knots": [[0.0, 0.0], [0.5, 5e-324]],
+            "support_top": 0.5}
+    dists = [
+        {"type": "upshift", "alpha": 0.01, "base": {"type": "exp", "rate": 5e-324}},
+        {"type": "downshift_spike", "alpha": 1e-300, "spike_x": 1e300, "base": exp},
+        {"type": "downshift_spike", "alpha": 1e-300, "spike_x": 0.5,
+         "base": {"type": "unif", "lo": 5e-324, "hi": 1e-310}},
+        {"type": "downshift_spike", "alpha": 1e-300, "spike_x": 1e300,
+         "base": {"type": "appxC2", "n": 10 ** 17, "beta": 1e-300, "which": "l"}},
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in dists:
+            dist_from_dict(d)
+        mech = Mechanism.from_dict({"kind": "mhr", "bidders": [link]})
+        assert mech.reserves[0] == 0.5
+        with pytest.raises(ValueError, match="knot slopes must be finite"):
+            dist_from_dict(dict(link, knots=[[0.0, 0.0], [1e-300, 1e300]],
+                                support_top=1e308))

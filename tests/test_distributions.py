@@ -29,7 +29,8 @@ from robust_auctions.distributions import (
 from robust_auctions.links import link_forward
 from robust_auctions.oracle import dominates
 
-from _gen import Truncated, random_link_cdf, random_step_cdf, truncate
+from _gen import (Truncated, atomic_cases, random_link_cdf, random_step_cdf,
+                  truncate)
 
 
 def _zoo():
@@ -64,6 +65,17 @@ def test_survival_identity():
         v = np.concatenate([v, dist.breakpoints()])
         assert_allclose(dist.survival_quantile(v) + dist.cdf_left(v),
                         np.ones_like(v), atol=1e-12)
+
+
+def test_atom_cdf_equals_searched_cdf():
+    """atom_cdf() is (atoms, cdf_left(atoms), cdf(atoms)) bit for bit:
+    StepCDF reads its running sums, clipped as the searches clip them, and
+    PointMass and the corruption wrappers take the base-class path."""
+    for dist in atomic_cases(np.random.default_rng(11)):
+        locs = dist.atoms()[0]
+        want = (locs, dist.cdf_left(locs), dist.cdf(locs))
+        for got, ref in zip(dist.atom_cdf(), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_cdf_shape():

@@ -359,6 +359,23 @@ def test_cli_envelope_round_trip(tmp_path):
         assert main(["envelope", "--in", str(bad), "--out", str(out)]) == 2
 
 
+_LEARN = ["learn", "--kind", "mhr", "--alpha", "0.05", "--samples"]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (_LEARN, "bidder_1\n"), (_LEARN, "bidder_1,bidder_2\n\n# none\n  \n"),
+    (["envelope", "--in"], "x,y\n"), (["envelope", "--in"], "x,y\n# none\n\n")])
+def test_cli_header_only_csv_is_one_error_line(tmp_path, capsys, argv, text):
+    # loadtxt used to print a two-line "input contained no data" warning
+    # ahead of the error line; under filterwarnings = error it would raise
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert main(argv + [str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: no data rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows", ["0,1\n1,nan\n2,0.5\n3,2\n",
                                   "0,1\nnan,3\n2,0.5\n3,2\n",
                                   "0,1\n1,inf\n2,0.5\n3,2\n"])

@@ -3,7 +3,8 @@ population-level revenue inequalities they are meant to satisfy."""
 
 import numpy as np
 import pytest
-from _gen import mean_and_half_width, random_link_cdf, truncate
+from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
+                  searched_opt_single, truncate)
 
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
@@ -361,3 +362,10 @@ def test_regular_shading_revenue_floor():
         assert opt_f / opt_bar >= floor - 1e-6, f"case {i}"
         checked += 1
     assert checked >= 8
+
+
+def test_opt_single_atomic_matches_searched_scan():
+    """On purely atomic inputs opt_single reads F(atom-) off the atom table;
+    the reserve and revenue are bit-identical to searching every atom."""
+    for dist in atomic_cases(np.random.default_rng(29)):
+        assert repr(opt_single(dist)) == repr(searched_opt_single(dist))
