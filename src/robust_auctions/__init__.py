@@ -5,8 +5,8 @@ the value distributions (or the samples drawn from them) within a small
 Kolmogorov-Smirnov ball.
 """
 
-from .adversary import (AdversaryError, cdf_shift, corrupt, mhr_lb_radius,
-                        regular_lb_radius, tail_spike)
+from .adversary import (AdversaryError, corrupt, mhr_lb_radius,
+                        regular_lb_radius)
 from .ball import minimal_in_ks_ball
 from .distributions import (AppxC1, AppxC2, Distribution, DownShiftSpike,
                             EqualRevenue, Exponential, PiecewiseLinkCDF,
@@ -22,7 +22,7 @@ from .myerson import (Mechanism, Outcome, VirtualValueFn, inverse_virtual,
 from .pipeline import (ShadingParams, population_robust_myerson,
                        robust_empirical_myerson, shade_quantiles)
 from .revenue import (RevenueEstimate, opt_single, rev_monte_carlo,
-                      revenue_at_reserve, revenue_ratio)
+                      revenue_at_reserve, revenue_ratio_detail)
 
 __version__ = "0.1.0"
 
@@ -32,12 +32,12 @@ __all__ = [
     "Exponential", "Mechanism", "Outcome", "PiecewiseLinearFn",
     "PiecewiseLinkCDF", "PointMass", "ProductDist", "RevenueEstimate",
     "ShadingParams", "StepCDF", "Uniform", "UpShift", "VirtualValueFn",
-    "cdf_shift", "convex_envelope", "corrupt", "dist_from_dict",
+    "convex_envelope", "corrupt", "dist_from_dict",
     "empirical_from_samples", "inverse_virtual", "ks_distance",
     "link_forward", "link_inverse", "mhr_lb_radius",
     "minimal_in_ks_ball", "opt_single", "parse_dist_spec",
     "population_robust_myerson", "regular_lb_radius",
     "reproduce_counterexample1", "rev_monte_carlo", "revenue_at_reserve",
-    "revenue_ratio", "robust_empirical_myerson", "run_sweep",
-    "shade_quantiles", "tail_spike", "virtual_value", "write_rows",
+    "revenue_ratio_detail", "robust_empirical_myerson", "run_sweep",
+    "shade_quantiles", "virtual_value", "write_rows",
 ]

@@ -1,8 +1,9 @@
-"""Corruption generators inside a KS ball, verified at generation time.
+"""Corruptions inside a KS ball, verified at generation time.
 
-Every generator checks ks_distance(corrupted, original) against the declared
-budget and raises AdversaryError when the check fails, so a sweep can never
-silently run with an adversary that exceeds its radius.
+`corrupt` is the one constructor.  It checks the KS distance of every
+corruption it builds (or the exact radius of a lower-bound family) against
+the declared budget and raises AdversaryError when the check fails, so a
+sweep can never silently run with an adversary that exceeds its radius.
 """
 
 from __future__ import annotations
@@ -18,45 +19,6 @@ _VERIFY_TOL = 1e-9
 
 class AdversaryError(RuntimeError):
     """Generated corruption failed its KS-radius verification."""
-
-
-def _verify(d_tilde: Distribution, d_star: Distribution, budget: float,
-            label: str) -> Distribution:
-    ks = ks_distance(d_tilde, d_star)
-    if ks > budget + _VERIFY_TOL:
-        raise AdversaryError(
-            f"{label}: corruption KS {ks:.6g} exceeds budget {budget:.6g}")
-    return d_tilde
-
-
-def tail_spike(d_star: Distribution, alpha: float, c: float) -> Distribution:
-    """Move the alpha lowest quantiles to a point mass at c/alpha."""
-    alpha = float(alpha)
-    c = float(c)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if c <= 0:
-        raise ValueError("spike scale c must be positive")
-    d = DownShiftSpike(d_star, alpha, c / alpha)
-    return _verify(d, d_star, alpha, "tail_spike")
-
-
-def cdf_shift(d_star: Distribution, alpha: float, direction: str) -> Distribution:
-    """Shift the CDF by alpha: 'up' pushes mass toward 0, 'down' pushes mass
-    toward larger values (closed off by a far-quantile spike)."""
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    alpha = check_alpha(alpha)
-    if alpha == 0.0:
-        return d_star
-    if direction == "up":
-        d = UpShift(d_star, alpha)
-    else:
-        close_q = 1.0 - min(alpha / 2.0, 1e-4)
-        spike_x = float(d_star.ppf(close_q))
-        spike_x = max(spike_x, float(d_star.ppf(alpha)) + 1e-12)
-        d = DownShiftSpike(d_star, alpha, spike_x)
-    return _verify(d, d_star, alpha, f"cdf_shift({direction})")
 
 
 def mhr_lb_radius(n: int, beta: float) -> float:
@@ -98,24 +60,42 @@ def parse_adversary(spec: str):
     if not arg and name != "tailspike":
         return name, None
     try:
-        return name, float(arg)
+        value = float(arg)
     except ValueError:
         raise ValueError(f"adversary {spec!r} needs a numeric argument") from None
+    if name == "tailspike" and not 0.0 < value < np.inf:
+        raise ValueError("spike scale c must be positive and finite")
+    return name, value
 
 
 def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
-    """Apply an adversary spec (see `parse_adversary`).  The lower-bound
-    families require the input to be a family member (they swap it for its
-    confusable partner) and check that the family's exact radius fits the
-    alpha budget."""
+    """Apply an adversary spec (see `parse_adversary`) at KS budget alpha.
+
+    `tailspike:C` moves the alpha lowest quantiles to a point mass at
+    C/alpha; `shift:up` pushes mass toward 0, `shift:down` toward larger
+    values (closed off by a far-quantile spike).  Both return the input at
+    alpha = 0 and measure the KS distance of what they build.  The
+    lower-bound families require the input to be a family member (they swap
+    it for its confusable partner) and check that the family's exact radius
+    fits the alpha budget."""
     alpha = check_alpha(alpha)
     name, arg = parse_adversary(adversary)
-    if name == "tailspike":
+    if name in ("tailspike", "shift"):
         if alpha == 0.0:
             return d_star
-        return tail_spike(d_star, alpha, arg)
-    if name == "shift":
-        return cdf_shift(d_star, alpha, arg)
+        if name == "tailspike":
+            d = DownShiftSpike(d_star, alpha, arg / alpha)
+        elif arg == "up":
+            d = UpShift(d_star, alpha)
+        else:
+            spike_x = float(d_star.ppf(1.0 - min(alpha / 2.0, 1e-4)))
+            spike_x = max(spike_x, float(d_star.ppf(alpha)) + 1e-12)
+            d = DownShiftSpike(d_star, alpha, spike_x)
+        ks = ks_distance(d, d_star)
+        if ks > alpha + _VERIFY_TOL:
+            raise AdversaryError(f"{adversary}: corruption KS {ks:.6g} "
+                                 f"exceeds budget {alpha:.6g}")
+        return d
     cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
                       else (AppxC2, regular_lb_radius))
     if not isinstance(d_star, cls):

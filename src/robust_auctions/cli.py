@@ -22,7 +22,7 @@ from .adversary import AdversaryError, corrupt
 from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       RESULT_COLUMNS, format_row, reproduce_counterexample1,
-                      run_sweep, write_rows)
+                      run_sweep, write_csv, write_rows)
 from .links import convex_envelope
 from .myerson import Mechanism
 from .pipeline import robust_empirical_myerson
@@ -39,13 +39,6 @@ def _load_dist(entry: str):
 
 def _load_dists(arg: str):
     return [_load_dist(part) for part in arg.split(",") if part]
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _read_csv(path, header_ok, expected: str):
@@ -73,10 +66,12 @@ def _read_samples(path) -> np.ndarray:
 
 
 def _cmd_gen(args) -> int:
+    if args.m < 1:
+        raise ConfigError("--m must be at least 1")
     dists = _load_dists(args.dist)
     profiles = ProductDist(dists).sample_profiles(args.m, args.seed)
-    _write_csv(args.out, [f"bidder_{j + 1}" for j in range(len(dists))],
-               profiles)
+    write_csv(args.out, [f"bidder_{j + 1}" for j in range(len(dists))],
+              profiles)
     print(f"gen: wrote {profiles.shape[0]} x {profiles.shape[1]} samples "
           f"to {args.out}")
     return 0
@@ -147,7 +142,7 @@ def _cmd_envelope(args) -> int:
     if pts.shape[1] != 2:
         raise ConfigError(f"{path}: expected rows of two numbers, x and y")
     env = convex_envelope(pts[:, 0], pts[:, 1])
-    _write_csv(args.out, ["x", "y"], zip(env.xs, env.ys))
+    write_csv(args.out, ["x", "y"], zip(env.xs, env.ys))
     print(f"envelope: {pts.shape[0]} points -> {env.xs.size} vertices "
           f"({args.out})")
     return 0

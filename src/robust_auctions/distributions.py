@@ -198,7 +198,9 @@ class PiecewiseLinkCDF(Distribution):
         self.kind = kind
         self.xs = xs
         self.hs = hs
-        self.slopes = slopes
+        with np.errstate(divide="ignore", over="ignore"):
+            # 1/slope of each piece: inf for a flat (or subnormal) slope
+            self.inv_slopes = 1.0 / slopes
         self._top = support_top
         self.f_knots = np.asarray(links.link_inverse(kind, hs))
         self.top_atom = 1.0 - float(self.f_knots[-1])

@@ -154,19 +154,25 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     return rows
 
 
+def _csv_line(values) -> str:
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                    for v in values)
+
+
+def write_csv(path, header, rows):
+    """The one CSV writer: floats in repr form, anything else with str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_csv_line(row) + "\n" for row in rows)
+
+
 def format_row(row: dict) -> str:
-    parts = []
-    for col in RESULT_COLUMNS:
-        v = row[col]
-        parts.append(repr(float(v)) if isinstance(v, float) else str(v))
-    return ",".join(parts)
+    return _csv_line(row[col] for col in RESULT_COLUMNS)
 
 
 def write_rows(rows, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
+    write_csv(path, RESULT_COLUMNS,
+              ([row[col] for col in RESULT_COLUMNS] for row in rows))
 
 
 def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,

@@ -72,8 +72,7 @@ class VirtualValueFn:
         self.top = cdf.support_top()
         xs, hs = cdf.xs, cdf.hs
         nreal = xs.size - 1
-        with np.errstate(divide="ignore", over="ignore"):
-            inv_s = 1.0 / cdf.slopes  # a flat (or subnormal) slope gives inf
+        inv_s = cdf.inv_slopes
         if self.kind == "mhr":
             vals = np.where(np.isfinite(inv_s), xs[1:] - inv_s, _NEG_INF)
         else:
@@ -183,6 +182,10 @@ class Mechanism:
     def __post_init__(self):
         if not self.bidders:
             raise ValueError("need at least one bidder")
+        for j, b in enumerate(self.bidders):
+            if b.kind != self.kind:
+                raise ValueError(f"mechanism kind {self.kind!r} but bidder "
+                                 f"{j + 1} is {b.kind!r}")
         self.vvs = [VirtualValueFn(b) for b in self.bidders]
 
     @property

@@ -51,8 +51,7 @@ def opt_single(dist: Distribution):
     if isinstance(dist, PiecewiseLinkCDF):
         cand = [dist.xs, [dist.support_top()]]
         if dist.kind == "mhr":
-            with np.errstate(divide="ignore", over="ignore"):
-                stat = 1.0 / dist.slopes  # a flat (or subnormal) slope: inf
+            stat = dist.inv_slopes
             cand.append(stat[(stat > dist.xs[:-1]) & (stat < dist.xs[1:])])
         cand = np.unique(np.concatenate(cand))
         cand = cand[cand > 0] if cand.size > 1 else cand
@@ -162,9 +161,3 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
     var = max(cov[1, 1] - 2 * ratio * cov[0, 1] + ratio * ratio * cov[0, 0], 0.0)
     return ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
 
-
-def revenue_ratio(mech: Mechanism, d_true: ProductDist, n_draws: int,
-                  seed: int):
-    """Rev(M, D)/OPT(D) with a 95% half width; see revenue_ratio_detail."""
-    ratio, ci, _, _ = revenue_ratio_detail(mech, d_true, n_draws, seed)
-    return ratio, ci

@@ -6,16 +6,15 @@ import pytest
 
 from robust_auctions.adversary import (
     AdversaryError,
-    cdf_shift,
     corrupt,
     mhr_lb_radius,
     parse_adversary,
     regular_lb_radius,
-    tail_spike,
 )
 from robust_auctions.distributions import (
     AppxC1,
     AppxC2,
+    DownShiftSpike,
     Exponential,
     PointMass,
     appx_c1,
@@ -28,7 +27,7 @@ from _gen import mhr_lb_family, regular_lb_family
 
 def test_tail_spike_exponential():
     exp = Exponential(1.0)
-    d = tail_spike(exp, 0.05, 1.0)
+    d = corrupt(exp, "tailspike:1.0", 0.05)
     assert d.spike_x == 20.0
     # mass alpha (plus whatever the base had beyond) lands on the spike
     assert 1.0 - float(d.cdf_left(20.0)) >= 0.05
@@ -38,30 +37,32 @@ def test_tail_spike_exponential():
 
 
 def test_tail_spike_point_mass():
-    d = tail_spike(PointMass(1.0), 0.1, 0.5)
+    d = corrupt(PointMass(1.0), "tailspike:0.5", 0.1)
     locs, masses = d.atoms()
     np.testing.assert_allclose(locs, [1.0, 5.0])
     np.testing.assert_allclose(masses, [0.9, 0.1], rtol=0, atol=1e-12)
 
 
 def test_tail_spike_validation():
+    # the spec grammar checks the scale, so a bad one fails even at alpha 0,
+    # where a valid spike returns its input
     exp = Exponential(1.0)
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-        tail_spike(exp, 0.0, 1.0)
-    with pytest.raises(ValueError, match="spike scale c must be positive"):
-        tail_spike(exp, 0.1, 0.0)
+    for spec in ("tailspike:0", "tailspike:-1", "tailspike:nan",
+                 "tailspike:inf"):
+        with pytest.raises(ValueError, match="spike scale c must be positive"):
+            corrupt(exp, spec, 0.0)
 
 
 def test_tail_spike_verifies_its_own_budget():
     # a spike below the base's only atom drags the whole distribution with
     # it, so the generated corruption exceeds alpha and must be refused
     with pytest.raises(AdversaryError, match="corruption KS"):
-        tail_spike(PointMass(1.0), 0.3, 0.2)
+        corrupt(PointMass(1.0), "tailspike:0.2", 0.3)
 
 
 def test_cdf_shift_up():
     exp = Exponential(1.0)
-    d = cdf_shift(exp, 0.1, "up")
+    d = corrupt(exp, "shift:up", 0.1)
     vs = np.linspace(0.0, 5.0, 200)
     np.testing.assert_allclose(d.cdf(vs),
                                np.minimum(1 - np.exp(-vs) + 0.1, 1.0),
@@ -71,7 +72,7 @@ def test_cdf_shift_up():
 
 def test_cdf_shift_down():
     exp = Exponential(1.0)
-    d = cdf_shift(exp, 0.05, "down")
+    d = corrupt(exp, "shift:down", 0.05)
     np.testing.assert_allclose(d.cdf(2.0), 1 - np.exp(-2.0) - 0.05,
                                rtol=0, atol=1e-12)
     assert ks_distance(d, exp) <= 0.05 + 1e-9
@@ -80,9 +81,10 @@ def test_cdf_shift_down():
 
 def test_cdf_shift_zero_and_validation():
     exp = Exponential(1.0)
-    assert cdf_shift(exp, 0.0, "up") is exp
-    with pytest.raises(ValueError, match="direction must be 'up' or 'down'"):
-        cdf_shift(exp, 0.1, "sideways")
+    assert corrupt(exp, "shift:up", 0.0) is exp
+    assert corrupt(exp, "shift:down", 0.0) is exp
+    with pytest.raises(ValueError, match="direction must be up or down"):
+        corrupt(exp, "shift:sideways", 0.1)
 
 
 def test_mhr_lb_radius_frozen_value():
@@ -133,7 +135,7 @@ def test_family_base_members():
 def test_corrupt_dispatch_tail_spike_and_shift():
     exp = Exponential(1.0)
     d = corrupt(exp, "tailspike:1.0", 0.05)
-    ref = tail_spike(exp, 0.05, 1.0)
+    ref = DownShiftSpike(exp, 0.05, 20.0)
     vs = np.linspace(0.0, 25.0, 300)
     np.testing.assert_allclose(d.cdf(vs), ref.cdf(vs), rtol=0, atol=0)
     assert corrupt(exp, "tailspike:1.0", 0.0) is exp
@@ -168,7 +170,11 @@ def test_parse_adversary():
                         ("shift:sideways", "direction must be up or down"),
                         ("tailspike", "needs a numeric argument"),
                         ("tailspike:big", "needs a numeric argument"),
-                        ("mhr-lb:x", "needs a numeric argument")]:
+                        ("mhr-lb:x", "needs a numeric argument"),
+                        ("tailspike:0", "spike scale c must be positive"),
+                        ("tailspike:-1", "spike scale c must be positive"),
+                        ("tailspike:nan", "spike scale c must be positive"),
+                        ("tailspike:inf", "spike scale c must be positive")]:
         with pytest.raises(ValueError, match=match):
             parse_adversary(spec)
 

@@ -61,6 +61,11 @@ def test_config_validation_errors():
         (dict(adversary="gremlin:1"), "unknown adversary"),
         (dict(adversary="shift:sideways"), "direction must be up or down"),
         (dict(adversary="tailspike:big"), "needs a numeric argument"),
+        # a bad spike scale fails at load time, not once the sweep runs
+        (dict(adversary="tailspike:-1"), "spike scale c must be positive"),
+        (dict(adversary="tailspike:0"), "spike scale c must be positive"),
+        (dict(adversary="tailspike:nan"), "spike scale c must be positive"),
+        (dict(adversary="tailspike:inf"), "spike scale c must be positive"),
         (dict(true_dists=["exp:1:2"]), "distribution spec"),
         # a value of the wrong type is named by its field
         (dict(alphas=[None]), "^alphas: "),
@@ -406,6 +411,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["gen", "--dist", "bogus:1", "--m", "10", "--seed", "0",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["learn"]) == 2  # argparse: missing required arguments
+    # a header-only sample file, which learn would reject, is not written
+    assert main(["gen", "--dist", "exp:1.0", "--m", "0", "--seed", "0",
+                 "--out", str(tmp_path / "empty.csv")]) == 2
+    assert not (tmp_path / "empty.csv").exists()
     bad_cfg = tmp_path / "cfg.json"
     bad_cfg.write_text("{not json")
     assert main(["sweep", "--config", str(bad_cfg),
@@ -457,6 +466,9 @@ def test_cli_malformed_json_is_a_config_error(tmp_path, capsys):
             "true_dists": ["exp:1.0"], "adversary": "shift:up",
             "kind": "mhr", "alphas": [0.0], "seeds": [None]}), "--out", out],
          "error: seeds: "),
+        (["eval", "--mech", write("mixed.json", {
+            "kind": "regular", "bidders": [link]}), "--true", "exp:1.0",
+          "--draws", "10"], "mechanism kind 'regular' but bidder 1 is 'mhr'"),
         (["eval", "--mech", write("nullm.json", {
             "kind": "mhr", "bidders": [link], "provenance": {"m": None}}),
           "--true", "exp:1.0", "--draws", "10"], "provenance.m"),

@@ -266,6 +266,10 @@ def test_auction_validation():
         mech.payments_batch(np.zeros((5, 3)))
     with pytest.raises(ValueError, match="need at least one bidder"):
         Mechanism("mhr", [])
+    # a benchmark built in the wrong shape class would read a wrong OPT
+    regular = PiecewiseLinkCDF("regular", [1.0, 2.0], [1.0, 2.0], 4.0)
+    with pytest.raises(ValueError, match="kind 'mhr' but bidder 1 is 'regular'"):
+        Mechanism("mhr", [regular, _exp_link()])
 
 
 # ---------------------------------------------------------------------------

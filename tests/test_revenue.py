@@ -23,7 +23,6 @@ from robust_auctions.revenue import (
     opt_single,
     rev_monte_carlo,
     revenue_at_reserve,
-    revenue_ratio,
     revenue_ratio_detail,
     truth_mechanism,
 )
@@ -114,7 +113,7 @@ def test_revenue_ratio_truth_mechanism_single_bidder():
     truth = ProductDist([Exponential(1.0)])
     mech = truth_mechanism(truth, "mhr")
     assert mech.provenance["role"] == "benchmark"
-    ratio, ci = revenue_ratio(mech, truth, 1000, seed=0)
+    ratio, ci = revenue_ratio_detail(mech, truth, 1000, seed=0)[:2]
     assert ci == 0.0
     assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-12
 
@@ -134,11 +133,11 @@ def test_revenue_ratio_two_bidders_benchmark_and_suboptimal():
     bench = truth_mechanism(truth, "mhr")
     # common random numbers make the benchmark ratio exactly one, and every
     # per-draw residual rev_i - ratio * opt_i zero, so the paired ci is too
-    ratio, ci = revenue_ratio(bench, truth, 200_000, seed=11)
+    ratio, ci = revenue_ratio_detail(bench, truth, 200_000, seed=11)[:2]
     assert ratio == 1.0
     assert ci == 0.0
     posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
-    ratio2, ci2 = revenue_ratio(posted, truth, 200_000, seed=11)
+    ratio2, ci2 = revenue_ratio_detail(posted, truth, 200_000, seed=11)[:2]
     assert ratio2 <= 1.0 + 3 * (ci + ci2)
     assert ratio2 > 0.3
 
@@ -198,11 +197,12 @@ def test_revenue_ratio_errors():
     with pytest.raises(ValueError, match="arity mismatch"):
         rev_monte_carlo([mech], ProductDist([Exponential(1.0)] * 2), 10, seed=0)
     with pytest.raises(ValueError, match="arity mismatch"):
-        revenue_ratio(mech, ProductDist([Exponential(1.0)] * 2), 10, seed=0)
+        revenue_ratio_detail(mech, ProductDist([Exponential(1.0)] * 2), 10,
+                             seed=0)
     with pytest.raises(ValueError, match="n_draws must be at least 1"):
         rev_monte_carlo([mech], ProductDist([Exponential(1.0)]), 0, seed=0)
     with pytest.raises(ValueError, match="zero OPT"):
-        revenue_ratio(mech, ProductDist([PointMass(0.0)]), 10, seed=0)
+        revenue_ratio_detail(mech, ProductDist([PointMass(0.0)]), 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
