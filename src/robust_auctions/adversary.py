@@ -63,9 +63,29 @@ def parse_adversary(spec: str):
         value = float(arg)
     except ValueError:
         raise ValueError(f"adversary {spec!r} needs a numeric argument") from None
-    if name == "tailspike" and not 0.0 < value < np.inf:
-        raise ValueError("spike scale c must be positive and finite")
+    if name == "tailspike":
+        if not 0.0 < value < np.inf:
+            raise ValueError("spike scale c must be positive and finite")
+    elif not 0.0 < value < 1.0:
+        raise ValueError("adversary beta must be in (0, 1)")
     return name, value
+
+
+def lb_family(d_star: Distribution, name: str, beta):
+    """(family class, exact radius function, beta) of the lower-bound
+    adversary `name` with argument `beta` from `parse_adversary` (None for
+    the input's own) on input d_star.  ValueError unless d_star is a member
+    of that family with a matching beta: the input check of `corrupt`, which
+    a sweep config also runs on its true distributions when it loads."""
+    cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
+                      else (AppxC2, regular_lb_radius))
+    if not isinstance(d_star, cls):
+        raise ValueError(
+            f"{name} adversary needs a matching family member as input")
+    beta = d_star.beta if beta is None else beta
+    if abs(beta - d_star.beta) > 1e-12:
+        raise ValueError("adversary beta does not match the input family")
+    return cls, radius_fn, beta
 
 
 def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
@@ -96,19 +116,10 @@ def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
             raise AdversaryError(f"{adversary}: corruption KS {ks:.6g} "
                                  f"exceeds budget {alpha:.6g}")
         return d
-    cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
-                      else (AppxC2, regular_lb_radius))
-    if not isinstance(d_star, cls):
-        raise ValueError(
-            f"{name} adversary needs a matching family member as input")
-    beta = d_star.beta if arg is None else arg
-    if abs(beta - d_star.beta) > 1e-12:
-        raise ValueError("adversary beta does not match the input family")
+    cls, radius_fn, beta = lb_family(d_star, name, arg)
     radius = radius_fn(d_star.n, beta)
     if radius > alpha + _VERIFY_TOL:
         raise AdversaryError(
             f"{name}: family radius {radius:.6g} exceeds budget {alpha:.6g}")
-    partner = {"l": "h", "h": "l"}.get(d_star.which)
-    if partner is None:
-        raise ValueError("input must be the family's low or high member")
-    return cls(d_star.n, beta, partner)
+    # a family member is its low or high member (the constructor checks)
+    return cls(d_star.n, beta, "h" if d_star.which == "l" else "l")

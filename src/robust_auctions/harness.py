@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adversary import corrupt, parse_adversary
+from .adversary import corrupt, lb_family, parse_adversary
 from .distributions import (Distribution, Exponential, ProductDist,
                             dist_from_dict, parse_dist_spec)
 from .links import KINDS, check_alpha
@@ -68,8 +68,11 @@ class ExperimentConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}")
         try:
-            parse_adversary(self.adversary)
+            name, arg = parse_adversary(self.adversary)
             self._dists = [self._resolve(d) for d in self.true_dists]
+            if name.endswith("-lb"):
+                for d in self._dists:
+                    lb_family(d, name, arg)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc))
         if any(m < 1 for m in self.ms):

@@ -31,14 +31,16 @@ _NEG_INF = float("-inf")
 
 
 class _KnotRank:
-    """np.searchsorted(knots, a, "right") for a nonempty strictly increasing
-    table and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi) - lo) * s),
+    """np.searchsorted(knots, a, side) for a nonempty non-decreasing table
+    and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi) - lo) * s),
     s = 2 len(knots) / (hi - lo), is monotone in floating point, so knots in
     lower buckets than a are < a and in higher ones > a: the rank is start[f(a)]
-    plus ceil(log2(occupancy + 1)) branchless steps within a's bucket."""
+    plus ceil(log2(occupancy + 1)) branchless steps within a's bucket, each
+    asking knot <= a ("right") or knot < a ("left")."""
 
-    def __init__(self, knots):
+    def __init__(self, knots, side="right"):
         knots = np.asarray(knots, dtype=float)
+        self._before = np.less_equal if side == "right" else np.less
         self._lo, self._hi = knots[0], knots[-1]
         with np.errstate(divide="ignore", over="ignore"):
             scale = 2 * knots.size / (self._hi - self._lo)   # numpy: 1/0 is inf
@@ -59,7 +61,8 @@ class _KnotRank:
     def __call__(self, a):
         rank = self._start[self._bucket(a)]
         for step in self._steps:
-            np.add(rank, step, out=rank, where=self._padded[step - 1:][rank] <= a)
+            np.add(rank, step, out=rank,
+                   where=self._before(self._padded[step - 1:][rank], a))
         return rank
 
 
@@ -96,6 +99,15 @@ class VirtualValueFn:
         # running max of each piece's largest virtual value: its right end
         # (mhr) or its constant (regular)
         self._sups = np.maximum.accumulate(vals)
+        # inverse ranks targets t >= 0 among the non-negative sups only, past
+        # the negative ones: a near-flat first piece can put a sup at -1e16,
+        # and a bucket table spanning it would squeeze every other sup into
+        # one bucket
+        self._neg_sups = int(np.searchsorted(self._sups, 0.0))
+        nonneg = self._sups[self._neg_sups:]
+        self._sup_ranks = ({strict: _KnotRank(nonneg, side) for strict, side
+                            in ((False, "left"), (True, "right"))}
+                           if nonneg.size else None)
         # a closing piece [top, top] with 1/slope 0 ends the piece tables;
         # phi's tables also start with the part below the first knot, where
         # phi is v - inf (mhr) or -inf (regular)
@@ -127,7 +139,11 @@ class VirtualValueFn:
         """
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         # a target above every sup lands on the closing piece: the top
-        i = np.searchsorted(self._sups, arr, side="right" if strict else "left")
+        if self._sup_ranks is not None and not np.any(arr < 0.0):
+            i = self._sup_ranks[strict](arr) + self._neg_sups
+        else:   # no sup >= 0, or a target < 0, which payments never send
+            i = np.searchsorted(self._sups, arr,
+                                side="right" if strict else "left")
         if self.kind == "mhr":
             # a flat piece (1/slope inf) meets t = -inf at its left end
             with np.errstate(invalid="ignore"):
@@ -237,12 +253,13 @@ class Mechanism:
         for j, vv in enumerate(self.vvs):
             won = np.flatnonzero(winners == j)
             # the winner beats a higher-index runner-up weakly and a
-            # lower-index one strictly; an all -inf field leaves the reserve
+            # lower-index one strictly; a runner-up with phi < 0 (or an all
+            # -inf field) leaves the reserve either way.  So every target
+            # inverse sees is >= 0, and a strict one's value is >= the reserve
             r = second[won]
-            strict = lower[won] & (r > _NEG_INF)
+            strict = lower[won] & (r >= 0.0)
             payments[won[~strict]] = vv.inverse(np.maximum(r[~strict], 0.0))
-            payments[won[strict]] = np.maximum(
-                vv.reserve, vv.inverse(r[strict], strict=True))
+            payments[won[strict]] = vv.inverse(r[strict], strict=True)
         return winners, payments
 
     def to_dict(self) -> dict:

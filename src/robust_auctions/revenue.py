@@ -16,6 +16,7 @@ from .distributions import Distribution, PiecewiseLinkCDF, ProductDist
 from .myerson import Mechanism
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 16     # rows sampled and paid at a time within a chunk
 _OPT_GRID = 200_000
 _TRUTH_GRID = 8192
 
@@ -96,8 +97,10 @@ class RevenueEstimate:
 def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
                     seed: int) -> RevenueEstimate:
     """The one Monte Carlo pass: each chunk of n_draws sampled profiles is
-    run through every mechanism in `mechs`.  The covariance comes from chunk
-    co-moments merged by Chan, Golub and LeVeque's pairwise update."""
+    run through every mechanism in `mechs`, a cache-sized block of profiles
+    at a time.  The sums and co-moments are taken over the whole chunk, and
+    the covariance comes from chunk co-moments merged by Chan, Golub and
+    LeVeque's pairwise update."""
     if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
     n_draws = int(n_draws)
@@ -109,8 +112,13 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
     done = 0
     while done < n_draws:
         take = min(_CHUNK, n_draws - done)
-        profiles = d_true.sample_profiles(take, seed, first_profile=done)
-        pays = [mech.payments_batch(profiles)[1] for mech in mechs]
+        pays = np.empty((len(mechs), take))
+        for lo in range(0, take, _BLOCK):
+            hi = min(lo + _BLOCK, take)
+            profiles = d_true.sample_profiles(hi - lo, seed,
+                                              first_profile=done + lo)
+            for pay, mech in zip(pays, mechs):
+                pay[lo:hi] = mech.payments_batch(profiles)[1]
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take

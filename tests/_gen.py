@@ -124,6 +124,21 @@ def searched_opt_single(dist):
     return float(cand[i]), float(revs[i])
 
 
+def searched_inverse(vv, t, strict=False):
+    """VirtualValueFn.inverse as it was before the bucketed rank: the piece
+    of every target found by np.searchsorted over all of the sups.  A
+    reference for bit-identity."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    i = np.searchsorted(vv._sups, arr, side="right" if strict else "left")
+    if vv.kind == "mhr":
+        with np.errstate(invalid="ignore"):
+            out = np.fmax(vv._lefts[i], arr + vv._inv_s[i])
+        np.minimum(out, vv._rights[i], out=out)
+    else:
+        out = vv._lefts[i]
+    return out
+
+
 class Truncated(Distribution):
     """Mass Pr[V >= cutoff] collapsed onto an atom at the cutoff."""
 
@@ -160,7 +175,8 @@ def reference_payments(mech, profiles):
     """(winners, payments) of `mech.payments_batch` by the prefix/suffix
     maxima algorithm it used to run: for each column, the best virtual value
     among the lower indices (beaten strictly) and among the higher ones
-    (beaten weakly), from (rows, n + 1) running-maximum copies."""
+    (beaten weakly), from (rows, n + 1) running-maximum copies, and each
+    threshold's value by `searched_inverse`."""
     B = np.asarray(profiles, dtype=float)
     rows = B.shape[0]
     phi = np.empty_like(B)
@@ -179,14 +195,41 @@ def reference_payments(mech, profiles):
         won = winners == j
         if not np.any(won):
             continue
-        pay = np.asarray(vv.inverse(np.maximum(suffix[won, j], 0.0)))
+        pay = searched_inverse(vv, np.maximum(suffix[won, j], 0.0))
         t_strict = prefix[won, j]
         finite = np.isfinite(t_strict)
         if np.any(finite):
-            alt = np.asarray(vv.inverse(t_strict[finite], strict=True))
+            alt = searched_inverse(vv, t_strict[finite], strict=True)
             pay[finite] = np.maximum(pay[finite], alt)
         payments[won] = pay
     return winners, payments
+
+
+def unblocked_rev_monte_carlo(mechs, d_true, n_draws, seed):
+    """(means, cov) of revenue.rev_monte_carlo as it was before blocks: one
+    sample_profiles call and one payments_batch call per mechanism for each
+    whole chunk.  A reference for bit-identity."""
+    from robust_auctions.revenue import _CHUNK
+
+    totals = [0.0] * len(mechs)
+    mean = np.zeros(len(mechs))
+    co = np.zeros((len(mechs), len(mechs)))
+    done = 0
+    while done < n_draws:
+        take = min(_CHUNK, n_draws - done)
+        profiles = d_true.sample_profiles(take, seed, first_profile=done)
+        pays = [mech.payments_batch(profiles)[1] for mech in mechs]
+        sums = [float(np.sum(pay)) for pay in pays]
+        totals = [t + s for t, s in zip(totals, sums)]
+        chunk_mean = np.array(sums) / take
+        devs = [pay - m for pay, m in zip(pays, chunk_mean)]
+        chunk_co = np.array([[np.sum(a * b) for b in devs] for a in devs])
+        delta = chunk_mean - mean
+        co += chunk_co + np.multiply.outer(delta, delta) * (done * take
+                                                            / (done + take))
+        mean += delta * (take / (done + take))
+        done += take
+    return tuple(t / n_draws for t in totals), co / n_draws / n_draws
 
 
 def mean_and_half_width(est, i=0):

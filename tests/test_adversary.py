@@ -174,7 +174,10 @@ def test_parse_adversary():
                         ("tailspike:0", "spike scale c must be positive"),
                         ("tailspike:-1", "spike scale c must be positive"),
                         ("tailspike:nan", "spike scale c must be positive"),
-                        ("tailspike:inf", "spike scale c must be positive")]:
+                        ("tailspike:inf", "spike scale c must be positive"),
+                        ("mhr-lb:2", r"beta must be in \(0, 1\)"),
+                        ("mhr-lb:0", r"beta must be in \(0, 1\)"),
+                        ("regular-lb:nan", r"beta must be in \(0, 1\)")]:
         with pytest.raises(ValueError, match=match):
             parse_adversary(spec)
 

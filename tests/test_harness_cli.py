@@ -67,6 +67,16 @@ def test_config_validation_errors():
         (dict(adversary="tailspike:nan"), "spike scale c must be positive"),
         (dict(adversary="tailspike:inf"), "spike scale c must be positive"),
         (dict(true_dists=["exp:1:2"]), "distribution spec"),
+        # a lower-bound adversary must fit its true distributions at load time
+        (dict(true_dists=["appxC2:3:0.5:h"], adversary="regular-lb:nan"),
+         r"beta must be in \(0, 1\)"),
+        (dict(true_dists=["appxC2:3:0.5:h"], adversary="regular-lb:0.3"),
+         "beta does not match"),
+        (dict(true_dists=["appxC2:3:0.5:h"], adversary="mhr-lb:2"),
+         r"beta must be in \(0, 1\)"),
+        (dict(true_dists=["appxC2:3:0.5:h"], adversary="mhr-lb"),
+         "needs a matching family member"),
+        (dict(adversary="regular-lb:0.5"), "needs a matching family member"),
         # a value of the wrong type is named by its field
         (dict(alphas=[None]), "^alphas: "),
         (dict(seeds=[None]), "^seeds: "),

@@ -19,7 +19,7 @@ from robust_auctions.myerson import (
 from robust_auctions.oracle import grid_reserve
 from robust_auctions.revenue import opt_single
 
-from _gen import random_link_cdf, reference_payments
+from _gen import random_link_cdf, reference_payments, searched_inverse
 
 
 def _exp_link(top=4.0):
@@ -277,8 +277,9 @@ def test_auction_validation():
 # ---------------------------------------------------------------------------
 
 
-def _knot_table(rng, size, scale, spacing):
-    """A strictly increasing table of `size` knots near `scale`."""
+def _knot_table(rng, size, scale, spacing, ties=False):
+    """An increasing table of about `size` knots near `scale`; with `ties`,
+    some knots repeat."""
     if spacing == "uniform":
         xs = rng.uniform(0.0, scale, size)
     elif spacing == "heavy":       # equal-revenue quantiles: lo / (1 - q)
@@ -289,37 +290,44 @@ def _knot_table(rng, size, scale, spacing):
     else:                          # consecutive floats
         xs = scale + np.arange(size) * np.spacing(scale)
     xs = np.unique(xs)
+    if ties:
+        xs = np.sort(np.concatenate((xs, rng.choice(xs, xs.size))))
     return xs if xs.size else np.array([scale])
 
 
 @settings(deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_size=st.floats(0.0, 4.0),
        log_scale=st.integers(-12, 12),
-       spacing=st.sampled_from(["uniform", "heavy", "clustered", "ulps"]))
-def test_knot_rank_equals_searchsorted(seed, log_size, log_scale, spacing):
-    """The bucketed rank is np.searchsorted(knots, a, "right") bit for bit,
-    at exact knots, one ulp either side of each, 0, the top, beyond the top,
-    +inf and random points, on 1 to 10^4 knots at scales 1e-12 to 1e12."""
+       spacing=st.sampled_from(["uniform", "heavy", "clustered", "ulps"]),
+       ties=st.booleans(), side=st.sampled_from(["left", "right"]))
+def test_knot_rank_equals_searchsorted(seed, log_size, log_scale, spacing,
+                                       ties, side):
+    """The bucketed rank is np.searchsorted(knots, a, side) bit for bit, at
+    exact knots, one ulp either side of each, 0, the top, beyond the top,
+    +inf and random points, on 1 to 10^4 knots at scales 1e-12 to 1e12,
+    with and without repeated knots."""
     rng = np.random.default_rng(seed)
-    knots = _knot_table(rng, int(10 ** log_size), 10.0 ** log_scale, spacing)
+    knots = _knot_table(rng, int(10 ** log_size), 10.0 ** log_scale, spacing,
+                        ties)
     top = knots[-1]
     queries = np.concatenate([
         knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
         [0.0, -0.0, top, 2 * top, np.finfo(float).max, np.inf, -np.inf],
         rng.uniform(0.0, 2 * top, 500)])
-    rank = _KnotRank(knots)
+    rank = _KnotRank(knots, side)
     assert np.array_equal(rank(queries),
-                          np.searchsorted(knots, queries, side="right"))
+                          np.searchsorted(knots, queries, side=side))
 
 
 def test_knot_rank_degenerate_tables():
     for knots in ([0.0], [3.5], [0.0, 5e-324], [0.0, 1e-310, 1.0],
-                  [1e-300, 1e300]):
+                  [1e-300, 1e300], [2.0, 2.0], [0.0, 0.0, 1.0, 1.0, 1.0]):
         knots = np.asarray(knots)
         q = np.concatenate([knots, np.nextafter(knots, -np.inf),
                             np.nextafter(knots, np.inf), [0.0, np.inf]])
-        assert np.array_equal(_KnotRank(knots)(q),
-                              np.searchsorted(knots, q, side="right"))
+        for side in ("left", "right"):
+            assert np.array_equal(_KnotRank(knots, side)(q),
+                                  np.searchsorted(knots, q, side=side))
 
 
 @settings(deadline=None, max_examples=120)
@@ -411,3 +419,113 @@ def test_dsic_ir_and_monotone_at_extreme_scales(seed, kind, n, log_scale,
     w_up, p_up = mech.payments_batch(raised)
     assert np.array_equal(w_up[sold], winners[sold])
     assert p_up[sold].tobytes() == payments[sold].tobytes()
+
+
+# link CDFs whose sup tables stress inverse's rank: a run of leading -inf
+# sups (flat first pieces), running-max plateaus (equal-revenue pieces with
+# phi exactly 0, a gap piece repeating the last sup), one sup at -1e16 (a
+# near-flat first piece), no non-negative sup at all, and no sup at all
+_INVERSE_CASES = [
+    PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 1.0, 3.0],
+                     5.0),
+    PiecewiseLinkCDF("regular", [1.0, 2.0, 3.0, 4.0, 6.0],
+                     [1.0, 2.0, 3.0, 4.0, 8.0], 7.0),
+    PiecewiseLinkCDF("regular", [0.5, 1.0, 2.0], [1.0, 1.0, 2.0], 4.0),
+    PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0, 3.0], [0.0, 1e-16, 1.0, 3.0], 3.0),
+    PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0], [0.0, 1e-3, 3e-3], 2.5),
+    PiecewiseLinkCDF("mhr", [1.0], [0.0], 1.0),
+    PiecewiseLinkCDF("regular", [1.0], [1.0], 3.0),
+]
+
+
+def _tricky_link_cdf(rng, kind):
+    """A random link CDF whose slopes come from a pool with flat (0) and
+    near-flat (1e-16) entries and repeats, so sups run through -inf, -1e16
+    and ties."""
+    k = int(rng.integers(1, 9))
+    xs = np.cumsum(np.concatenate(([rng.uniform(0.0, 2.0)],
+                                   rng.uniform(0.1, 2.0, k))))
+    slopes = np.sort(rng.choice([0.0, 1e-16, 1e-3, 0.5, 1.0, 1.0, 2.0, 10.0], k))
+    h0 = link_origin(kind) + (rng.uniform(0.0, 2.0) if rng.random() < 0.5 else 0.0)
+    hs = h0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    top = xs[-1] + (rng.uniform(0.0, 2.0) if rng.random() < 0.5 else 0.0)
+    return PiecewiseLinkCDF(kind, xs, hs, top)
+
+
+def _assert_inverse_is_searched(vv, rng):
+    sups = vv._sups[np.isfinite(vv._sups)]
+    nonneg = np.concatenate([
+        sups, np.nextafter(sups, -np.inf), np.nextafter(sups, np.inf),
+        [0.0, -0.0, vv.top, np.nextafter(vv.top, np.inf), 2.0 * vv.top],
+        rng.uniform(0.0, 1.5 * vv.top, 200)])
+    nonneg = nonneg[nonneg >= 0.0]
+    negative = np.array([-1e-300, -0.5, -1e16, -np.inf])
+    for strict in (False, True):
+        # the batches a payment run sends (every target >= 0), targets below
+        # 0 alone, and the two mixed
+        for t in (nonneg, negative, np.concatenate((negative, nonneg)),
+                  nonneg[:0]):
+            assert (vv.inverse(t, strict).tobytes()
+                    == searched_inverse(vv, t, strict).tobytes()), (strict, t)
+        for t in (0.0, -0.0, vv.top, -1.0):
+            assert vv.inverse(t, strict) == searched_inverse(vv, t, strict)[0]
+
+
+def test_inverse_equals_searched_reference_on_tricky_tables():
+    """The bucketed rank over the non-negative sups, plus the count of
+    negative ones, is np.searchsorted over all of them: inverse matches the
+    searched reference bit for bit on both sides."""
+    rng = np.random.default_rng(0)
+    for cdf in _INVERSE_CASES:
+        _assert_inverse_is_searched(VirtualValueFn(cdf), rng)
+    sups = [VirtualValueFn(cdf)._sups for cdf in _INVERSE_CASES]
+    # the cases do reach what they are named for
+    assert np.array_equal(sups[0][:2], [-np.inf, -np.inf])
+    assert np.array_equal(sups[1], [0.0, 0.0, 0.0, 2.0, 2.0])
+    assert sups[3][0] < -1e15 and sups[3][-1] > 0
+    assert np.all(sups[4] < 0) and sups[5].size == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]))
+def test_inverse_equals_searched_reference(seed, kind):
+    rng = np.random.default_rng(seed)
+    _assert_inverse_is_searched(VirtualValueFn(_tricky_link_cdf(rng, kind)), rng)
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_payments_with_a_negative_lower_index_runner_up(kind, n):
+    """Where the runner-up's phi is below 0 (finite or -inf) and its index
+    is below the winner's, the winner pays its reserve: payments_batch
+    matches the prefix/suffix reference bit for bit.  The lower-index
+    bidders bid below their first knot (phi -inf) or between it and their
+    reserve (phi < 0); the last bidder bids above its reserve."""
+    rng = np.random.default_rng(17 * n + len(kind))
+    hits = {"finite": 0, "-inf": 0}
+    for _ in range(40):
+        bidders = [random_link_cdf(rng, kind) for _ in range(n)]
+        mech = Mechanism(kind, bidders)
+        rows = 300
+        profiles = np.empty((rows, n))
+        for j, (b, vv) in enumerate(zip(bidders, mech.vvs)):
+            if j < n - 1:
+                low = rng.uniform(0.0, b.xs[0], rows)
+                below = rng.uniform(b.xs[0], max(vv.reserve, b.xs[0]), rows)
+                profiles[:, j] = np.where(rng.random(rows) < 0.5, low, below)
+            else:
+                profiles[:, j] = rng.uniform(vv.reserve, vv.top, rows)
+        winners, payments = mech.payments_batch(profiles)
+        ref_w, ref_p = reference_payments(mech, profiles)
+        assert np.array_equal(winners, ref_w)
+        assert payments.tobytes() == ref_p.tobytes()
+        phis = np.column_stack([vv.phi(np.minimum(profiles[:, j], vv.top))
+                                for j, vv in enumerate(mech.vvs)])
+        runner_up = (phis[:, :-1].max(axis=1) if n > 1
+                     else np.full(rows, -np.inf))
+        last = winners == n - 1
+        hits["finite"] += int(np.sum(last & np.isfinite(runner_up)
+                                     & (runner_up < 0)))
+        hits["-inf"] += int(np.sum(last & np.isneginf(runner_up)))
+    assert hits["-inf"] > 0
+    assert n == 1 or hits["finite"] > 0, hits

@@ -4,8 +4,9 @@ population-level revenue inequalities they are meant to satisfy."""
 import numpy as np
 import pytest
 from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
-                  searched_opt_single, truncate)
+                  searched_opt_single, truncate, unblocked_rev_monte_carlo)
 
+from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
     AppxC2,
@@ -16,10 +17,14 @@ from robust_auctions.distributions import (
     Uniform,
     UpShift,
     ks_distance,
+    parse_dist_spec,
 )
 from robust_auctions.myerson import Mechanism
 from robust_auctions.oracle import dominates
+from robust_auctions.pipeline import population_robust_myerson
 from robust_auctions.revenue import (
+    _BLOCK,
+    _CHUNK,
     opt_single,
     rev_monte_carlo,
     revenue_at_reserve,
@@ -190,6 +195,25 @@ def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
                                rtol=1e-12)
     np.testing.assert_allclose([hw, ci], [hw_rev, hw_ratio],
                                rtol=1e-9)
+
+
+def test_blocks_leave_the_chunk_moments_unchanged():
+    """rev_monte_carlo samples and pays a block of rows at a time but sums
+    over whole chunks: its means and covariance are those of one
+    sample_profiles call per chunk, bit for bit, at draw counts on either
+    side of a block edge and past a chunk edge.  The instance is three
+    bidders (Exp(1), Exp(1/2), U[0, 3]) with the truth mechanism against a
+    population-robust one learned at shift:down, alpha = 0.05."""
+    truth = ProductDist([parse_dist_spec(s)
+                         for s in ("exp:1.0", "exp:0.5", "unif:0:3")])
+    corrupted = [corrupt(d, "shift:down", 0.05) for d in truth.components]
+    mech = population_robust_myerson(ProductDist(corrupted), [0.05] * 3, "mhr")
+    mechs = [truth_mechanism(truth, "mhr"), mech]
+    for draws in (1, _BLOCK - 1, _BLOCK + 1, _CHUNK + 12_345):
+        est = rev_monte_carlo(mechs, truth, draws, seed=11)
+        means, cov = unblocked_rev_monte_carlo(mechs, truth, draws, seed=11)
+        assert est.means == means, draws
+        assert est.cov.tobytes() == cov.tobytes(), draws
 
 
 def test_revenue_ratio_errors():
