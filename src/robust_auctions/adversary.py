@@ -71,33 +71,16 @@ def parse_adversary(spec: str):
     return name, value
 
 
-def lb_family(d_star: Distribution, name: str, beta):
-    """(family class, exact radius function, beta) of the lower-bound
-    adversary `name` with argument `beta` from `parse_adversary` (None for
-    the input's own) on input d_star.  ValueError unless d_star is a member
-    of that family with a matching beta: the input check of `corrupt`, which
-    a sweep config also runs on its true distributions when it loads."""
-    cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
-                      else (AppxC2, regular_lb_radius))
-    if not isinstance(d_star, cls):
-        raise ValueError(
-            f"{name} adversary needs a matching family member as input")
-    beta = d_star.beta if beta is None else beta
-    if abs(beta - d_star.beta) > 1e-12:
-        raise ValueError("adversary beta does not match the input family")
-    return cls, radius_fn, beta
-
-
 def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
     """Apply an adversary spec (see `parse_adversary`) at KS budget alpha.
 
     `tailspike:C` moves the alpha lowest quantiles to a point mass at
     C/alpha; `shift:up` pushes mass toward 0, `shift:down` toward larger
-    values (closed off by a far-quantile spike).  Both return the input at
-    alpha = 0 and measure the KS distance of what they build.  The
-    lower-bound families require the input to be a family member (they swap
-    it for its confusable partner) and check that the family's exact radius
-    fits the alpha budget."""
+    values (closed off by a far-quantile spike); both measure the KS
+    distance of what they build.  The lower-bound families require the input
+    to be a family member (they swap it for its confusable partner) and
+    check that the family's exact radius fits the alpha budget.  At alpha =
+    0 every adversary returns the input, the only member of its ball."""
     alpha = check_alpha(alpha)
     name, arg = parse_adversary(adversary)
     if name in ("tailspike", "shift"):
@@ -116,7 +99,16 @@ def corrupt(d_star: Distribution, adversary: str, alpha: float) -> Distribution:
             raise AdversaryError(f"{adversary}: corruption KS {ks:.6g} "
                                  f"exceeds budget {alpha:.6g}")
         return d
-    cls, radius_fn, beta = lb_family(d_star, name, arg)
+    cls, radius_fn = ((AppxC1, mhr_lb_radius) if name == "mhr-lb"
+                      else (AppxC2, regular_lb_radius))
+    if not isinstance(d_star, cls):
+        raise ValueError(
+            f"{name} adversary needs a matching family member as input")
+    beta = d_star.beta if arg is None else arg
+    if abs(beta - d_star.beta) > 1e-12:
+        raise ValueError("adversary beta does not match the input family")
+    if alpha == 0.0:
+        return d_star
     radius = radius_fn(d_star.n, beta)
     if radius > alpha + _VERIFY_TOL:
         raise AdversaryError(

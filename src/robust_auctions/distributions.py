@@ -122,14 +122,13 @@ class StepCDF(Distribution):
             raise ValueError("values must be nonnegative")
         if np.any(masses <= 0):
             raise ValueError("masses must be positive")
-        cum = np.cumsum(masses)
+        self._cum0 = np.zeros(masses.size + 1)     # F just below each atom
+        cum = self._cum = np.cumsum(masses, out=self._cum0[1:])
         if abs(cum[-1] - 1.0) > 1e-9:
             raise ValueError("masses must sum to 1")
         cum[-1] = 1.0
         self.values = values
         self.masses = masses
-        self._cum = cum
-        self._cum0 = np.concatenate(([0.0], cum))
 
     def _cdf(self, arr, left=False):
         side = "left" if left else "right"

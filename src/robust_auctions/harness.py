@@ -14,11 +14,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adversary import corrupt, lb_family, parse_adversary
+from .adversary import AdversaryError, corrupt, parse_adversary
 from .distributions import (Distribution, Exponential, ProductDist,
                             dist_from_dict, parse_dist_spec)
 from .links import KINDS, check_alpha
-from .pipeline import population_robust_myerson, robust_empirical_myerson
+from .pipeline import (_learn, population_robust_myerson,
+                       robust_empirical_myerson)
 from .revenue import (opt_single, revenue_at_reserve, revenue_ratio_detail,
                       truth_mechanism)
 
@@ -68,12 +69,14 @@ class ExperimentConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}")
         try:
-            name, arg = parse_adversary(self.adversary)
+            name, _ = parse_adversary(self.adversary)
             self._dists = [self._resolve(d) for d in self.true_dists]
             if name.endswith("-lb"):
+                # an input check and an exact radius each, no KS search
                 for d in self._dists:
-                    lb_family(d, name, arg)
-        except (TypeError, ValueError, OverflowError) as exc:
+                    for a in self.alphas:
+                        corrupt(d, self.adversary, a)
+        except (TypeError, ValueError, OverflowError, AdversaryError) as exc:
             raise ConfigError(str(exc))
         if any(m < 1 for m in self.ms):
             raise ConfigError("sample sizes must be positive")
@@ -188,19 +191,17 @@ def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,
     raises CheckFailure.  With tiny alpha the confidence shading removes the
     spike on its own, nobody is fooled, and both ratios are close to 1.
     """
-    alpha = float(alpha)
-    c = float(c)
+    alpha, c, m = float(alpha), float(c), int(m)
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     if c <= 0:
         raise ConfigError("c must be positive")
+    if m < 1:
+        raise ConfigError("m must be at least 1")
     truth = Exponential(1.0)
     corrupted = corrupt(truth, f"tailspike:{c!r}", alpha)
-    samples = corrupted.sample(int(m), seed)
-    naive = robust_empirical_myerson([samples], [alpha], delta, "mhr",
-                                     with_envelope=False)
-    robust = robust_empirical_myerson([samples], [alpha], delta, "mhr",
-                                      with_envelope=True)
+    samples = corrupted.sample(m, seed)
+    naive, robust = _learn([samples], [alpha], delta, "mhr", (False, True))
     _, opt = opt_single(truth)
     naive_ratio = revenue_at_reserve(truth, naive.reserves[0]) / opt
     robust_ratio = revenue_at_reserve(truth, robust.reserves[0]) / opt
@@ -211,7 +212,7 @@ def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,
         raise CheckFailure(
             f"naive ratio {naive_ratio:.6g} exceeds the spike revenue "
             f"ceiling {bound:.6g}")
-    return {"alpha": alpha, "c": c, "m": int(m), "seed": int(seed),
+    return {"alpha": alpha, "c": c, "m": m, "seed": int(seed),
             "spike_x": spike_x, "naive_reserve": naive.reserves[0],
             "robust_reserve": robust.reserves[0],
             "naive_ratio": naive_ratio, "robust_ratio": robust_ratio,

@@ -1,28 +1,24 @@
 """End-to-end robust auction construction.
 
-Two entry points:
-
   * population_robust_myerson: corrupted distributions are known exactly;
     each bidder's CDF is replaced by the smallest member of its KS ball
     (pessimal but shape-constrained) and Myerson's auction is built on top.
-
-  * robust_empirical_myerson: only samples are available; per-bidder
-    empirical quantiles are shaded down by a Bernstein-style confidence term
-    plus the corruption budget, then (envelope path) pushed through the link
+  * robust_empirical_myerson: only samples are available; each bidder's
+    empirical survival is shaved by a Bernstein-style confidence term, cut
+    by the corruption budget and (envelope path) pushed through the link
     convexification to obtain a valid shape-constrained CDF.
 
-The no-envelope ablation keeps the confidence shading but skips both the
-corruption term and the convexification, selling at the discrete revenue
-argmax of the shaded empirical CDF.  That is the classical empirical Myerson
-reserve, and it is exactly the construction the tail-spike corruption blows
-up, so it is kept runnable on purpose (single bidder only).  A posted price r
-is the one-bidder Myerson auction on a one-knot link CDF closing at r, so the
+The no-envelope ablation skips the budget cut and the convexification and
+sells at the discrete revenue argmax of the shaved empirical CDF: the
+classical empirical Myerson reserve, which the tail-spike corruption blows
+up, kept runnable on purpose (single bidder only).  A posted price r is the
+one-bidder Myerson auction on a one-knot link CDF closing at r, so the
 ablation returns a plain Mechanism too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,30 +49,35 @@ class ShadingParams:
             raise ValueError("need one alpha per bidder")
 
 
-def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
-    """Shaded pessimistic version of an empirical CDF.
-
-    Every atom's survival is shaded to q_hat(v) = max{0, q(v) -
-    sqrt(2 q (1-q) L / m) - 4 L / m - alpha_i} with L = ln(2 m n / delta),
-    and q_hat(0) = 1.  Atoms whose shaded survival reaches 0 are truncated
-    away; the last atom with positive shaded survival closes the support.
-    """
+def _shave(E: StepCDF, params: ShadingParams):
+    """E's atoms, with a zero atom put first if E has none, and the
+    confidence-shaved survival q - sqrt(2 q (1-q) L / m) - 4 L / m at each,
+    where q(v) = Pr[V >= v] and L = ln(2 m n / delta)."""
     m = params.m
     xs, q = E.atom_cdf()[:2]
+    if xs[0] > 0.0:
+        xs, q = np.concatenate(([0.0], xs)), np.concatenate(([0.0], q))
     q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included
     L = np.log(2.0 * m * params.n / params.delta)
-    shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
-    q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)
-    q_hat[xs == 0.0] = 1.0
-    q_hat = np.minimum.accumulate(q_hat)
-    if xs[0] > 0.0:
-        xs = np.concatenate(([0.0], xs))
-        q_hat = np.concatenate(([1.0], q_hat))
-    masses = np.append(-np.diff(q_hat), q_hat[-1])
-    keep = masses > 0
-    if not np.any(keep):
-        return StepCDF([0.0], [1.0])
-    return StepCDF(xs[keep], masses[keep])
+    return xs, q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
+
+
+def _cut(xs, shaved, alpha: float) -> StepCDF:
+    """The budget cut: q_hat = max(shaved - alpha, 0) with q_hat(0) = 1,
+    made non-increasing.  Atoms whose q_hat reaches 0 (or is NaN, from an
+    infinite L) are truncated away; the last one left closes the support."""
+    q_hat = np.fmax(shaved - alpha, 0.0)
+    q_hat[0] = 1.0                      # xs[0] is the zero atom
+    np.minimum.accumulate(q_hat, out=q_hat)
+    q_hat[:-1] -= q_hat[1:]             # now the atom masses
+    keep = q_hat > 0
+    return StepCDF(xs[keep], q_hat[keep])
+
+
+def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
+    """Shaded pessimistic version of an empirical CDF: the confidence shave
+    of every atom's survival, then bidder_index's budget cut."""
+    return _cut(*_shave(E, params), params.alpha[bidder_index])
 
 
 def population_robust_myerson(f_tilde: ProductDist, alpha, kind: str) -> Mechanism:
@@ -96,6 +97,12 @@ def robust_empirical_myerson(samples, alpha, delta: float, kind: str,
 
     samples: sequence of n arrays, all of the same length m.
     """
+    return _learn(samples, alpha, delta, kind, (bool(with_envelope),))[0]
+
+
+def _learn(samples, alpha, delta: float, kind: str, envelopes) -> list:
+    """One mechanism per with_envelope flag in `envelopes`, all learned from
+    one empirical CDF and one confidence shave per bidder."""
     cols = [np.asarray(s, dtype=float) for s in samples]
     if not cols or any(c.size == 0 for c in cols):
         raise ValueError("empty samples")
@@ -104,20 +111,21 @@ def robust_empirical_myerson(samples, alpha, delta: float, kind: str,
         raise ValueError("inconsistent m across bidders")
     n = len(cols)
     params = ShadingParams(m=m, n=n, delta=float(delta), alpha=tuple(alpha))
-    prov = {"algorithm": "empirical", "m": m, "delta": float(delta),
-            "with_envelope": bool(with_envelope)}
-    if not (with_envelope or n == 1):
+    if not (all(envelopes) or n == 1):
         raise ValueError("the no-envelope ablation is single-bidder only")
-    # the ablation shades by the confidence term only, not the budget
-    shading = params if with_envelope else replace(params, alpha=(0.0,))
-    bidders = []
+    bidders = [[] for _ in envelopes]
     for i, col in enumerate(cols):
-        shaded = shade_quantiles(empirical_from_samples(col), shading, i)
-        if with_envelope:
-            bidders.append(minimal_in_ks_ball(shaded, 0.0, kind))
-        else:
-            price, _ = opt_single(shaded)
-            bidders.append(PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
+        xs, shaved = _shave(empirical_from_samples(col), params)
+        for env, out in zip(envelopes, bidders):
+            if env:
+                shaded = _cut(xs, shaved, params.alpha[i])
+                out.append(minimal_in_ks_ball(shaded, 0.0, kind))
+            else:
+                # the ablation: the confidence shave alone, no budget cut
+                price, _ = opt_single(_cut(xs, shaved, 0.0))
+                out.append(PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
                                             price))
-    return Mechanism(kind=kind, bidders=bidders, alpha=list(params.alpha),
-                     provenance=prov)
+    return [Mechanism(kind=kind, bidders=b, alpha=list(params.alpha),
+                      provenance={"algorithm": "empirical", "m": m,
+                                  "delta": float(delta), "with_envelope": env})
+            for env, b in zip(envelopes, bidders)]

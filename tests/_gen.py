@@ -124,6 +124,29 @@ def searched_opt_single(dist):
     return float(cand[i]), float(revs[i])
 
 
+def reference_shade_quantiles(E, params, bidder_index):
+    """pipeline.shade_quantiles as it was before the shave and the budget
+    cut were split: one body, survival pinned by an `xs == 0` mask and the
+    zero atom put first after the running minimum.  A reference for
+    bit-identity."""
+    m = params.m
+    xs, q = E.atom_cdf()[:2]
+    q = 1.0 - q
+    L = np.log(2.0 * m * params.n / params.delta)
+    shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
+    q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)
+    q_hat[xs == 0.0] = 1.0
+    q_hat = np.minimum.accumulate(q_hat)
+    if xs[0] > 0.0:
+        xs = np.concatenate(([0.0], xs))
+        q_hat = np.concatenate(([1.0], q_hat))
+    masses = np.append(-np.diff(q_hat), q_hat[-1])
+    keep = masses > 0
+    if not np.any(keep):
+        return StepCDF([0.0], [1.0])
+    return StepCDF(xs[keep], masses[keep])
+
+
 def searched_inverse(vv, t, strict=False):
     """VirtualValueFn.inverse as it was before the bucketed rank: the piece
     of every target found by np.searchsorted over all of the sups.  A

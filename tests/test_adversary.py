@@ -158,6 +158,10 @@ def test_corrupt_dispatch_family_swap():
     assert back.which == "l"
     reg = corrupt(AppxC2(3, 0.5, "h"), "regular-lb:0.5", 0.05)
     assert isinstance(reg, AppxC2) and reg.which == "l"
+    # the 0-ball holds only the input, but the input is still checked
+    assert corrupt(low, "mhr-lb", 0.0) is low
+    with pytest.raises(ValueError, match="beta does not match"):
+        corrupt(low, "mhr-lb:0.3", 0.0)
 
 
 def test_parse_adversary():

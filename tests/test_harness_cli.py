@@ -7,6 +7,7 @@ files can be checked without spawning subprocesses.
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ def test_config_validation_errors():
         (dict(true_dists=["appxC2:3:0.5:h"], adversary="mhr-lb"),
          "needs a matching family member"),
         (dict(adversary="regular-lb:0.5"), "needs a matching family member"),
+        # and its exact radius must fit every alpha but a zero one
+        (dict(true_dists=["appxC1:2:0.4:l"], adversary="mhr-lb",
+              alphas=[0.1]), "mhr-lb: family radius 0.2 exceeds budget 0.1"),
+        (dict(true_dists=["appxC2:3:0.5:h"], adversary="regular-lb",
+              alphas=[0.0, 0.05, 0.02]), "family radius 0.0285955 exceeds budget 0.02$"),
         # a value of the wrong type is named by its field
         (dict(alphas=[None]), "^alphas: "),
         (dict(seeds=[None]), "^seeds: "),
@@ -219,11 +225,28 @@ def test_reproduce_cex1_fooled_and_not_fooled():
     assert r2["robust_ratio"] >= 0.95
 
 
+def test_reproduce_cex1_memory_peak():
+    """The naive and robust learners share one sorted empirical CDF and one
+    shave: the traced peak of one op stays near 10.9 arrays of m floats
+    (13.5 when each learner sorted and shaved on its own)."""
+    m = 200_000
+    tracemalloc.start()
+    try:
+        reproduce_counterexample1(0.05, 20.0, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * 8 * m, peak / (8 * m)
+
+
 def test_reproduce_cex1_validation():
     with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
         reproduce_counterexample1(0.0, 1.0, 100, 0)
     with pytest.raises(ConfigError, match="c must be positive"):
         reproduce_counterexample1(0.1, 0.0, 100, 0)
+    for m in (0, -5):
+        with pytest.raises(ConfigError, match="^m must be at least 1$"):
+            reproduce_counterexample1(0.1, 1.0, m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +437,12 @@ def test_cli_reproduce_cex1(tmp_path, capsys):
     assert report["fooled"] is True
     assert report["robust_ratio"] > report["naive_ratio"]
     assert json.loads(capsys.readouterr().out)["spike_x"] == 20.0
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_cli_reproduce_cex1_rejects_empty_samples(capsys, m):
+    assert main(["reproduce-cex1", "--m", m]) == 2
+    assert capsys.readouterr().err == "error: m must be at least 1\n"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

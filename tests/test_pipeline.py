@@ -3,8 +3,11 @@ no-envelope mechanism constructions, and the population-level variant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_auctions.ball import minimal_in_ks_ball
+from robust_auctions.adversary import corrupt
 from robust_auctions.distributions import (
     EqualRevenue,
     Exponential,
@@ -13,19 +16,21 @@ from robust_auctions.distributions import (
     ProductDist,
     StepCDF,
     Uniform,
+    empirical_from_samples,
 )
 from robust_auctions.links import link_origin
 from robust_auctions.myerson import Mechanism
 from robust_auctions.oracle import dominates
 from robust_auctions.pipeline import (
     ShadingParams,
+    _learn,
     population_robust_myerson,
     robust_empirical_myerson,
     shade_quantiles,
 )
 from robust_auctions.revenue import opt_single, revenue_ratio_detail
 
-from _gen import truncate
+from _gen import reference_shade_quantiles, truncate
 
 
 def test_shading_params_validation():
@@ -238,3 +243,69 @@ def test_population_multi_bidder_reserves_sorted_by_budget():
                                      [0.0, 0.05, 0.15], "mhr")
     rs = mech.reserves
     assert rs[0] > rs[1] > rs[2]
+
+
+def _assert_same_bits(a, b):
+    assert np.array(a.reserves).tobytes() == np.array(b.reserves).tobytes()
+    assert a.alpha == b.alpha and a.provenance == b.provenance
+    for x, y in zip(a.bidders, b.bidders, strict=True):
+        assert x.xs.tobytes() == y.xs.tobytes()
+        assert x.hs.tobytes() == y.hs.tobytes()
+        assert np.float64(x.support_top()).tobytes() == \
+            np.float64(y.support_top()).tobytes()
+
+
+def _assert_sharing_changes_nothing(samples, alpha, delta, kind):
+    """The naive and robust mechanisms learned from one empirical CDF and
+    one shave equal two independent learner calls, bit for bit, and the
+    shading equals the one-body reference."""
+    naive, robust = _learn([samples], [alpha], delta, kind, (False, True))
+    for shared, env in ((naive, False), (robust, True)):
+        alone = robust_empirical_myerson([samples], [alpha], delta, kind,
+                                         with_envelope=env)
+        _assert_same_bits(shared, alone)
+    E = empirical_from_samples(samples)
+    for a in (0.0, alpha):
+        params = ShadingParams(m=samples.size, n=1, delta=delta, alpha=(a,))
+        got = shade_quantiles(E, params, 0)
+        want = reference_shade_quantiles(E, params, 0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.masses.tobytes() == want.masses.tobytes()
+    return naive, robust
+
+
+@pytest.mark.parametrize("m", [1, 2, 1000, 20_000])
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_shared_learners_equal_independent_calls(m, kind):
+    spiked = corrupt(Exponential(1.0), "tailspike:20.0", 0.05)
+    rng = np.random.default_rng(m)
+    ties = rng.integers(0, 6, size=m).astype(float)    # atoms at 0 too
+    for samples in (spiked.sample(m, seed=m), ties,
+                    np.round(Exponential(1.0).sample(m, seed=1), 1)):
+        for alpha in (0.05, 1e-12, 1.0 - 1e-9):
+            _assert_sharing_changes_nothing(samples, alpha, 0.01, kind)
+
+
+def test_shared_naive_cut_to_the_zero_atom():
+    # at m = 3 the confidence term 4 L / m exceeds 1: every atom is cut, the
+    # zero atom alone is left, and the naive learner posts price 0
+    samples = np.array([0.5, 1.0, 2.0])
+    naive, robust = _assert_sharing_changes_nothing(samples, 0.1, 0.01, "mhr")
+    params = ShadingParams(m=3, n=1, delta=0.01, alpha=(0.0,))
+    shaded = shade_quantiles(empirical_from_samples(samples), params, 0)
+    assert shaded.values.tolist() == [0.0] and shaded.masses.tolist() == [1.0]
+    assert naive.reserves == [0.0]
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(st.lists(st.tuples(st.floats(0.0, 50.0, allow_subnormal=False),
+                          st.integers(1, 3000)), min_size=1, max_size=8),
+       st.sampled_from([0.0, 1e-9, 0.01, 0.2, 0.6, 0.999999]),
+       st.sampled_from([1e-6, 0.01, 0.5, 0.999]),
+       st.sampled_from(["mhr", "regular"]))
+def test_shared_learners_equal_independent_calls_on_atoms(atoms, alpha,
+                                                          delta, kind):
+    # atoms with repeat counts: exact ties, often a zero atom, m up to 24,000
+    values, counts = zip(*atoms)
+    samples = np.repeat(values, counts)
+    _assert_sharing_changes_nothing(samples, alpha, delta, kind)
