@@ -22,7 +22,7 @@ from .adversary import AdversaryError, corrupt
 from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       RESULT_COLUMNS, format_row, reproduce_counterexample1,
-                      run_sweep, write_csv, write_rows)
+                      result_row, run_sweep, write_csv, write_rows)
 from .links import convex_envelope
 from .myerson import Mechanism
 from .pipeline import robust_empirical_myerson
@@ -112,13 +112,10 @@ def _cmd_eval(args) -> int:
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{args.mech}: provenance.m must be an integer, "
                           f"got {m!r}")
-    truths = _load_dists(args.true)
-    ratio, ci, opt, rev = revenue_ratio_detail(mech, ProductDist(truths),
-                                               args.draws, args.seed)
-    alpha = (mech.alpha or [0.0])[0]
-    row = {"n": mech.n, "kind": mech.kind, "adversary": "none",
-           "alpha": float(alpha), "m": m, "seed": args.seed,
-           "ratio": ratio, "ci": ci, "opt": opt, "rev": rev}
+    truths = ProductDist(_load_dists(args.true))
+    alpha = float((mech.alpha or [0.0])[0])
+    row = result_row(mech.n, mech.kind, "none", alpha, m, args.seed,
+                     *revenue_ratio_detail(mech, truths, args.draws, args.seed))
     if args.out:
         write_rows([row], args.out)
     print(",".join(RESULT_COLUMNS))

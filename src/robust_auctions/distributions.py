@@ -3,8 +3,6 @@ corruption wrappers, products, and the KS metric.
 
 Conventions used throughout:
 
-  * CDFs are right-continuous; `survival_quantile(v)` uses the left limit so
-    that an atom at v counts in Pr[V >= v].
   * Supports live on [0, inf); bounded types close with a top atom.
   * Sampling is inverse-transform on counter-based uniform substreams, so a
     sample prefix never depends on how many draws were requested.
@@ -58,10 +56,6 @@ class Distribution:
         out = np.clip(self._cdf(arr, True), 0.0, 1.0)
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def survival_quantile(self, v):
-        """Pr[V >= v], atoms at v included."""
-        return 1.0 - self.cdf_left(v)
-
     def ppf(self, q):
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -79,19 +73,14 @@ class Distribution:
         """Finite discontinuities and kinks, for grids and the KS metric."""
         raise NotImplementedError
 
-    def atoms(self):
-        """(locations, masses) of point masses, found at breakpoints."""
-        xs = self.breakpoints()
-        m = np.asarray(self.cdf(xs)) - np.asarray(self.cdf_left(xs))
-        keep = m > _ATOM_TOL
-        return xs[keep], m[keep]
-
     def atom_cdf(self):
-        """(locs, F(locs-), F(locs)) at the atom locations: the atom table
-        the learner and the KS ball read instead of searching each atom.
-        The two CDF arrays are new; locs may be the distribution's own."""
-        locs, _ = self.atoms()
-        return locs, np.asarray(self.cdf_left(locs)), np.asarray(self.cdf(locs))
+        """(locs, F(locs-), F(locs)) at the atoms, the breakpoints where F
+        jumps: the table the learner and the KS ball read instead of
+        searching each atom.  The CDF arrays are new; locs may be shared."""
+        xs = self.breakpoints()
+        left, right = np.asarray(self.cdf_left(xs)), np.asarray(self.cdf(xs))
+        keep = right - left > _ATOM_TOL
+        return xs[keep], left[keep], right[keep]
 
     def to_dict(self) -> dict:
         if self.TYPE is None:
@@ -143,9 +132,6 @@ class StepCDF(Distribution):
 
     def breakpoints(self):
         return self.values.copy()
-
-    def atoms(self):
-        return self.values.copy(), self.masses.copy()
 
     def atom_cdf(self):
         # the running sums, clipped as cdf/cdf_left clip them: bit for bit

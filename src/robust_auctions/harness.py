@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adversary import AdversaryError, corrupt, parse_adversary
-from .distributions import (Distribution, Exponential, ProductDist,
-                            dist_from_dict, parse_dist_spec)
+from .distributions import (Exponential, ProductDist, dist_from_dict,
+                            parse_dist_spec)
 from .links import KINDS, check_alpha
-from .pipeline import (_learn, population_robust_myerson,
+from .pipeline import (_learn, confidence_log, population_robust_myerson,
                        robust_empirical_myerson)
 from .revenue import (opt_single, revenue_at_reserve, revenue_ratio_detail,
                       truth_mechanism)
@@ -30,6 +30,11 @@ _EVAL_SEED_OFFSET = 1_000_007
 
 RESULT_COLUMNS = ("n", "kind", "adversary", "alpha", "m", "seed",
                   "ratio", "ci", "opt", "rev")
+
+
+def result_row(*values) -> dict:
+    """A result row: the values of RESULT_COLUMNS, in that order."""
+    return dict(zip(RESULT_COLUMNS, values, strict=True))
 
 
 class ConfigError(ValueError):
@@ -68,30 +73,28 @@ class ExperimentConfig:
                 setattr(self, name, convert(getattr(self, name)))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}")
+        if any(m < 1 for m in self.ms):
+            raise ConfigError("sample sizes must be positive")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError("delta must lie in (0, 1)")
         try:
             name, _ = parse_adversary(self.adversary)
-            self._dists = [self._resolve(d) for d in self.true_dists]
+            self._dists = [dist_from_dict(d) if isinstance(d, dict)
+                           else parse_dist_spec(str(d))
+                           for d in self.true_dists]
             if name.endswith("-lb"):
                 # an input check and an exact radius each, no KS search
                 for d in self._dists:
                     for a in self.alphas:
                         corrupt(d, self.adversary, a)
+            for m in self.ms:   # the learner's own check of ln(2 m n / delta)
+                confidence_log(m, len(self._dists), self.delta)
         except (TypeError, ValueError, OverflowError, AdversaryError) as exc:
             raise ConfigError(str(exc))
-        if any(m < 1 for m in self.ms):
-            raise ConfigError("sample sizes must be positive")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
         if self.mc_draws < 1:
             raise ConfigError("mc_draws must be positive")
-
-    @staticmethod
-    def _resolve(entry) -> Distribution:
-        if isinstance(entry, dict):
-            return dist_from_dict(entry)
-        return parse_dist_spec(str(entry))
 
     def dists(self):
         return list(self._dists)
@@ -128,12 +131,10 @@ def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int, corrupted,
         profiles = ProductDist(corrupted).sample_profiles(int(m), seed)
         mech = robust_empirical_myerson([profiles[:, j] for j in range(n)],
                                         [alpha] * n, cfg.delta, cfg.kind)
-    ratio, ci, opt, rev = revenue_ratio_detail(
-        mech, ProductDist(truths), cfg.mc_draws, seed + _EVAL_SEED_OFFSET,
-        bench=bench)
-    return {"n": n, "kind": cfg.kind, "adversary": cfg.adversary,
-            "alpha": alpha, "m": 0 if m is None else int(m), "seed": seed,
-            "ratio": ratio, "ci": ci, "opt": opt, "rev": rev}
+    detail = revenue_ratio_detail(mech, ProductDist(truths), cfg.mc_draws,
+                                  seed + _EVAL_SEED_OFFSET, bench=bench)
+    return result_row(n, cfg.kind, cfg.adversary, alpha,
+                      0 if m is None else int(m), seed, *detail)
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:

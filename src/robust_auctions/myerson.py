@@ -36,11 +36,11 @@ class _KnotRank:
     s = 2 len(knots) / (hi - lo), is monotone in floating point, so knots in
     lower buckets than a are < a and in higher ones > a: the rank is start[f(a)]
     plus ceil(log2(occupancy + 1)) branchless steps within a's bucket, each
-    asking knot <= a ("right") or knot < a ("left")."""
+    asking knot <= a ("right") or knot < a ("left").  The tables depend on
+    the knots alone, so one rank serves both sides."""
 
-    def __init__(self, knots, side="right"):
+    def __init__(self, knots):
         knots = np.asarray(knots, dtype=float)
-        self._before = np.less_equal if side == "right" else np.less
         self._lo, self._hi = knots[0], knots[-1]
         with np.errstate(divide="ignore", over="ignore"):
             scale = 2 * knots.size / (self._hi - self._lo)   # numpy: 1/0 is inf
@@ -58,11 +58,12 @@ class _KnotRank:
         b *= self._scale                    # so b >= 0: truncation floors it
         return b.astype(np.intp)
 
-    def __call__(self, a):
+    def __call__(self, a, side="right"):
+        before = np.less_equal if side == "right" else np.less
         rank = self._start[self._bucket(a)]
         for step in self._steps:
             np.add(rank, step, out=rank,
-                   where=self._before(self._padded[step - 1:][rank], a))
+                   where=before(self._padded[step - 1:][rank], a))
         return rank
 
 
@@ -105,9 +106,7 @@ class VirtualValueFn:
         # one bucket
         self._neg_sups = int(np.searchsorted(self._sups, 0.0))
         nonneg = self._sups[self._neg_sups:]
-        self._sup_ranks = ({strict: _KnotRank(nonneg, side) for strict, side
-                            in ((False, "left"), (True, "right"))}
-                           if nonneg.size else None)
+        self._sup_rank = _KnotRank(nonneg) if nonneg.size else None
         # a closing piece [top, top] with 1/slope 0 ends the piece tables;
         # phi's tables also start with the part below the first knot, where
         # phi is v - inf (mhr) or -inf (regular)
@@ -122,7 +121,7 @@ class VirtualValueFn:
     def phi(self, v):
         """Virtual value, vectorized; -inf below the first knot, clamped to
         the top-atom value for v >= support top.  v must not be NaN."""
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
+        arr = np.ascontiguousarray(v, dtype=float)  # bid columns are strided
         i = self._rank(arr)
         if self.kind == "mhr":
             out = arr - self._inv_tab[i]
@@ -139,11 +138,11 @@ class VirtualValueFn:
         """
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         # a target above every sup lands on the closing piece: the top
-        if self._sup_ranks is not None and not np.any(arr < 0.0):
-            i = self._sup_ranks[strict](arr) + self._neg_sups
+        side = "right" if strict else "left"
+        if self._sup_rank is not None and not np.any(arr < 0.0):
+            i = self._sup_rank(arr, side) + self._neg_sups
         else:   # no sup >= 0, or a target < 0, which payments never send
-            i = np.searchsorted(self._sups, arr,
-                                side="right" if strict else "left")
+            i = np.searchsorted(self._sups, arr, side=side)
         if self.kind == "mhr":
             # a flat piece (1/slope inf) meets t = -inf at its left end
             with np.errstate(invalid="ignore"):
@@ -225,8 +224,8 @@ class Mechanism:
         """Vectorized truthful auction over rows of `profiles`.
 
         Returns (winners, payments); winner is -1 when nobody clears their
-        reserve.  Bids above a bidder's support top are clamped; negative and
-        NaN bids are rejected.
+        reserve.  A bid at or above a bidder's support top has phi = top;
+        negative and NaN bids are rejected.
         """
         B = np.asarray(profiles, dtype=float)
         if B.ndim != 2 or B.shape[1] != self.n:
@@ -240,7 +239,7 @@ class Mechanism:
         win = np.zeros(rows, dtype=np.intp)
         lower = np.zeros(rows, dtype=bool)
         for j, vv in enumerate(self.vvs):
-            phi = vv.phi(np.minimum(B[:, j], vv.top))
+            phi = vv.phi(B[:, j])
             new = phi > best                         # ties keep the lower index
             lower &= phi <= second                   # else j is the runner-up
             lower |= new                             # else the old best is
@@ -263,11 +262,10 @@ class Mechanism:
         return winners, payments
 
     def to_dict(self) -> dict:
-        out = {"n": self.n, "kind": self.kind,
-               "bidders": [dict(b.to_dict(), reserve=vv.reserve)
-                           for b, vv in zip(self.bidders, self.vvs)],
-               "alpha": self.alpha, "provenance": self.provenance}
-        return out
+        return {"n": self.n, "kind": self.kind,
+                "bidders": [dict(b.to_dict(), reserve=vv.reserve)
+                            for b, vv in zip(self.bidders, self.vvs)],
+                "alpha": self.alpha, "provenance": self.provenance}
 
     @classmethod
     def from_dict(cls, d) -> "Mechanism":

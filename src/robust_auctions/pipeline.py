@@ -30,6 +30,16 @@ from .myerson import Mechanism
 from .revenue import opt_single
 
 
+def confidence_log(m: int, n: int, delta: float):
+    """L = ln(2 m n / delta), checked finite: for a delta near the smallest
+    float it overflows, and the shave would then cut every atom."""
+    L = np.log(2.0 * m * n / delta)
+    if not np.isfinite(L):
+        raise ValueError(f"delta {delta!r} is too small: ln(2 m n / delta) "
+                         "is not finite")
+    return L
+
+
 @dataclass(frozen=True)
 class ShadingParams:
     m: int
@@ -44,6 +54,7 @@ class ShadingParams:
             raise ValueError("delta must lie in (0, 1)")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
+        confidence_log(self.m, self.n, self.delta)
         object.__setattr__(self, "alpha", tuple(map(check_alpha, self.alpha)))
         if len(self.alpha) != self.n:
             raise ValueError("need one alpha per bidder")
@@ -58,15 +69,15 @@ def _shave(E: StepCDF, params: ShadingParams):
     if xs[0] > 0.0:
         xs, q = np.concatenate(([0.0], xs)), np.concatenate(([0.0], q))
     q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included
-    L = np.log(2.0 * m * params.n / params.delta)
+    L = confidence_log(m, params.n, params.delta)
     return xs, q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
 
 
 def _cut(xs, shaved, alpha: float) -> StepCDF:
     """The budget cut: q_hat = max(shaved - alpha, 0) with q_hat(0) = 1,
-    made non-increasing.  Atoms whose q_hat reaches 0 (or is NaN, from an
-    infinite L) are truncated away; the last one left closes the support."""
-    q_hat = np.fmax(shaved - alpha, 0.0)
+    made non-increasing.  Atoms whose q_hat reaches 0 are truncated away;
+    the last one left closes the support."""
+    q_hat = np.maximum(shaved - alpha, 0.0)
     q_hat[0] = 1.0                      # xs[0] is the zero atom
     np.minimum.accumulate(q_hat, out=q_hat)
     q_hat[:-1] -= q_hat[1:]             # now the atom masses

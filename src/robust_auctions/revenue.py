@@ -151,16 +151,15 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
     mech's profiles.  The ci is the paired 95% delta-method half width."""
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
-    if mech.n == 1:
+    if mech.n == 1:     # exact: no draws, so no variance
         _, opt = opt_single(d_true.components[0])
-        if opt <= 0:
-            raise ValueError("zero OPT")
         rev = revenue_at_reserve(d_true.components[0], mech.reserves[0])
-        return rev / opt, 0.0, opt, rev
-    if bench is None:
-        bench = truth_mechanism(d_true, mech.kind)
-    est = rev_monte_carlo([bench, mech], d_true, n_draws, seed)
-    (opt, rev), cov = est.means, est.cov
+        cov = np.zeros((2, 2))
+    else:
+        if bench is None:
+            bench = truth_mechanism(d_true, mech.kind)
+        est = rev_monte_carlo([bench, mech], d_true, n_draws, seed)
+        (opt, rev), cov = est.means, est.cov
     if opt <= 0:
         raise ValueError("zero OPT")
     ratio = rev / opt

@@ -92,13 +92,19 @@ def atomic_cases(rng, count=200):
     return cases
 
 
+def atom_masses(dist):
+    """(locations, masses) of the point masses in dist's atom table."""
+    locs, left, right = dist.atom_cdf()
+    return locs, right - left
+
+
 def searched_minimal_in_ks_ball(dist, alpha, kind):
     """The atomic branch of ball.minimal_in_ks_ball as it was before the
     atom table: anchors from np.unique over 0 and the atoms, and G from
     dist.cdf searched at every anchor.  A reference for bit-identity."""
     alpha = links.check_alpha(alpha)
     new_top = float(dist.ppf(1.0 - alpha))
-    xs = np.unique(np.concatenate(([0.0], dist.atoms()[0])))
+    xs = np.unique(np.concatenate(([0.0], dist.atom_cdf()[0])))
     xs = xs[(xs >= 0.0) & (xs < new_top)]
     g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
     if xs.size and xs[0] == 0.0:
@@ -118,7 +124,7 @@ def searched_opt_single(dist):
     """opt_single on a purely atomic input as it was before the atom table:
     revenue_at_reserve searches F(atom-) for every atom.  A reference for
     bit-identity."""
-    cand = dist.atoms()[0]
+    cand = dist.atom_cdf()[0]
     revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
     return float(cand[i]), float(revs[i])

@@ -1,15 +1,12 @@
-"""Brute-force references for tests.
-
-Nothing in the production modules imports this file; tests compare fast
-implementations against these slow, obviously-correct ones.
-"""
+"""Brute-force references: tests compare the fast implementations against
+these slow, obviously-correct ones."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Distribution, _candidate_points
-from .links import PiecewiseLinearFn
+from robust_auctions.distributions import Distribution, _candidate_points
+from robust_auctions.links import PiecewiseLinearFn
 
 
 def naive_envelope(xs, ys) -> PiecewiseLinearFn:
@@ -45,7 +42,7 @@ def grid_reserve(dist, step: float):
     if not np.isfinite(hi):
         hi = float(dist.ppf(1.0 - 1e-12))
     grid = np.arange(0.0, hi + step, step)
-    revs = grid * np.asarray(dist.survival_quantile(grid))
+    revs = grid * (1.0 - np.asarray(dist.cdf_left(grid)))
     i = int(np.argmax(revs))
     return float(grid[i]), float(revs[i])
 

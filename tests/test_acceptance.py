@@ -6,7 +6,9 @@ exact closed-form checks, oracle equivalence, and guarantee-shaped bounds
 with the tolerances pinned in the assertions.
 """
 
+import ast
 import json
+import pkgutil
 import time
 from pathlib import Path
 
@@ -21,13 +23,13 @@ from robust_auctions.distributions import (Exponential, PiecewiseLinkCDF,
                                            appx_c2, ks_distance)
 from robust_auctions.harness import reproduce_counterexample1
 from robust_auctions.links import convex_envelope
-from robust_auctions.oracle import grid_reserve, naive_envelope
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
 from robust_auctions.revenue import (opt_single, rev_monte_carlo,
                                      revenue_ratio_detail, truth_mechanism)
 
 from _gen import mean_and_half_width, random_link_cdf, random_points
+from _oracle import grid_reserve, naive_envelope
 
 ALPHA_SWEEP = (0.01, 0.02, 0.05, 0.1)
 
@@ -311,11 +313,30 @@ def test_9_determinism(tmp_path):
     _report(9, "determinism", problems)
 
 
-def test_reference_oracle_stays_out_of_production():
+def _package_imports(path):
+    """The package modules that the module at `path` names in its imports,
+    relative (as the package writes them) or absolute."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"robust_auctions.{base}".rstrip(".")
+            names += [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return {n.split(".")[1] for n in names if n.startswith("robust_auctions.")}
+
+
+def test_no_package_module_is_test_only():
+    """Every module of the package is imported, directly or through other
+    package modules, by the package itself or by its CLI: code that only
+    tests need (such as the brute-force references) lives in tests/."""
     src = Path(robust_auctions.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        if path.name == "oracle.py":
-            continue
-        text = path.read_text()
-        assert ".oracle import" not in text and "import oracle" not in text, (
-            f"{path.name} imports the test-only oracle module")
+    modules = {m.name for m in pkgutil.iter_modules(robust_auctions.__path__)}
+    reached, todo = set(), {"__init__", "cli"}
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (_package_imports(src / f"{name}.py") & modules) - reached
+    assert modules <= reached, f"imported only by tests: {modules - reached}"

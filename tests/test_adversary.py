@@ -22,7 +22,7 @@ from robust_auctions.distributions import (
     ks_distance,
 )
 
-from _gen import mhr_lb_family, regular_lb_family
+from _gen import atom_masses, mhr_lb_family, regular_lb_family
 
 
 def test_tail_spike_exponential():
@@ -38,7 +38,7 @@ def test_tail_spike_exponential():
 
 def test_tail_spike_point_mass():
     d = corrupt(PointMass(1.0), "tailspike:0.5", 0.1)
-    locs, masses = d.atoms()
+    locs, masses = atom_masses(d)
     np.testing.assert_allclose(locs, [1.0, 5.0])
     np.testing.assert_allclose(masses, [0.9, 0.1], rtol=0, atol=1e-12)
 

@@ -27,10 +27,10 @@ from robust_auctions.distributions import (
     parse_dist_spec,
 )
 from robust_auctions.links import link_forward
-from robust_auctions.oracle import dominates
 
-from _gen import (Truncated, atomic_cases, random_link_cdf, random_step_cdf,
-                  truncate)
+from _gen import (Truncated, atom_masses, atomic_cases, random_link_cdf,
+                  random_step_cdf, truncate)
+from _oracle import dominates
 
 
 def _zoo():
@@ -56,23 +56,12 @@ def _zoo():
     ]
 
 
-def test_survival_identity():
-    """survival_quantile(v) + cdf_left(v) == 1 pointwise, all types."""
-    for dist in _zoo():
-        top = dist.support_top()
-        hi = top if np.isfinite(top) else dist.ppf(1 - 1e-9)
-        v = np.linspace(-0.5, hi + 1.0, 400)
-        v = np.concatenate([v, dist.breakpoints()])
-        assert_allclose(dist.survival_quantile(v) + dist.cdf_left(v),
-                        np.ones_like(v), atol=1e-12)
-
-
 def test_atom_cdf_equals_searched_cdf():
     """atom_cdf() is (atoms, cdf_left(atoms), cdf(atoms)) bit for bit:
     StepCDF reads its running sums, clipped as the searches clip them, and
     PointMass and the corruption wrappers take the base-class path."""
     for dist in atomic_cases(np.random.default_rng(11)):
-        locs = dist.atoms()[0]
+        locs = dist.atom_cdf()[0]
         want = (locs, dist.cdf_left(locs), dist.cdf(locs))
         for got, ref in zip(dist.atom_cdf(), want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -104,9 +93,9 @@ def _closed_form_atoms(d):
     if isinstance(d, UpShift):          # continuous base with F(0) = 0
         return [0.0], [d.alpha]
     if isinstance(d, DownShiftSpike):
-        return [d.spike_x], [d.alpha + d.base.survival_quantile(d.spike_x)]
+        return [d.spike_x], [d.alpha + 1.0 - d.base.cdf_left(d.spike_x)]
     if isinstance(d, Truncated):
-        return [d.cutoff], [d.base.survival_quantile(d.cutoff)]
+        return [d.cutoff], [1.0 - d.base.cdf_left(d.cutoff)]
     if isinstance(d, StepCDF):
         return d.values, d.masses
     if isinstance(d, PiecewiseLinkCDF):  # mass at the first knot, top atom
@@ -115,8 +104,8 @@ def _closed_form_atoms(d):
 
 
 def test_left_limit_closed_forms():
-    """cdf - cdf_left is the atom mass at every breakpoint: atoms() (and the
-    generic jump scan for types that override it) match closed forms, and
+    """cdf - cdf_left is the atom mass at every breakpoint: atom_cdf() (and
+    the generic jump scan for types that override it) match closed forms, and
     at breakpoints without an atom, such as AppxC1 'h' at v2 or
     DownShiftSpike at base.ppf(alpha), the left limit equals the CDF
     exactly."""
@@ -124,9 +113,9 @@ def test_left_limit_closed_forms():
     # the piece above it at v2, so the left limit must use the upper piece
     for d in _zoo() + [AppxC1(7, 0.8, "h")]:
         want_x, want_m = _closed_form_atoms(d)
-        for xs, ms in (d.atoms(), Distribution.atoms(d)):
+        for xs, left, right in (d.atom_cdf(), Distribution.atom_cdf(d)):
             np.testing.assert_array_equal(xs, want_x)
-            assert_allclose(ms, want_m, rtol=0, atol=1e-12)
+            assert_allclose(right - left, want_m, rtol=0, atol=1e-12)
         pts = d.breakpoints()
         smooth = pts[np.isfinite(pts) & ~np.isin(pts, want_x)]
         np.testing.assert_array_equal(d.cdf_left(smooth), d.cdf(smooth))
@@ -156,8 +145,7 @@ def test_atoms_sum_and_ppf_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(50):
         dist = random_step_cdf(rng)
-        xs, ms = dist.atoms()
-        assert_allclose(ms.sum(), 1.0, atol=1e-12)
+        assert_allclose(dist.masses.sum(), 1.0, atol=1e-12)
         q = rng.uniform(0, 1, 200)
         v = dist.ppf(q)
         # ppf(q) is the smallest support point whose CDF reaches q
@@ -172,7 +160,7 @@ def test_step_cdf_worked_example():
     assert dist.cdf(1.5) == 0.5
     assert dist.cdf_left(2.0) == 0.5
     assert dist.cdf(2.0) == 1.0
-    assert dist.survival_quantile(2.0) == 0.5
+    assert 1.0 - dist.cdf_left(2.0) == 0.5
     assert dist.ppf(0.5) == 1.0
     assert dist.ppf(0.5 + 1e-12) == 2.0
     assert dist.ppf(0.0) == 1.0
@@ -241,7 +229,7 @@ def test_link_cdf_matches_exponential():
     assert_allclose(dist.cdf(v), -np.expm1(-v), atol=1e-12)
     assert_allclose(dist.ppf(dist.cdf(v)), v, atol=1e-9)
     # closing atom of size e^{-4} at the support top
-    assert_allclose(dist.survival_quantile(4.0), np.exp(-4.0), atol=1e-12)
+    assert_allclose(1.0 - dist.cdf_left(4.0), np.exp(-4.0), atol=1e-12)
 
 
 def test_link_cdf_flat_gap():
@@ -252,7 +240,7 @@ def test_link_cdf_flat_gap():
     assert dist.cdf(2.9) == pytest.approx(0.5)
     assert dist.cdf_left(3.0) == pytest.approx(0.5)
     assert dist.cdf(3.0) == 1.0
-    xs, ms = dist.atoms()
+    xs, ms = atom_masses(dist)
     assert 3.0 in xs
     assert_allclose(ms[xs == 3.0], 0.5)
 
@@ -285,7 +273,7 @@ def test_shift_wrappers_hit_their_radius():
 
     down = DownShiftSpike(base, 0.05, 20.0)
     assert_allclose(ks_distance(down, base), 0.05, atol=1e-9)
-    assert_allclose(down.survival_quantile(20.0), 0.05, atol=1e-12)
+    assert_allclose(1.0 - down.cdf_left(20.0), 0.05, atol=1e-12)
     assert_allclose(down.cdf(1.0), base.cdf(1.0) - 0.05, atol=1e-12)
     with pytest.raises(ValueError, match="alpha must be in"):
         UpShift(base, 1.5)
@@ -305,7 +293,7 @@ def test_appx_c1_frozen_constants():
     assert_allclose(d.cdf(d.v2), 0.9, atol=1e-12)
     for which in ("l", "h"):
         m = AppxC1(10, 0.1, which)
-        xs, ms = m.atoms()
+        xs, ms = atom_masses(m)
         assert_allclose(xs, [m.v1], atol=0)
         assert_allclose(ms, [np.exp(-m.v1)], atol=1e-12)
         assert_allclose(ms, [0.081], atol=1e-12)
@@ -344,7 +332,7 @@ def test_appx_c2_shapes():
 def test_equal_revenue_constant_revenue():
     d = EqualRevenue(1.0, 20.0)
     v = np.linspace(1.0, 20.0, 100)
-    assert_allclose(v * d.survival_quantile(v), np.ones_like(v), atol=1e-12)
+    assert_allclose(v * (1.0 - d.cdf_left(v)), np.ones_like(v), atol=1e-12)
     with pytest.raises(ValueError, match="scale lo"):
         EqualRevenue(0.5, 20.0)
     with pytest.raises(ValueError, match="cap must exceed"):
@@ -357,7 +345,7 @@ def test_truncation():
     assert t.cdf(2.0) == 1.0
     assert t.support_top() == 2.0
     assert_allclose(t.cdf(1.0), base.cdf(1.0), atol=1e-12)
-    xs, ms = t.atoms()
+    xs, ms = atom_masses(t)
     assert_allclose(ms[xs == 2.0], np.exp(-2.0), atol=1e-12)
     with pytest.raises(ValueError, match="cutoff"):
         truncate(base, np.inf)
@@ -400,7 +388,7 @@ def test_sampling_matches_distribution():
 
 def test_empirical_from_samples():
     emp = empirical_from_samples([2.0, 1.0, 2.0, 3.0])
-    xs, ms = emp.atoms()
+    xs, ms = atom_masses(emp)
     assert_allclose(xs, [1.0, 2.0, 3.0])
     assert_allclose(ms, [0.25, 0.5, 0.25])
     with pytest.raises(ValueError, match="no samples"):

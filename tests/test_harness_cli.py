@@ -58,6 +58,8 @@ def test_config_validation_errors():
         (dict(ms=[0]), "sample sizes must be positive"),
         (dict(kind="convex"), "kind must be one of"),
         (dict(delta=1.0), r"delta must lie in \(0, 1\)"),
+        # the learner's confidence term ln(2 m n / delta) must be finite
+        (dict(delta=5e-324), "delta 5e-324 is too small"),
         (dict(mc_draws=0), "mc_draws must be positive"),
         (dict(adversary="gremlin:1"), "unknown adversary"),
         (dict(adversary="shift:sideways"), "direction must be up or down"),
@@ -437,6 +439,29 @@ def test_cli_reproduce_cex1(tmp_path, capsys):
     assert report["fooled"] is True
     assert report["robust_ratio"] > report["naive_ratio"]
     assert json.loads(capsys.readouterr().out)["spike_x"] == 20.0
+
+
+def test_cli_delta_with_infinite_confidence_term(tmp_path, capsys):
+    """A delta so small that ln(2 m n / delta) is infinite exits 2 with one
+    error line, from learn and from a sweep config alike; it used to post
+    reserve 0 (learn, after a RuntimeWarning) or write ratio 0.0 (sweep)."""
+    samples = tmp_path / "s.csv"
+    assert main(["gen", "--dist", "exp:1.0", "--m", "1000", "--seed", "0",
+                 "--out", str(samples)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "true_dists": ["exp:1.0"], "adversary": "shift:down", "kind": "mhr",
+        "alphas": [0.05], "seeds": [0], "ms": [1000], "delta": 5e-324}))
+    out = tmp_path / "out"
+    for argv in (["learn", "--kind", "mhr", "--alpha", "0.05", "--delta",
+                  "5e-324", "--samples", str(samples)],
+                 ["sweep", "--config", str(cfg)]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: delta 5e-324 is too small: ln(2 m n / delta) is not "
+            "finite\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("m", ["0", "-5"])

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from robust_auctions import links
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
-from robust_auctions.oracle import naive_envelope
 
 from _gen import random_points
+from _oracle import naive_envelope
 
 
 # ---------------------------------------------------------------- links

@@ -20,7 +20,6 @@ from robust_auctions.distributions import (
 )
 from robust_auctions.links import link_origin
 from robust_auctions.myerson import Mechanism
-from robust_auctions.oracle import dominates
 from robust_auctions.pipeline import (
     ShadingParams,
     _learn,
@@ -31,6 +30,7 @@ from robust_auctions.pipeline import (
 from robust_auctions.revenue import opt_single, revenue_ratio_detail
 
 from _gen import reference_shade_quantiles, truncate
+from _oracle import dominates
 
 
 def test_shading_params_validation():
@@ -42,6 +42,10 @@ def test_shading_params_validation():
         ShadingParams(**dict(ok, delta=0.0))
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
         ShadingParams(**dict(ok, delta=1.0))
+    # L = ln(2 m n / delta) must be finite: 400 / 5e-324 overflows
+    ShadingParams(**dict(ok, delta=1e-300))
+    with pytest.raises(ValueError, match="delta 5e-324 is too small"):
+        ShadingParams(**dict(ok, delta=5e-324))
     with pytest.raises(ValueError, match="need one alpha per bidder"):
         ShadingParams(**dict(ok, alpha=(0.1,)))
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
                   searched_opt_single, truncate, unblocked_rev_monte_carlo)
+from _oracle import dominates
 
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
@@ -20,7 +21,6 @@ from robust_auctions.distributions import (
     parse_dist_spec,
 )
 from robust_auctions.myerson import Mechanism
-from robust_auctions.oracle import dominates
 from robust_auctions.pipeline import population_robust_myerson
 from robust_auctions.revenue import (
     _BLOCK,
