@@ -18,10 +18,16 @@ from numpy.random import Generator, Philox
 _DRAWS_PER_BLOCK = 4
 
 
+def check_seed(seed: int) -> int:
+    """The one seed rule: 0 <= seed < 2**128, Philox's key range."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed {seed} is not in [0, 2**128)")
+    return seed
+
+
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """float64 uniforms at stream positions [start, start + count)."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
     bg = Philox(key=seed)

@@ -140,7 +140,8 @@ class StepCDF(Distribution):
                 np.clip(self._cum, 0.0, 1.0))
 
     def __repr__(self):
-        return f"StepCDF({self.values.size} atoms on [{self.values[0]:g}, {self.values[-1]:g}])"
+        return (f"{type(self).__name__}({self.values.size} atoms on"
+                f" [{self.values[0]:g}, {self.values[-1]:g}])")
 
 
 class PiecewiseLinkCDF(Distribution):
@@ -242,9 +243,8 @@ class PiecewiseLinkCDF(Distribution):
                 f"top={self._top:g}, top_atom={self.top_atom:.4g})")
 
 
-class PointMass(Distribution):
+class PointMass(StepCDF):
     TYPE, FIELDS = "point", ("value",)
-    purely_atomic = True
 
     def __init__(self, value):
         value = float(value)
@@ -252,19 +252,7 @@ class PointMass(Distribution):
         if value < 0:
             raise ValueError("point mass location must be nonnegative")
         self.value = value
-
-    def _cdf(self, arr, left=False):
-        ge = np.greater if left else np.greater_equal
-        return np.where(ge(arr, self.value), 1.0, 0.0)
-
-    def _ppf(self, q):
-        return np.full(q.shape, self.value)
-
-    def support_top(self):
-        return self.value
-
-    def breakpoints(self):
-        return np.array([self.value])
+        super().__init__([value], [1.0])
 
 
 class Exponential(Distribution):
@@ -625,24 +613,23 @@ def _candidate_points(d1, d2):
     return cand[np.isfinite(cand)], exact
 
 
-def _golden_max(f, lo, hi, iters=80):
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+def _refine_max(f, cand, i, best, tol):
+    """(x, f(x)) of the best point seen from `best` at cand[i] on, as a
+    33-point grid zooms on the bracket around cand[i] (f is vectorised),
+    until the bracket is within tol or stops shrinking (adjacent floats)."""
+    best_x = float(cand[i])
+    lo = cand[i - 1] if i > 0 else cand[i]
+    hi = cand[i + 1] if i + 1 < cand.size else cand[i]
+    width = np.inf
+    while tol < hi - lo < width:
+        width = hi - lo
+        grid = np.linspace(lo, hi, 33)
+        vals = f(grid)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best_x, best = float(grid[j]), float(vals[j])
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+    return best_x, best
 
 
 def ks_distance(d1: Distribution, d2: Distribution) -> float:
@@ -651,8 +638,8 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     With a piecewise-constant (purely atomic) side the gap peaks at a
     breakpoint, and the union of both sides' breakpoints with one-sided
     limits is exact.  Otherwise (two link CDFs too, between knots) a dense
-    grid plus golden-section refinement (to well below 1e-7) finds interior
-    maxima between breakpoints.
+    grid, zoomed around its five best points to 1e-13 relative, finds
+    interior maxima between breakpoints.
     """
     cand, exact = _candidate_points(d1, d2)
     gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
@@ -661,13 +648,10 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     if exact:
         return best
     # refine around the best few grid points; the gap is continuous there
-    order = np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]
-    g = lambda x: abs(float(d1.cdf(x)) - float(d2.cdf(x)))
-    for i in order:
-        lo = cand[i - 1] if i > 0 else cand[i]
-        hi = cand[i + 1] if i + 1 < cand.size else cand[i]
-        if hi > lo:
-            best = max(best, _golden_max(g, lo, hi))
+    gap = lambda x: np.abs(d1.cdf(x) - d2.cdf(x))
+    for i in np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]:
+        tol = 1e-13 * max(1.0, abs(cand[i]))
+        best = _refine_max(gap, cand, i, best, tol)[1]
     return best
 
 
@@ -676,7 +660,9 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
 # ---------------------------------------------------------------------------
 
 # every type with a dict form, by the TYPE its class declares
-_TYPES = {cls.TYPE: cls for cls in Distribution.__subclasses__() if cls.TYPE}
+_TYPES = {cls.TYPE: cls for cls in (
+    StepCDF, PointMass, PiecewiseLinkCDF, Exponential, Uniform, EqualRevenue,
+    AppxC1, AppxC2, UpShift, DownShiftSpike)}
 # the types with a spec string; 'b' picks a confusable family's base
 _SPEC_BUILDERS = {"exp": Exponential, "unif": Uniform, "eqrev": EqualRevenue,
                   "point": PointMass, "appxC1": appx_c1, "appxC2": appx_c2}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._rng import check_seed
 from .adversary import AdversaryError, corrupt, parse_adversary
 from .distributions import (Exponential, ProductDist, dist_from_dict,
                             parse_dist_spec)
@@ -45,9 +46,21 @@ class CheckFailure(RuntimeError):
     """A declared runtime assertion did not hold (CLI exit code 3)."""
 
 
+def _check_seeds(v):
+    """Seeds valid for learning (s) and for evaluation (s + the offset)."""
+    seeds = list(map(int, v))
+    for s in map(check_seed, seeds):
+        try:
+            check_seed(s + _EVAL_SEED_OFFSET)
+        except ValueError:
+            raise ValueError(f"seed {s} plus the evaluation offset "
+                             f"{_EVAL_SEED_OFFSET} is not below 2**128") from None
+    return seeds
+
+
 # numeric config fields and their conversions, in checking order
 _CONVERSIONS = (("alphas", lambda v: list(map(check_alpha, v))),
-                ("seeds", lambda v: list(map(int, v))),
+                ("seeds", _check_seeds),
                 ("ms", lambda v: list(map(int, v))),
                 ("delta", float),
                 ("mc_draws", int))

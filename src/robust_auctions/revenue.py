@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import minimal_in_ks_ball
-from .distributions import Distribution, PiecewiseLinkCDF, ProductDist
+from .distributions import (Distribution, PiecewiseLinkCDF, ProductDist,
+                            _refine_max)
 from .myerson import Mechanism
 
 _CHUNK = 1 << 20
@@ -46,7 +47,8 @@ def opt_single(dist: Distribution):
     (MHR only) each piece's interior stationary point 1/slope, which are
     exact (regular pieces have monotone revenue, so their ends suffice); for
     a purely atomic input its atoms; for anything else a quantile-uniform
-    grid plus the breakpoints, whose best point is refined locally to 1e-6.
+    grid plus the breakpoints, whose best point is refined locally to 1e-6
+    by the zoom `ks_distance` shares.
     """
     exact = isinstance(dist, PiecewiseLinkCDF) or dist.purely_atomic
     if isinstance(dist, PiecewiseLinkCDF):
@@ -68,20 +70,10 @@ def opt_single(dist: Distribution):
         cand = cand[np.isfinite(cand) & (cand >= 0)]
         revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
-    best_x, best_r = float(cand[i]), float(revs[i])
     if exact:
-        return best_x, best_r
-    lo = cand[i - 1] if i > 0 else cand[i]
-    hi = cand[i + 1] if i + 1 < cand.size else cand[i]
-    while hi - lo > 1e-6:
-        grid = np.linspace(lo, hi, 33)
-        r = revenue_at_reserve(dist, grid)
-        j = int(np.argmax(r))
-        if r[j] > best_r:
-            best_x, best_r = float(grid[j]), float(r[j])
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-    return best_x, best_r
+        return float(cand[i]), float(revs[i])
+    return _refine_max(lambda p: revenue_at_reserve(dist, p), cand, i,
+                       float(revs[i]), 1e-6)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,16 @@
 Everything takes an explicit numpy Generator so tests stay reproducible.
 """
 
+import contextlib
+import signal
+
 import numpy as np
 
 from robust_auctions import links
 from robust_auctions.distributions import (Distribution, DownShiftSpike,
                                            PiecewiseLinkCDF, PointMass,
-                                           StepCDF, UpShift, appx_c1, appx_c2)
+                                           StepCDF, UpShift, _candidate_points,
+                                           appx_c1, appx_c2)
 from robust_auctions.harness import RESULT_COLUMNS
 from robust_auctions.links import link_origin
 from robust_auctions.revenue import revenue_at_reserve
@@ -128,6 +132,40 @@ def searched_opt_single(dist):
     revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
     return float(cand[i]), float(revs[i])
+
+
+def golden_ks_distance(d1, d2):
+    """ks_distance as it was before the shared zoom: golden-section search,
+    one scalar CDF pair per step, around the five best candidates.  A
+    reference to a few ulps, as the two searches probe different points."""
+    cand, exact = _candidate_points(d1, d2)
+    gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
+    gap_l = np.abs(np.asarray(d1.cdf_left(cand)) - np.asarray(d2.cdf_left(cand)))
+    best = float(max(gap_r.max(), gap_l.max()))
+    if exact:
+        return best
+    g = lambda x: abs(float(d1.cdf(x)) - float(d2.cdf(x)))
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    for i in np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]:
+        a = cand[i - 1] if i > 0 else cand[i]
+        b = cand[i + 1] if i + 1 < cand.size else cand[i]
+        if b <= a:
+            continue
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = g(c), g(d)
+        for _ in range(80):
+            if b - a < 1e-13 * max(1.0, abs(a)):
+                break
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = g(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = g(d)
+        best = max(best, fc, fd)
+    return best
 
 
 def reference_shade_quantiles(E, params, bidder_index):
@@ -275,6 +313,22 @@ def mhr_lb_family(n: int, beta: float):
 def regular_lb_family(n: int, beta: float):
     """The confusable regular triple (base point mass, high CDF, low CDF)."""
     return appx_c2(n, beta, "b"), appx_c2(n, beta, "h"), appx_c2(n, beta, "l")
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail, rather than hang, a block still running after `seconds`: a
+    SIGALRM raises TimeoutError between two Python bytecodes (main thread,
+    POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def read_rows(path) -> list:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from robust_auctions.distributions import (
     AppxC1,
     AppxC2,
+    Distribution,
     DownShiftSpike,
     EqualRevenue,
     Exponential,
@@ -101,6 +102,26 @@ def test_dist_dict_round_trip_is_a_fixpoint(dist):
 def test_mechanism_dict_round_trip_is_a_fixpoint(mech):
     d = _json_round_trip(mech.to_dict())
     assert json.dumps(Mechanism.from_dict(d).to_dict()) == json.dumps(d)
+
+
+def test_point_mass_round_trip_keeps_its_type():
+    d = PointMass(2.5).to_dict()
+    assert d == {"type": "point", "value": 2.5}
+    back = dist_from_dict(_json_round_trip(d))
+    assert type(back) is PointMass and back.to_dict() == d
+
+
+def test_every_typed_distribution_is_in_the_codec_table():
+    """Every concrete Distribution type of the package with a TYPE, at any
+    depth of subclassing (PointMass is a StepCDF), loads from its dict."""
+    typed, todo = {}, [Distribution]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.TYPE and cls.__module__.startswith("robust_auctions"):
+                typed[cls.TYPE] = cls
+    assert typed["point"] is PointMass
+    assert typed == _TYPES
 
 
 # -- malformed input -----------------------------------------------------------

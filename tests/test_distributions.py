@@ -26,10 +26,13 @@ from robust_auctions.distributions import (
     ks_distance,
     parse_dist_spec,
 )
-from robust_auctions.links import link_forward
+from robust_auctions.adversary import corrupt
+from robust_auctions.ball import minimal_in_ks_ball
+from robust_auctions.links import KINDS, link_forward
+from robust_auctions.revenue import opt_single
 
-from _gen import (Truncated, atom_masses, atomic_cases, random_link_cdf,
-                  random_step_cdf, truncate)
+from _gen import (Truncated, atom_masses, atomic_cases, golden_ks_distance,
+                  random_link_cdf, random_step_cdf, truncate)
 from _oracle import dominates
 
 
@@ -58,13 +61,45 @@ def _zoo():
 
 def test_atom_cdf_equals_searched_cdf():
     """atom_cdf() is (atoms, cdf_left(atoms), cdf(atoms)) bit for bit:
-    StepCDF reads its running sums, clipped as the searches clip them, and
-    PointMass and the corruption wrappers take the base-class path."""
+    StepCDF and PointMass, a one-atom StepCDF, read their running sums,
+    clipped as the searches clip them, and the corruption wrappers take the
+    base-class path."""
     for dist in atomic_cases(np.random.default_rng(11)):
         locs = dist.atom_cdf()[0]
         want = (locs, dist.cdf_left(locs), dist.cdf(locs))
         for got, ref in zip(dist.atom_cdf(), want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("v", [0.0, 1.7, 2.0, 1e12])
+def test_point_mass_is_the_one_atom_step(v):
+    """PointMass(v) is StepCDF([v], [1.0]) with its own dict form: the two
+    agree bit for bit wherever a caller reads them."""
+    pm, step = PointMass(v), StepCDF([v], [1.0])
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    x = np.array([-1.0, 0.0, np.nextafter(v, -np.inf), v,
+                  np.nextafter(v, np.inf), 2.0 * v + 1.0, np.inf])
+    for name in ("cdf", "cdf_left"):
+        same(getattr(pm, name)(x), getattr(step, name)(x))
+        assert repr(getattr(pm, name)(v)) == repr(getattr(step, name)(v))
+    same(pm.ppf(np.linspace(0.0, 1.0, 11)), step.ppf(np.linspace(0.0, 1.0, 11)))
+    same(pm.sample(100, seed=3, start=5), step.sample(100, seed=3, start=5))
+    for a, b in zip(pm.atom_cdf(), step.atom_cdf(), strict=True):
+        same(a, b)
+    for kind in KINDS:
+        for alpha in (0.0, 0.1, 0.5):
+            a = minimal_in_ks_ball(pm, alpha, kind)
+            b = minimal_in_ks_ball(step, alpha, kind)
+            same(a.xs, b.xs), same(a.hs, b.hs)
+            assert a.support_top() == b.support_top()
+    assert repr(opt_single(pm)) == repr(opt_single(step))
+    assert pm.to_dict() == {"type": "point", "value": v}
+    assert repr(pm) == f"PointMass(1 atoms on [{v:g}, {v:g}])"
 
 
 def test_cdf_shape():
@@ -254,6 +289,26 @@ def test_ks_frozen_values():
     s2 = StepCDF([1, 2], [0.25, 0.75])
     assert_allclose(ks_distance(s1, s2), 0.25, atol=1e-12)
     assert ks_distance(s1, s1) == 0.0
+
+
+def test_ks_zoom_matches_golden_section():
+    """The shared zoom finds the interior maxima the golden-section search
+    found, to a few ulps of 1: the two probe different points of the same
+    smooth gap.  Corruptions peak at a breakpoint and agree bit for bit."""
+    truth = Exponential(1.0)
+    smooth = [(minimal_in_ks_ball(d, a, k), d)
+              for d in (truth, Uniform(1.0, 4.0), EqualRevenue(2.0, 10.0))
+              for k in KINDS for a in (0.0, 0.05)]
+    smooth += [(appx_c1(2, 0.4, "l"), appx_c1(2, 0.4, "h")),
+               (appx_c2(3, 0.5, "l"), appx_c2(3, 0.5, "h")),
+               (Exponential(1.0), Exponential(2.0)), (Uniform(0, 1), truth)]
+    for d1, d2 in smooth:
+        assert abs(ks_distance(d1, d2) - golden_ks_distance(d1, d2)) <= 1e-15
+    for adversary in ("tailspike:1.0", "tailspike:20.0", "shift:up",
+                      "shift:down"):
+        for alpha in (0.01, 0.05):
+            d = corrupt(truth, adversary, alpha)
+            assert ks_distance(d, truth) == golden_ks_distance(d, truth)
 
 
 def test_ks_symmetry():

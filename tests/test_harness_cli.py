@@ -33,7 +33,7 @@ from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
 from robust_auctions.revenue import revenue_ratio_detail, truth_mechanism
 
-from _gen import read_rows
+from _gen import read_rows, time_limit
 
 
 def _small_config(**overrides):
@@ -88,6 +88,11 @@ def test_config_validation_errors():
         # a value of the wrong type is named by its field
         (dict(alphas=[None]), "^alphas: "),
         (dict(seeds=[None]), "^seeds: "),
+        # a seed must be a Philox key, as s and as the evaluation seed
+        (dict(seeds=[0, -1]), r"^seeds: seed -1 is not in \[0, 2\*\*128\)"),
+        (dict(seeds=[2 ** 128]), r"^seeds: seed \d+ is not in \[0, 2\*\*128\)"),
+        (dict(seeds=[2 ** 128 - 1_000_007]),
+         r"^seeds: seed \d+ plus the evaluation offset 1000007"),
         (dict(ms=["x"]), "^ms: "),
         (dict(delta="x"), "^delta: "),
         (dict(mc_draws=[1]), "^mc_draws: "),
@@ -371,6 +376,47 @@ def test_cli_sweep_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     rows = read_rows(out1)
     assert len(rows) == 2 and all(r["m"] == 300 for r in rows)
+
+
+def test_cli_sweep_and_eval_at_a_large_value_scale(tmp_path):
+    """An Exp(1e-10) truth puts the one-bidder OPT price near 1e10, where
+    the float spacing passes the 1e-6 refinement stop: sweep and eval
+    still end, exit 0 and write finite ratios."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "true_dists": ["exp:1e-10"], "adversary": "shift:up", "kind": "mhr",
+        "alphas": [0.0, 0.05], "seeds": [0], "ms": [500]}))
+    swept, samples = tmp_path / "sweep.csv", tmp_path / "s.csv"
+    mech, evaluated = tmp_path / "mech.json", tmp_path / "eval.csv"
+    with time_limit(30):
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(swept)]) == 0
+        assert main(["gen", "--dist", "exp:1e-10", "--m", "500", "--seed",
+                     "1", "--out", str(samples)]) == 0
+        assert main(["learn", "--kind", "mhr", "--alpha", "0.05",
+                     "--samples", str(samples), "--out", str(mech)]) == 0
+        assert main(["eval", "--mech", str(mech), "--true", "exp:1e-10",
+                     "--out", str(evaluated)]) == 0
+    rows = read_rows(swept) + read_rows(evaluated)
+    assert len(rows) == 3
+    for row in rows:
+        assert 0.0 < row["ratio"] <= 1.0 + 1e-9
+        np.testing.assert_allclose(row["opt"], 1e10 / np.e, rtol=1e-9)
+
+
+def test_cli_sweep_rejects_seeds_outside_the_philox_key_range(tmp_path,
+                                                              capsys):
+    for seed in (-1, 2 ** 128):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "true_dists": ["exp:1.0"], "adversary": "shift:up",
+            "kind": "mhr", "alphas": [0.0], "seeds": [seed]}))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_envelope_round_trip(tmp_path):

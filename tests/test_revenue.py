@@ -4,7 +4,8 @@ population-level revenue inequalities they are meant to satisfy."""
 import numpy as np
 import pytest
 from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
-                  searched_opt_single, truncate, unblocked_rev_monte_carlo)
+                  searched_opt_single, time_limit, truncate,
+                  unblocked_rev_monte_carlo)
 from _oracle import dominates
 
 from robust_auctions.adversary import corrupt
@@ -90,6 +91,29 @@ def test_opt_single_equal_revenue_is_flat():
     r, opt = opt_single(d)
     np.testing.assert_allclose(opt, 1.0, rtol=0, atol=1e-9)
     assert 1.0 <= r <= 20.0
+
+
+def test_opt_single_returns_at_large_value_scales():
+    """Past prices of about 2**33 the float spacing exceeds the 1e-6 stop,
+    and the refinement bracket becomes two adjacent floats: the zoom stops
+    there instead of returning the same bracket forever.  Scaling a truth
+    by a power of two c scales its OPT by c."""
+    makers = (lambda c: Exponential(1.0 / c),
+              lambda c: Uniform(0.5 * c, 2.0 * c),
+              lambda c: EqualRevenue(c, 20.0 * c))
+    for make in makers:
+        _, unit = opt_single(make(1.0))
+        for k in (34, 40, 100):
+            c = 2.0 ** k
+            with time_limit(10):
+                _, opt = opt_single(make(c))
+            np.testing.assert_allclose(opt, c * unit, rtol=1e-9, atol=0)
+    cases = ((Exponential(1e-10), 1e10 / np.e), (Uniform(1e12, 3e12), 1.125e12),
+             (EqualRevenue(1e12, 1e14), 1e12))
+    for d, want in cases:
+        with time_limit(10):
+            _, opt = opt_single(d)
+        np.testing.assert_allclose(opt, want, rtol=1e-9, atol=0)
 
 
 def test_rev_monte_carlo_exponential_posted_price():
