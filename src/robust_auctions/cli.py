@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from ._rng import check_seed
 from .adversary import AdversaryError, corrupt
 from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
@@ -57,14 +58,6 @@ def _read_csv(path, header_ok, expected: str):
     return header, data
 
 
-def _read_samples(path) -> np.ndarray:
-    header, data = _read_csv(path, lambda h: h[0].startswith("bidder_"),
-                             "a bidder_1,...")
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: column count does not match header")
-    return data
-
-
 def _cmd_gen(args) -> int:
     if args.m < 1:
         raise ConfigError("--m must be at least 1")
@@ -87,14 +80,16 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    data = _read_samples(args.samples)
+    header, data = _read_csv(args.samples,
+                             lambda h: h[0].startswith("bidder_"), "a bidder_1,...")
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{args.samples}: column count does not match header")
     alphas = [float(a) for a in args.alpha.split(",")]
     if len(alphas) == 1 and data.shape[1] > 1:
         alphas = alphas * data.shape[1]
     if len(alphas) != data.shape[1]:
         raise ConfigError("need one alpha per bidder column")
-    mech = robust_empirical_myerson([data[:, j] for j in range(data.shape[1])],
-                                    alphas, args.delta, args.kind,
+    mech = robust_empirical_myerson(list(data.T), alphas, args.delta, args.kind,
                                     with_envelope=not args.no_envelope)
     with open(args.out, "w") as fh:
         json.dump(mech.to_dict(), fh, indent=1)
@@ -155,6 +150,14 @@ def _cmd_cex1(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: an int that is a Philox key."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="robust-auctions",
                                 description=__doc__.splitlines()[0])
@@ -164,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dist", required=True,
                    help="comma list of dist specs or dist.json paths")
     g.add_argument("--m", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=_cmd_gen)
 
@@ -191,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--true", required=True,
                    help="comma list of true dist specs or dist.json paths")
     e.add_argument("--draws", type=int, default=10 ** 6)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=_cmd_eval)
 
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--alpha", type=float, default=0.05)
     r.add_argument("--c", type=float, default=20.0)
     r.add_argument("--m", type=int, default=10 ** 6)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_cex1)
     return p

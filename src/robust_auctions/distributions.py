@@ -576,7 +576,7 @@ class ProductDist:
     def sample_profiles(self, count: int, seed: int,
                         first_profile: int = 0) -> np.ndarray:
         u = profile_uniforms(seed, first_profile, count, self.n)
-        out = np.empty_like(u)
+        out = np.empty((self.n, count)).T   # each bidder's bids contiguous
         for j, dist in enumerate(self.components):
             out[:, j] = dist._ppf(u[:, j])
         return out

@@ -32,12 +32,12 @@ _NEG_INF = float("-inf")
 
 class _KnotRank:
     """np.searchsorted(knots, a, side) for a nonempty non-decreasing table
-    and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi) - lo) * s),
-    s = 2 len(knots) / (hi - lo), is monotone in floating point, so knots in
-    lower buckets than a are < a and in higher ones > a: the rank is start[f(a)]
-    plus ceil(log2(occupancy + 1)) branchless steps within a's bucket, each
-    asking knot <= a ("right") or knot < a ("left").  The tables depend on
-    the knots alone, so one rank serves both sides."""
+    of finite span and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi)
+    - lo) * s), s = 2 len(knots) / (hi - lo), is monotone in floating point,
+    so knots in lower buckets than a are < a and in higher ones > a: the
+    rank is start[f(a)] plus ceil(log2(occupancy + 1)) steps in a's bucket,
+    each adding step * (knot <= a) ("right") or step * (knot < a) ("left").
+    The tables depend on the knots alone, so one rank serves both sides."""
 
     def __init__(self, knots):
         knots = np.asarray(knots, dtype=float)
@@ -62,8 +62,7 @@ class _KnotRank:
         before = np.less_equal if side == "right" else np.less
         rank = self._start[self._bucket(a)]
         for step in self._steps:
-            np.add(rank, step, out=rank,
-                   where=before(self._padded[step - 1:][rank], a))
+            rank += before(self._padded[step - 1:][rank], a) * step
         return rank
 
 
@@ -121,7 +120,7 @@ class VirtualValueFn:
     def phi(self, v):
         """Virtual value, vectorized; -inf below the first knot, clamped to
         the top-atom value for v >= support top.  v must not be NaN."""
-        arr = np.ascontiguousarray(v, dtype=float)  # bid columns are strided
+        arr = np.ascontiguousarray(v, dtype=float)  # copies strided columns
         i = self._rank(arr)
         if self.kind == "mhr":
             out = arr - self._inv_tab[i]
@@ -130,19 +129,20 @@ class VirtualValueFn:
             out = self._sup_tab[i]
         return float(out[0]) if np.ndim(v) == 0 else out
 
-    def inverse(self, t, strict: bool = False):
-        """inf{v : phi(v) >= t} (or > t when strict), vectorized.
-
-        Targets beyond the top-atom value clamp to the support top; the
-        public `inverse_virtual` wrapper turns that into an error instead.
-        """
+    def inverse(self, t, strict=False):
+        """inf{v : phi(v) >= t}, or > t where `strict` (a bool or one per
+        target), vectorized.  Targets beyond the top-atom value clamp to the
+        support top (the public `inverse_virtual` raises instead)."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
+        # phi(v) > t is phi(v) >= the next float up, so one left-side rank
+        # serves both: of nextafter(t, max(t, +inf where strict, else -inf))
+        with np.errstate(over="ignore"):    # the largest float steps to inf
+            key = np.nextafter(arr, np.maximum(arr, np.subtract(strict, 0.5) * np.inf))
         # a target above every sup lands on the closing piece: the top
-        side = "right" if strict else "left"
-        if self._sup_rank is not None and not np.any(arr < 0.0):
-            i = self._sup_rank(arr, side) + self._neg_sups
+        if self._sup_rank is not None and not np.any(key < 0.0):
+            i = self._sup_rank(key, "left") + self._neg_sups
         else:   # no sup >= 0, or a target < 0, which payments never send
-            i = np.searchsorted(self._sups, arr, side=side)
+            i = np.searchsorted(self._sups, key)
         if self.kind == "mhr":
             # a flat piece (1/slope inf) meets t = -inf at its left end
             with np.errstate(invalid="ignore"):
@@ -233,33 +233,30 @@ class Mechanism:
         if not np.all(B >= 0.0):
             raise ValueError("bids must be nonnegative")
         rows = B.shape[0]
-        # the best phi and its bidder, and the runner-up (the first index
-        # among the maxima of the others): `lower` if below the winner's
-        best, second = np.full((2, rows), _NEG_INF)
-        win = np.zeros(rows, dtype=np.intp)
-        lower = np.zeros(rows, dtype=bool)
-        for j, vv in enumerate(self.vvs):
-            phi = vv.phi(B[:, j])
+        # the best phi and its bidder, the second largest, and whether the
+        # runner-up (the first index among the maxima of the others) is below
+        # the winner, in plain ufunc passes (no select on a per-row mask)
+        best, second = self.vvs[0].phi(B[:, 0]), np.full(rows, _NEG_INF)
+        win, lower = np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
+        for j in range(1, self.n):
+            phi = self.vvs[j].phi(B[:, j])
             new = phi > best                         # ties keep the lower index
             lower &= phi <= second                   # else j is the runner-up
             lower |= new                             # else the old best is
-            np.maximum(second, phi, out=second)
-            np.copyto(second, best, where=new)
+            np.maximum(second, np.minimum(best, phi), out=second)  # the middle
             np.maximum(best, phi, out=best)
-            np.copyto(win, j, where=new)
-        winners = np.where(best >= 0, win, -1)
+            np.maximum(win, new * j, out=win)        # j ascends
+        win = (win + 1) * (best >= 0) - 1            # -1: nobody has phi >= 0
         payments = np.zeros(rows)
         for j, vv in enumerate(self.vvs):
-            won = np.flatnonzero(winners == j)
+            won = np.flatnonzero(win == j)
             # the winner beats a higher-index runner-up weakly and a
             # lower-index one strictly; a runner-up with phi < 0 (or an all
             # -inf field) leaves the reserve either way.  So every target
             # inverse sees is >= 0, and a strict one's value is >= the reserve
             r = second[won]
-            strict = lower[won] & (r >= 0.0)
-            payments[won[~strict]] = vv.inverse(np.maximum(r[~strict], 0.0))
-            payments[won[strict]] = vv.inverse(r[strict], strict=True)
-        return winners, payments
+            payments[won] = vv.inverse(np.maximum(r, 0.0), lower[won] & (r >= 0))
+        return win, payments
 
     def to_dict(self) -> dict:
         return {"n": self.n, "kind": self.kind,

@@ -9,6 +9,7 @@ import signal
 import numpy as np
 
 from robust_auctions import links
+from robust_auctions._rng import profile_uniforms
 from robust_auctions.distributions import (Distribution, DownShiftSpike,
                                            PiecewiseLinkCDF, PointMass,
                                            StepCDF, UpShift, _candidate_points,
@@ -270,6 +271,17 @@ def reference_payments(mech, profiles):
             pay[finite] = np.maximum(pay[finite], alt)
         payments[won] = pay
     return winners, payments
+
+
+def row_major_sample_profiles(prod, count, seed, first_profile=0):
+    """ProductDist.sample_profiles as it was before bidder-major storage: a
+    C-order (count, n) matrix filled one bidder column at a time.  A
+    reference for bit-identity."""
+    u = profile_uniforms(seed, first_profile, count, prod.n)
+    out = np.empty_like(u)
+    for j, dist in enumerate(prod.components):
+        out[:, j] = dist._ppf(u[:, j])
+    return out
 
 
 def unblocked_rev_monte_carlo(mechs, d_true, n_draws, seed):

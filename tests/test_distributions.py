@@ -29,10 +29,11 @@ from robust_auctions.distributions import (
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.links import KINDS, link_forward
-from robust_auctions.revenue import opt_single
+from robust_auctions.revenue import _BLOCK, _CHUNK, opt_single
 
 from _gen import (Truncated, atom_masses, atomic_cases, golden_ks_distance,
-                  random_link_cdf, random_step_cdf, truncate)
+                  random_link_cdf, random_step_cdf, row_major_sample_profiles,
+                  truncate)
 from _oracle import dominates
 
 
@@ -434,6 +435,27 @@ def test_profile_sampling_partition_invariant():
     assert full.shape == (10, 3)
     assert np.array_equal(prod.sample_profiles(4, seed=7, first_profile=3),
                           full[3:7])
+
+
+def test_profile_sampling_matches_the_row_major_reference():
+    """Profiles are stored bidder-major, so that each bid column is
+    contiguous, with the values of the row-major matrix bit for bit: at
+    block and chunk edges, over atoms, point masses, link CDFs and closed
+    forms."""
+    link = PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.5], [0.0, 0.5, 2.0], 3.0)
+    prods = [ProductDist([Exponential(1.0)]),
+             ProductDist([Exponential(0.5), Uniform(0.0, 3.0),
+                          StepCDF([0.0, 1.0, 4.0], [0.2, 0.5, 0.3]),
+                          PointMass(2.0), link])]
+    for prod in prods:
+        for count, first in ((1, 0), (_BLOCK - 1, 0), (_BLOCK + 1, _BLOCK - 3),
+                             (_BLOCK, _CHUNK - 5), (_CHUNK + 12_345, 0)):
+            got = prod.sample_profiles(count, 9, first_profile=first)
+            ref = row_major_sample_profiles(prod, count, 9, first)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                (prod.n, count, first)
+            assert all(got[:, j].flags.c_contiguous for j in range(prod.n))
 
 
 def test_sampling_matches_distribution():

@@ -419,6 +419,34 @@ def test_cli_sweep_rejects_seeds_outside_the_philox_key_range(tmp_path,
         assert not (tmp_path / "o.csv").exists()
 
 
+def test_cli_seed_flags_reject_keys_outside_the_philox_range(tmp_path,
+                                                             capsys):
+    """Every --seed is checked when argv is parsed.  A one-bidder eval draws
+    nothing, so a bad seed used to run and land in its row."""
+    mech = tmp_path / "m.json"
+    one = population_robust_myerson(ProductDist([parse_dist_spec("exp:1.0")]),
+                                     [0.05], "mhr")
+    mech.write_text(json.dumps(one.to_dict()))
+    out = tmp_path / "out"
+    commands = [["eval", "--mech", str(mech), "--true", "exp:1.0",
+                 "--out", str(out)],
+                ["gen", "--dist", "exp:1.0", "--m", "5", "--out", str(out)],
+                ["reproduce-cex1", "--m", "100", "--out", str(out)]]
+    for argv in commands:
+        for seed in (-1, 2 ** 128, 2 ** 130):
+            capsys.readouterr()
+            assert main(argv + ["--seed", str(seed)]) == 2, (argv, seed)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            lines = [line for line in err.splitlines() if "error:" in line]
+            assert len(lines) == 1, err
+            assert lines[0].endswith(
+                f"error: argument --seed: seed {seed} is not in [0, 2**128)")
+            assert not out.exists()
+    assert main(commands[0] + ["--seed", str(2 ** 128 - 1)]) == 0
+    assert read_rows(out)[0]["seed"] == 2 ** 128 - 1
+
+
 def test_cli_envelope_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     xs = np.sort(rng.uniform(0.0, 10.0, size=40))

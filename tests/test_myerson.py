@@ -332,6 +332,123 @@ def test_knot_rank_degenerate_tables():
                                   np.searchsorted(knots, q, side=side))
 
 
+# the targets a strict rank must step past: the infinities, both zeros, the
+# subnormals at either end and the largest floats
+_EDGE_TARGETS = np.array([-np.inf, np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                          2.2250738585072009e-308, -2.2250738585072009e-308,
+                          2.2250738585072014e-308, np.finfo(float).max,
+                          -np.finfo(float).max])
+
+
+@settings(deadline=None, max_examples=200)
+@given(knots=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+       repeat=st.integers(0, 3),
+       extra=st.lists(st.floats(allow_nan=False), max_size=20))
+def test_strict_rank_is_the_left_rank_of_the_next_float(knots, repeat, extra):
+    """For knots of finite span, the right-side rank of t is the left-side
+    rank of the next float above t, through the bucketed rank and through
+    np.searchsorted alike, at the edge targets, at every knot, one ulp
+    either side of each and at random floats.  inverse ranks strict targets
+    so."""
+    knots = np.sort(np.array(knots + knots[:repeat]))
+    t = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                        np.nextafter(knots, np.inf), _EDGE_TARGETS, extra])
+    with np.errstate(over="ignore"):
+        up = np.nextafter(t, np.inf)
+    right = np.searchsorted(knots, t, side="right")
+    assert np.array_equal(np.searchsorted(knots, up, side="left"), right)
+    rank = _KnotRank(knots)
+    assert np.array_equal(rank(t, "right"), right)
+    assert np.array_equal(rank(up, "left"), right)
+
+
+def _assert_masked_inverse_is_split(vv, rng):
+    """inverse(t, strict=mask) is the strict call on t[mask] and the weak
+    one on t[~mask], bit for bit."""
+    t = np.concatenate([vv._sups, np.nextafter(vv._sups, -np.inf),
+                        np.nextafter(vv._sups, np.inf), _EDGE_TARGETS,
+                        [vv.top], rng.uniform(-0.5, 1.5 * vv.top, 100)])
+    for t in (t, t[t >= 0.0]):      # with and without the negative targets
+        mask = rng.random(t.size) < 0.5
+        split = np.empty_like(t)
+        split[mask] = vv.inverse(t[mask], True)
+        split[~mask] = vv.inverse(t[~mask], False)
+        assert vv.inverse(t, mask).tobytes() == split.tobytes()
+        for strict in (False, True):
+            assert (vv.inverse(t, np.full(t.size, strict)).tobytes()
+                    == searched_inverse(vv, t, strict).tobytes())
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]))
+def test_inverse_with_a_strict_mask_equals_the_split_calls(seed, kind):
+    rng = np.random.default_rng(seed)
+    for cdf in _INVERSE_CASES + [_tricky_link_cdf(rng, kind),
+                                 random_link_cdf(rng, kind)]:
+        _assert_masked_inverse_is_split(VirtualValueFn(cdf), rng)
+
+
+def _dyadic_link_cdf(rng, kind):
+    """A link CDF whose knots, 1/slopes and virtual values are multiples of
+    1/64, so that bids on a 1/16 grid put virtual values exactly on the sups
+    of other bidders."""
+    k = int(rng.integers(1, 6))
+    xs = np.cumsum(np.concatenate(([rng.choice([0.0, 0.0, 0.5])],
+                                   rng.choice([0.25, 0.5, 1.0], k - 1))))
+    slopes = np.sort(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], k - 1))
+    h0 = link_origin(kind) + rng.choice([0.0, 0.5, 1.0])
+    hs = h0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    return PiecewiseLinkCDF(kind, xs, hs, xs[-1] + rng.choice([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_payments_batch_equals_the_reference_in_every_row_case(kind, n):
+    """payments_batch gives the winners and payments of the prefix/suffix
+    reference bit for bit, on dyadic link CDFs (some shared by several
+    bidders) and bids on a 1/16 grid that reach every case a row can take:
+    exact virtual-value ties across bidders, phi = -inf below a first knot,
+    a runner-up exactly at one of the winner's sups (so strict and weak
+    thresholds differ), a runner-up of lower and of higher index, zero bids
+    and no sale."""
+    rng = np.random.default_rng(1000 * n + len(kind))
+    hits = dict.fromkeys(["tie", "-inf", "at sup", "lower", "higher",
+                          "zero", "no sale"], 0)
+    for _ in range(30):
+        pool = [_dyadic_link_cdf(rng, kind) for _ in range(int(rng.integers(1, n + 1)))]
+        mech = Mechanism(kind, [pool[int(rng.integers(len(pool)))]
+                                for _ in range(n)])
+        tops = np.array([vv.top for vv in mech.vvs])
+        profiles = np.floor(rng.uniform(0.0, 1.1, (500, n)) * tops * 16) / 16
+        profiles[:40] = 0.0
+        for j in range(1, n):       # copy another bidder's bid
+            rows = rng.integers(0, 500, 100)
+            profiles[rows, j] = profiles[rows, int(rng.integers(0, j))]
+        winners, payments = mech.payments_batch(profiles)
+        ref_w, ref_p = reference_payments(mech, profiles)
+        assert np.array_equal(winners, ref_w)
+        assert payments.tobytes() == ref_p.tobytes()
+
+        phis = np.column_stack([vv.phi(profiles[:, j])
+                                for j, vv in enumerate(mech.vvs)])
+        order = np.argsort(-phis, axis=1, kind="stable")
+        top2 = np.take_along_axis(phis, order[:, :2], axis=1) if n > 1 else None
+        sold = winners >= 0
+        hits["-inf"] += int(np.sum(np.isneginf(phis).any(axis=1)))
+        hits["zero"] += int(np.sum(~sold & (profiles == 0.0).all(axis=1)))
+        hits["no sale"] += int(np.sum(~sold))
+        if n > 1:
+            contested = sold & (top2[:, 1] >= 0.0)
+            hits["tie"] += int(np.sum(contested & (top2[:, 0] == top2[:, 1])))
+            hits["lower"] += int(np.sum(contested & (order[:, 1] < winners)))
+            hits["higher"] += int(np.sum(contested & (order[:, 1] > winners)))
+            for j, vv in enumerate(mech.vvs):
+                won = contested & (winners == j)
+                hits["at sup"] += int(np.sum(np.isin(top2[won, 1], vv._sups)))
+    assert hits["no sale"] and hits["zero"] and hits["-inf"], hits
+    assert n == 1 or all(hits.values()), hits
+
+
 @settings(deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]),
        n=st.integers(1, 4), decimals=st.integers(0, 2), shared=st.booleans())
@@ -472,7 +589,7 @@ def _assert_inverse_is_searched(vv, rng):
                   nonneg[:0]):
             assert (vv.inverse(t, strict).tobytes()
                     == searched_inverse(vv, t, strict).tobytes()), (strict, t)
-        for t in (0.0, -0.0, vv.top, -1.0):
+        for t in (0.0, -0.0, vv.top, -1.0, -np.inf, np.inf):
             assert vv.inverse(t, strict) == searched_inverse(vv, t, strict)[0]
 
 
