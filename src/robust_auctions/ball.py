@@ -82,14 +82,11 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
     # anchors at or past the top, or at G = 1, belong to the closing atom,
     # not the envelope
     keep = (xs < new_top) & (g < 1.0)
-    xs, g = xs[keep], g[keep]
+    xs, hs = xs[keep], links.link_forward(kind, g[keep])
     if xs.size == 0:
         # everything at or above new_top: the ball collapses to a point mass
-        return PiecewiseLinkCDF(kind, [new_top], [links.link_origin(kind)],
-                                new_top)
-
-    hs = np.asarray(links.link_forward(kind, g))
-    if xs.size == 1:
-        return PiecewiseLinkCDF(kind, xs, hs, new_top)
-    env = links.convex_envelope(xs, hs)
-    return PiecewiseLinkCDF(kind, env.xs, env.ys, new_top)
+        xs, hs = [new_top], [links.link_origin(kind)]
+    elif xs.size > 1:
+        env = links.convex_envelope(xs, hs)
+        xs, hs = env.xs, env.ys
+    return PiecewiseLinkCDF(kind, xs, hs, new_top)

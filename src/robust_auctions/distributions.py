@@ -196,12 +196,11 @@ class PiecewiseLinkCDF(Distribution):
         return links.link_inverse(self.kind, np.interp(arr, self.xs, self.hs))
 
     def _cdf(self, arr, left=False):
+        # past the last knot np.interp holds h_last, so F stays f_last up to
+        # the top atom
         ge = np.greater if left else np.greater_equal
-        f_last = self.f_knots[-1]
-        return np.select(
-            [ge(arr, self._top), arr > self.xs[-1], ge(arr, self.xs[0])],
-            [1.0, f_last, self._interp_cdf(arr)],
-            default=0.0)
+        return np.select([ge(arr, self._top), ge(arr, self.xs[0])],
+                         [1.0, self._interp_cdf(arr)], default=0.0)
 
     def _ppf(self, q):
         f0, f_last = self.f_knots[0], self.f_knots[-1]
@@ -223,9 +222,7 @@ class PiecewiseLinkCDF(Distribution):
         return self._top
 
     def breakpoints(self):
-        if self._top > self.xs[-1]:
-            return np.concatenate((self.xs, [self._top]))
-        return self.xs.copy()
+        return np.unique(np.append(self.xs, self._top))
 
     @classmethod
     def from_fields(cls, kind, knots, support_top):

@@ -11,9 +11,10 @@ non-convex inputs.
 Conventions, fixed here and relied on by the payment logic:
 
   * at a knot the higher (right-hand piece) value is taken;
-  * between the last knot and the support top (a region carrying no mass)
-    the MHR form extends the last piece linearly and the regular form keeps
-    its last constant, preserving monotonicity;
+  * the gap between the last knot and the support top (a region carrying
+    no mass) is a row of the piece table, empty when the top is the last
+    knot: the MHR form extends the last piece linearly and the regular form
+    keeps its last constant, preserving monotonicity;
   * ties in virtual value are won by the lowest bidder index, so the winner
     must beat lower-index opponents strictly and higher-index ones weakly.
 """
@@ -74,28 +75,19 @@ class VirtualValueFn:
         self.kind = cdf.kind
         self.top = cdf.support_top()
         xs, hs = cdf.xs, cdf.hs
-        nreal = xs.size - 1
-        inv_s = cdf.inv_slopes
+        # rows: one per piece between knots, then the massless gap [x_last,
+        # top], empty when the top is the last knot.  The gap continues the
+        # last piece (a flat one, 1/slope inf, if there is none) and copies
+        # its regular constant: a fresh evaluation can land an ulp off and
+        # unsort the sups.  IEEE arithmetic makes a flat piece's value -inf:
+        # x - inf (mhr), x - h * inf with h >= 1 (regular).
+        rights = np.append(xs[1:], self.top)
+        inv_s = np.append(cdf.inv_slopes, np.append(np.inf, cdf.inv_slopes)[-1])
         if self.kind == "mhr":
-            vals = np.where(np.isfinite(inv_s), xs[1:] - inv_s, _NEG_INF)
+            vals = rights - inv_s
         else:
-            vals = np.where(np.isfinite(inv_s), xs[:-1] - hs[:-1] * inv_s,
-                            _NEG_INF)
-        lefts = xs[:-1]
-        rights = xs[1:].copy()
-        if self.top > xs[-1]:
-            # a massless gap between the last knot and the top atom; extend
-            # the last piece (copy its table entries, do not recompute: a
-            # fresh float evaluation can land an ulp off and unsort the sups)
-            lefts = np.append(lefts, xs[-1])
-            rights = np.append(rights, self.top)
-            inv_gap = inv_s[-1] if nreal else np.inf
-            inv_s = np.append(inv_s, inv_gap)
-            if self.kind == "mhr":
-                gap_sup = self.top - inv_gap if np.isfinite(inv_gap) else _NEG_INF
-            else:
-                gap_sup = vals[-1] if nreal else _NEG_INF
-            vals = np.append(vals, gap_sup)
+            vals = xs[:-1] - hs[:-1] * cdf.inv_slopes
+            vals = np.append(vals, np.append(_NEG_INF, vals)[-1])
         # running max of each piece's largest virtual value: its right end
         # (mhr) or its constant (regular)
         self._sups = np.maximum.accumulate(vals)
@@ -109,7 +101,7 @@ class VirtualValueFn:
         # a closing piece [top, top] with 1/slope 0 ends the piece tables;
         # phi's tables also start with the part below the first knot, where
         # phi is v - inf (mhr) or -inf (regular)
-        self._lefts = np.append(lefts, self.top)
+        self._lefts = np.append(xs, self.top)
         self._rights = np.append(rights, self.top)
         self._inv_s = np.append(inv_s, 0.0)
         self._rank = _KnotRank(self._lefts)

@@ -192,6 +192,23 @@ def reference_shade_quantiles(E, params, bidder_index):
     return StepCDF(xs[keep], masses[keep])
 
 
+def pruned_envelope(xs, ys):
+    """convex_envelope's two steps on whole arrays, as (vertex xs, vertex ys):
+    each pruning pass takes every interior point's cross product with its
+    neighbours at once, in the same expression, and keeps the points below
+    the tolerance, for at most _MAX_PASSES passes; then the stack loop.  A
+    reference for bit-identity of the blocked in-place passes."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    for _ in range(links._MAX_PASSES):
+        cross = ((y[1:-1] - y[:-2]) * (x[2:] - x[1:-1])
+                 - (y[2:] - y[1:-1]) * (x[1:-1] - x[:-2]))
+        keep = np.concatenate(([True], cross < links._HULL_TOL, [True]))
+        if keep.all():
+            break
+        x, y = x[keep], y[keep]
+    return links._chain(x, y)
+
+
 def searched_inverse(vv, t, strict=False):
     """VirtualValueFn.inverse as it was before the bucketed rank: the piece
     of every target found by np.searchsorted over all of the sups.  A

@@ -87,6 +87,11 @@ def test_cdf_shift_zero_and_validation():
         corrupt(exp, "shift:sideways", 0.1)
 
 
+def test_mhr_lb_radius_needs_two_bidders():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        mhr_lb_radius(1, 0.5)
+
+
 def test_mhr_lb_radius_frozen_value():
     # interior stationary point beats the break-point gap beta/n here;
     # value cross-checked on a two-million-point CDF grid

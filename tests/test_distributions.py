@@ -26,6 +26,7 @@ from robust_auctions.distributions import (
     ks_distance,
     parse_dist_spec,
 )
+from robust_auctions._rng import uniform_stream
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.links import KINDS, link_forward
@@ -237,6 +238,19 @@ def test_constructors_reject_non_finite_parameters():
                   lambda: Exponential(np.nan)):
         with pytest.raises(ValueError, match="must be finite"):
             build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: DownShiftSpike(Exponential(1.0), 0.0, 20.0), r"alpha must be in \(0, 1\)"),
+    (lambda: DownShiftSpike(Exponential(1.0), 1.0, 20.0), r"alpha must be in \(0, 1\)"),
+    (lambda: PointMass(-1.0), "point mass location must be nonnegative"),
+    (lambda: ProductDist([]), "need at least one component"),
+    (lambda: uniform_stream(0, -1, 4), "start and count must be nonnegative"),
+    (lambda: uniform_stream(0, 0, -1), "start and count must be nonnegative"),
+])
+def test_bad_arguments_raise_typed_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_link_cdf_validation():

@@ -314,6 +314,17 @@ def test_cli_learn_broadcasts_alpha_two_bidders(tmp_path):
                  "--samples", str(samples), "--out", str(mech_json)]) == 2
 
 
+def test_cli_learn_rejects_rows_wider_than_the_header(tmp_path, capsys):
+    samples = tmp_path / "wide.csv"
+    samples.write_text("bidder_1\n1.0,2.0\n0.5,1.5\n")
+    assert main(["learn", "--kind", "mhr", "--alpha", "0.05", "--samples",
+                 str(samples), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {samples}: column count does not match "
+                   "header\n"), err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_cli_eval_zero_draws_is_a_config_error(tmp_path, capsys):
     samples = tmp_path / "two.csv"
     assert main(["gen", "--dist", "exp:1.0,exp:1.0", "--m", "300",

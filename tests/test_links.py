@@ -7,7 +7,7 @@ from robust_auctions import links
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
 
-from _gen import random_points
+from _gen import pruned_envelope, random_points
 from _oracle import naive_envelope
 
 
@@ -36,6 +36,15 @@ def test_link_diverges_at_one():
             link_forward(kind, 1.5)
         with pytest.raises(ValueError):
             link_forward(kind, -0.1)
+
+
+@pytest.mark.parametrize("kind, h, match", [
+    ("mhr", -0.5, "mhr link values must be >= 0"),
+    ("regular", 0.5, "regular link values must be >= 1"),
+])
+def test_link_inverse_rejects_values_below_the_origin(kind, h, match):
+    with pytest.raises(ValueError, match=match):
+        link_inverse(kind, h)
 
 
 def test_link_monotone_and_convex():
@@ -95,6 +104,10 @@ def test_envelope_errors():
         convex_envelope([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         naive_envelope([2.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        PiecewiseLinearFn([0.0, 1.0], [0.0])
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        PiecewiseLinearFn([], [])
 
 
 @pytest.mark.parametrize("xs, ys", [
@@ -265,3 +278,40 @@ def test_envelope_leaves_near_ties_to_the_loop():
     hx, hy = links._chain(np.array(xs), np.array(ys))
     np.testing.assert_array_equal(env.xs, hx)
     np.testing.assert_array_equal(env.ys, hy)
+
+
+def _assert_envelope_is_pruned_reference(xs, ys):
+    env = convex_envelope(xs, ys)
+    rx, ry = pruned_envelope(xs, ys)
+    assert env.xs.tobytes() == rx.tobytes()
+    assert env.ys.tobytes() == ry.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, links._BLOCK - 1, links._BLOCK,
+                               links._BLOCK + 1, 2 * links._BLOCK + 1])
+def test_envelope_equals_the_whole_array_reference(n):
+    """The blocked in-place pruning passes keep what whole-array passes
+    keep, bit for bit, at sizes around the block edges: on a noisy
+    parabola, a random walk, near-collinear floats and a convex chain
+    ending in a low point (one point lost per pass)."""
+    rng = np.random.default_rng(n)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    low_end = xs * xs
+    low_end[-1] = -1.0
+    for ys in (1e-3 * (xs - xs.mean()) ** 2 + rng.uniform(0.0, 1.0, n),
+               np.cumsum(rng.integers(-50, 51, n)).astype(float),
+               0.5 * xs + rng.normal(0.0, 1e-13, n),
+               low_end):
+        _assert_envelope_is_pruned_reference(xs, ys)
+
+
+@pytest.mark.parametrize("interior", [links._MAX_PASSES - 1, links._MAX_PASSES,
+                                      links._MAX_PASSES + 1,
+                                      3 * links._MAX_PASSES])
+def test_envelope_equals_the_whole_array_reference_at_the_pass_cap(interior):
+    """A convex chain ending in a low point loses one interior point per
+    pass: the passes end one short of, at, and past their cap."""
+    xs = np.arange(interior + 2, dtype=float)
+    ys = xs * xs
+    ys[-1] = -1.0
+    _assert_envelope_is_pruned_reference(xs, ys)

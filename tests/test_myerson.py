@@ -451,17 +451,21 @@ def test_payments_batch_equals_the_reference_in_every_row_case(kind, n):
 
 @settings(deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]),
-       n=st.integers(1, 4), decimals=st.integers(0, 2), shared=st.booleans())
+       n=st.integers(1, 4), decimals=st.integers(0, 2), shared=st.booleans(),
+       tricky=st.booleans())
 def test_payments_batch_equals_prefix_suffix_reference(seed, kind, n,
-                                                        decimals, shared):
+                                                        decimals, shared,
+                                                        tricky):
     """The top-two reduction gives the winners and payments of the
     prefix/suffix maxima algorithm bit for bit.  Rounded bids, knots and
     support tops as bids, and (with `shared`) bidders drawing the same CDF
     force exact virtual-value ties across bidders.  Bids one ulp above the
-    top, at 1e300 and at inf take the top's virtual value."""
+    top, at 1e300 and at inf take the top's virtual value.  With `tricky`,
+    the bidders are drawn from the tricky-table cases instead."""
     rng = np.random.default_rng(seed)
-    pool = [random_link_cdf(rng, kind, from_zero=bool(rng.random() < 0.5))
-            for _ in range(1 if shared else n)]
+    pool = ([cdf for cdf in _INVERSE_CASES if cdf.kind == kind] if tricky else
+            [random_link_cdf(rng, kind, from_zero=bool(rng.random() < 0.5))
+             for _ in range(1 if shared else n)])
     bidders = [pool[int(rng.integers(0, len(pool)))] for _ in range(n)]
     mech = Mechanism(kind, bidders)
     profiles = np.round(rng.uniform(0.0, 8.0, size=(400, n)), decimals)
@@ -545,8 +549,10 @@ def test_dsic_ir_and_monotone_at_extreme_scales(seed, kind, n, log_scale,
 
 # link CDFs whose sup tables stress inverse's rank: a run of leading -inf
 # sups (flat first pieces), running-max plateaus (equal-revenue pieces with
-# phi exactly 0, a gap piece repeating the last sup), one sup at -1e16 (a
-# near-flat first piece), no non-negative sup at all, and no sup at all
+# phi exactly 0, a gap row repeating the last sup), one sup at -1e16 (a
+# near-flat first piece), no non-negative sup at all, one-knot curves with
+# and without a gap (the gap row alone, empty when the top is the knot), and
+# a gap row one ulp wide
 _INVERSE_CASES = [
     PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 1.0, 3.0],
                      5.0),
@@ -557,6 +563,9 @@ _INVERSE_CASES = [
     PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0], [0.0, 1e-3, 3e-3], 2.5),
     PiecewiseLinkCDF("mhr", [1.0], [0.0], 1.0),
     PiecewiseLinkCDF("regular", [1.0], [1.0], 3.0),
+    PiecewiseLinkCDF("regular", [2.0], [1.5], 2.0),
+    PiecewiseLinkCDF("mhr", [0.0, 1.0, 2.0], [0.0, 0.5, 2.0],
+                     np.nextafter(2.0, np.inf)),
 ]
 
 
@@ -605,7 +614,9 @@ def test_inverse_equals_searched_reference_on_tricky_tables():
     assert np.array_equal(sups[0][:2], [-np.inf, -np.inf])
     assert np.array_equal(sups[1], [0.0, 0.0, 0.0, 2.0, 2.0])
     assert sups[3][0] < -1e15 and sups[3][-1] > 0
-    assert np.all(sups[4] < 0) and sups[5].size == 0
+    assert np.all(sups[4] < 0)
+    assert not np.any(sups[5] >= 0) and not np.any(sups[7] >= 0)
+    assert sups[8][-1] > sups[8][-2]        # the one-ulp gap row's own sup
 
 
 @settings(deadline=None, max_examples=150)
