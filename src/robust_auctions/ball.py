@@ -16,18 +16,19 @@ Working with the capped function G = min(F~ + alpha, 1):
   * anchor points below the top are linked and enveloped;
   * envelope vertices become the knots of the output PiecewiseLinkCDF.
 
-Anchor selection depends on the input.  Purely atomic inputs anchor at x = 0
-with the input's own mass there (this is the convention the empirical shading
-pipeline needs: the budget is accounted for in the quantiles, never at zero)
-plus one anchor per atom, with G read off the input's atom table
-(`atom_cdf`); between atoms G is flat, so nothing is lost.  Everything else,
-link CDFs included, is discretized by `_anchor_xs` on a quantile-uniform
-grid of G joined with the input's breakpoints, which keeps plateaus and
-support tops exact.  Anchoring a link CDF at its own knots alone would be
-wrong for alpha > 0: when ppf(1 - alpha) falls between knots, the rising
-stretch past the last kept knot needs anchors or its mass would wrongly fold
-into the closing atom.  (A same-kind input with alpha = 0 never reaches the
-anchor step; it is returned as is.)
+Anchor selection depends on the input.  Purely atomic inputs keep their own
+atom table (`atom_cdf`): one anchor per atom, with G shifted inline, and one
+at x = 0 with the input's own mass there (this is the convention the
+empirical shading pipeline needs: the budget is accounted for in the
+quantiles, never at zero); between atoms G is flat, so nothing is lost.
+Everything else, link CDFs included, reads G off the cap `UpShift(F~, alpha)`
+(the shift:up adversary's output; F~ itself at alpha = 0): anchors at its
+quantile-uniform grid joined with its breakpoints and x = 0, which keeps
+plateaus and support tops exact, valued by its CDF.  Anchoring a link CDF at
+its own knots alone would be wrong for alpha > 0: when ppf(1 - alpha) falls
+between knots, the rising stretch past the last kept knot needs anchors or
+its mass would wrongly fold into the closing atom.  (A same-kind input with
+alpha = 0 never reaches the anchor step; it is returned as is.)
 """
 
 from __future__ import annotations
@@ -35,22 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import links
-from .distributions import Distribution, PiecewiseLinkCDF
+from .distributions import Distribution, PiecewiseLinkCDF, UpShift
 
 DEFAULT_GRID = 2048
-
-
-def _anchor_xs(dist: Distribution, alpha: float, grid: int) -> np.ndarray:
-    """Nonnegative x locations at which G is anchored, for inputs that are
-    not purely atomic."""
-    qs = np.arange(1, grid + 1) / (grid + 1.0)
-    # G^{-1}(q) = F~^{-1}(q - alpha) for q > G(0), else 0
-    inner = np.asarray(dist.ppf(np.clip(qs - alpha, 0.0, 1.0)))
-    g0 = min(float(dist.cdf(0.0)) + alpha, 1.0)
-    xs = np.where(qs <= g0, 0.0, np.maximum(inner, 0.0))
-    pts = dist.breakpoints()
-    xs = np.unique(np.concatenate((xs, pts[np.isfinite(pts)], [0.0])))
-    return xs[xs >= 0.0]
 
 
 def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
@@ -77,8 +65,12 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
         # the x = 0 anchor keeps the input's own mass at zero, uncapped
         g[0] = float(dist.cdf(0.0))
     else:
-        xs = _anchor_xs(dist, alpha, grid)
-        g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
+        cap = UpShift(dist, alpha) if alpha > 0.0 else dist
+        pts = cap.breakpoints()
+        qs = np.arange(1, grid + 1) / (grid + 1.0)
+        xs = np.unique(np.concatenate((cap.ppf(qs), pts[np.isfinite(pts)],
+                                       [0.0])))
+        g = cap.cdf(xs)
     # anchors at or past the top, or at G = 1, belong to the closing atom,
     # not the envelope
     keep = (xs < new_top) & (g < 1.0)

@@ -29,9 +29,11 @@ def _check_finite(**params):
 class Distribution:
     """Base interface. Subclasses implement _cdf/_ppf on 1-d float arrays;
     scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
-    Pr[V < x], which differs from the CDF only at atoms.  A type with a dict
-    form names it in TYPE and its constructor arguments, in dict order, in
-    FIELDS: the table the JSON codec and the spec strings read."""
+    Pr[V < x], which differs from the CDF only at atoms.  Each constructor
+    sets `_top`, the support top, and `_breaks`, the finite discontinuities
+    and kinks.  A type with a dict form names it in TYPE and its constructor
+    arguments, in dict order, in FIELDS: the table the JSON codec and the
+    spec strings read."""
 
     TYPE, FIELDS = None, ()
     purely_atomic = False
@@ -67,11 +69,11 @@ class Distribution:
         return self._ppf(uniform_stream(seed, start, count))
 
     def support_top(self) -> float:
-        raise NotImplementedError
+        return self._top
 
     def breakpoints(self) -> np.ndarray:
         """Finite discontinuities and kinks, for grids and the KS metric."""
-        raise NotImplementedError
+        return self._breaks.copy()
 
     def atom_cdf(self):
         """(locs, F(locs-), F(locs)) at the atoms, the breakpoints where F
@@ -118,6 +120,7 @@ class StepCDF(Distribution):
         cum[-1] = 1.0
         self.values = values
         self.masses = masses
+        self._top, self._breaks = float(values[-1]), values
 
     def _cdf(self, arr, left=False):
         side = "left" if left else "right"
@@ -126,12 +129,6 @@ class StepCDF(Distribution):
     def _ppf(self, q):
         idx = np.searchsorted(self._cum, q, side="left")
         return self.values[np.minimum(idx, self.values.size - 1)]
-
-    def support_top(self):
-        return float(self.values[-1])
-
-    def breakpoints(self):
-        return self.values.copy()
 
     def atom_cdf(self):
         # the running sums, clipped as cdf/cdf_left clip them: bit for bit
@@ -188,6 +185,7 @@ class PiecewiseLinkCDF(Distribution):
             # 1/slope of each piece: inf for a flat (or subnormal) slope
             self.inv_slopes = 1.0 / slopes
         self._top = support_top
+        self._breaks = np.unique(np.append(xs, support_top))
         self.f_knots = np.asarray(links.link_inverse(kind, hs))
         self.top_atom = 1.0 - float(self.f_knots[-1])
         self.purely_atomic = xs.size == 1
@@ -217,12 +215,6 @@ class PiecewiseLinkCDF(Distribution):
             frac = np.where(dh > 0, (hq - self.hs[j - 1]) / np.where(dh > 0, dh, 1.0), 1.0)
             out[mid] = self.xs[j - 1] + frac * dx
         return out
-
-    def support_top(self):
-        return self._top
-
-    def breakpoints(self):
-        return np.unique(np.append(self.xs, self._top))
 
     @classmethod
     def from_fields(cls, kind, knots, support_top):
@@ -261,6 +253,7 @@ class Exponential(Distribution):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
+        self._top, self._breaks = np.inf, np.array([0.0])
 
     # rate * x and the quantiles may pass the float range; their IEEE
     # limits (F = 1, x = inf) are the answers
@@ -273,12 +266,6 @@ class Exponential(Distribution):
         with np.errstate(divide="ignore", over="ignore"):
             return -np.log1p(-q) / self.rate
 
-    def support_top(self):
-        return np.inf
-
-    def breakpoints(self):
-        return np.array([0.0])
-
 
 class Uniform(Distribution):
     TYPE, FIELDS = "unif", ("lo", "hi")
@@ -289,6 +276,7 @@ class Uniform(Distribution):
         if lo < 0 or hi <= lo:
             raise ValueError("need 0 <= lo < hi")
         self.lo, self.hi = lo, hi
+        self._top, self._breaks = hi, np.array([lo, hi])
 
     def _cdf(self, arr, left=False):
         with np.errstate(over="ignore"):    # a subnormal width: clipped to 0 or 1
@@ -296,12 +284,6 @@ class Uniform(Distribution):
 
     def _ppf(self, q):
         return self.lo + q * (self.hi - self.lo)
-
-    def support_top(self):
-        return self.hi
-
-    def breakpoints(self):
-        return np.array([self.lo, self.hi])
 
 
 class EqualRevenue(Distribution):
@@ -321,6 +303,7 @@ class EqualRevenue(Distribution):
         if cap <= lo:
             raise ValueError("cap must exceed lo")
         self.lo, self.cap = lo, cap
+        self._top, self._breaks = cap, np.array([lo, cap])
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -336,12 +319,6 @@ class EqualRevenue(Distribution):
         m = q < qcut
         out[m] = self.lo / (1.0 - q[m])
         return out
-
-    def support_top(self):
-        return self.cap
-
-    def breakpoints(self):
-        return np.array([self.lo, self.cap])
 
 
 def _family_member(n, beta, which, n_min):
@@ -378,6 +355,9 @@ class AppxC1(Distribution):
         self.v2 = self.a
         if self.v0 <= 0:
             raise ValueError("base value v0 = ln(n) - ln(1-beta) - 1 must be positive")
+        self._top = self.v1
+        self._breaks = np.array([0.0, self.v1] if self.which == "l"
+                                else [0.0, self.v2, self.v1])
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -401,14 +381,6 @@ class AppxC1(Distribution):
                          [self.v1, self.a + 0.5 * (t - self.b_)],
                          (self.a / self.b_) * t)
 
-    def support_top(self):
-        return self.v1
-
-    def breakpoints(self):
-        if self.which == "l":
-            return np.array([0.0, self.v1])
-        return np.array([0.0, self.v2, self.v1])
-
 
 class AppxC2(Distribution):
     """A confusable pair of unbounded regular distributions.
@@ -423,6 +395,9 @@ class AppxC2(Distribution):
         self.n, self.beta, self.which = _family_member(n, beta, which, n_min=1)
         self.bottom = 1.0 + 1.0 / self.n
         self.v2 = 1.0 + 1.0 / self.beta
+        self._top = np.inf
+        self._breaks = np.array([self.bottom] if self.which == "l"
+                                else [self.bottom, self.v2])
 
     def _cdf(self, arr, left=False):
         out = np.zeros(arr.shape)
@@ -445,14 +420,6 @@ class AppxC2(Distribution):
                 return low
             high = 2.0 + (1.0 - self.beta) / (self.n * (1.0 - q))
         return np.where(q < 1.0 - self.beta / self.n, low, high)
-
-    def support_top(self):
-        return np.inf
-
-    def breakpoints(self):
-        if self.which == "l":
-            return np.array([self.bottom])
-        return np.array([self.bottom, self.v2])
 
 
 def appx_c1(n, beta, which) -> Distribution:
@@ -498,10 +465,10 @@ class UpShift(Distribution):
         shifted = np.asarray(self.base.ppf(np.clip(q - self.alpha, 0.0, 1.0)))
         return np.where(q <= at_zero, 0.0, np.minimum(shifted, self._top))
 
-    def support_top(self):
-        return self._top
-
     def breakpoints(self):
+        # derived when asked, not in the constructor (DownShiftSpike's too):
+        # a wrapper over a 10^6-atom step CDF need not pay for a table that
+        # its user may never read
         base_pts = self.base.breakpoints()
         pts = np.concatenate(([0.0], base_pts[base_pts < self._top], [self._top]))
         return np.unique(pts)
@@ -521,7 +488,7 @@ class DownShiftSpike(Distribution):
             raise ValueError("spike location must be positive and finite")
         self.base = base
         self.alpha = alpha
-        self.spike_x = spike_x
+        self.spike_x = self._top = spike_x
         self._left_at_spike = max(float(base.cdf_left(spike_x)) - alpha, 0.0)
         self.purely_atomic = base.purely_atomic
 
@@ -535,9 +502,6 @@ class DownShiftSpike(Distribution):
         shifted = np.asarray(self.base.ppf(np.minimum(q + self.alpha, 1.0)))
         return np.where(q <= self._left_at_spike,
                         np.minimum(shifted, self.spike_x), self.spike_x)
-
-    def support_top(self):
-        return self.spike_x
 
     def breakpoints(self):
         base_pts = self.base.breakpoints()

@@ -154,6 +154,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All cells of the sweep, sorted by (alpha, m, seed).  Each alpha's
     corruption (KS self-check included) and the truth mechanism are built
     once, before the cells are dispatched."""
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     truths = cfg.dists()
     corrupted = {a: [corrupt(d, cfg.adversary, a) for d in truths]
                  for a in set(cfg.alphas)}
@@ -165,7 +167,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     def cell(c):
         return run_cell(cfg, *c, corrupted[c[0]], bench)
 
-    if workers <= 1:
+    if workers == 1:
         rows = list(map(cell, cells))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

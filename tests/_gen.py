@@ -10,9 +10,11 @@ import numpy as np
 
 from robust_auctions import links
 from robust_auctions._rng import profile_uniforms
-from robust_auctions.distributions import (Distribution, DownShiftSpike,
-                                           PiecewiseLinkCDF, PointMass,
-                                           StepCDF, UpShift, _candidate_points,
+from robust_auctions.distributions import (AppxC1, AppxC2, Distribution,
+                                           DownShiftSpike, EqualRevenue,
+                                           Exponential, PiecewiseLinkCDF,
+                                           PointMass, StepCDF, Uniform,
+                                           UpShift, _candidate_points,
                                            appx_c1, appx_c2)
 from robust_auctions.harness import RESULT_COLUMNS
 from robust_auctions.links import link_origin
@@ -123,6 +125,68 @@ def searched_minimal_in_ks_ball(dist, alpha, kind):
         return PiecewiseLinkCDF(kind, xs, hs, new_top)
     env = links.convex_envelope(xs, hs)
     return PiecewiseLinkCDF(kind, env.xs, env.ys, new_top)
+
+
+def anchored_minimal_in_ks_ball(dist, alpha, kind, grid):
+    """minimal_in_ks_ball on an input that is not purely atomic, as it was
+    before the grid branch read its cap off UpShift: G^{-1} and G spelled out
+    on the input itself.  A reference for bit-identity."""
+    alpha = links.check_alpha(alpha)
+    if alpha == 0.0 and isinstance(dist, PiecewiseLinkCDF) and dist.kind == kind:
+        return dist
+    new_top = float(dist.ppf(1.0 - alpha))
+    if not np.isfinite(new_top):
+        new_top = float(dist.ppf(grid / (grid + 1.0)))
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    # G^{-1}(q) = F~^{-1}(q - alpha) for q > G(0), else 0
+    inner = np.asarray(dist.ppf(np.clip(qs - alpha, 0.0, 1.0)))
+    g0 = min(float(dist.cdf(0.0)) + alpha, 1.0)
+    xs = np.where(qs <= g0, 0.0, np.maximum(inner, 0.0))
+    pts = dist.breakpoints()
+    xs = np.unique(np.concatenate((xs, pts[np.isfinite(pts)], [0.0])))
+    xs = xs[xs >= 0.0]
+    g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
+    keep = (xs < new_top) & (g < 1.0)
+    xs, hs = xs[keep], links.link_forward(kind, g[keep])
+    if xs.size == 0:
+        return PiecewiseLinkCDF(kind, [new_top], [link_origin(kind)], new_top)
+    if xs.size > 1:
+        env = links.convex_envelope(xs, hs)
+        xs, hs = env.xs, env.ys
+    return PiecewiseLinkCDF(kind, xs, hs, new_top)
+
+
+def reference_support_facts(dist):
+    """(support_top, breakpoints) of dist by the formulas each type stated in
+    its own two methods, before Distribution read both off the `_top` and
+    `_breaks` its constructors set.  A reference for bit-identity."""
+    if isinstance(dist, UpShift):
+        top = float(dist.base.ppf(1.0 - dist.alpha))
+        base_pts = reference_support_facts(dist.base)[1]
+        return top, np.unique(np.concatenate(
+            ([0.0], base_pts[base_pts < top], [top])))
+    if isinstance(dist, DownShiftSpike):
+        base_pts = reference_support_facts(dist.base)[1]
+        return dist.spike_x, np.unique(np.concatenate(
+            (base_pts[base_pts < dist.spike_x],
+             [float(dist.base.ppf(dist.alpha)), dist.spike_x])))
+    if isinstance(dist, StepCDF):          # PointMass too
+        return float(dist.values[-1]), dist.values.copy()
+    if isinstance(dist, PiecewiseLinkCDF):
+        top = dist.to_dict()["support_top"]
+        return top, np.unique(np.append(dist.xs, top))
+    if isinstance(dist, Exponential):
+        return np.inf, np.array([0.0])
+    if isinstance(dist, (Uniform, EqualRevenue)):
+        top = dist.hi if isinstance(dist, Uniform) else dist.cap
+        return top, np.array([dist.lo, top])
+    if isinstance(dist, AppxC1):
+        return dist.v1, np.array([0.0, dist.v1] if dist.which == "l"
+                                 else [0.0, dist.v2, dist.v1])
+    if isinstance(dist, AppxC2):
+        return np.inf, np.array([dist.bottom] if dist.which == "l"
+                                else [dist.bottom, dist.v2])
+    raise TypeError(f"no reference for {type(dist).__name__}")
 
 
 def searched_opt_single(dist):

@@ -6,16 +6,22 @@ from numpy.testing import assert_allclose
 
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
+    AppxC1,
+    AppxC2,
+    DownShiftSpike,
+    EqualRevenue,
     Exponential,
     PiecewiseLinkCDF,
     PointMass,
     StepCDF,
     Uniform,
+    UpShift,
     ks_distance,
 )
+from robust_auctions.links import KINDS
 
-from _gen import (atomic_cases, random_link_cdf, searched_minimal_in_ks_ball,
-                  truncate)
+from _gen import (anchored_minimal_in_ks_ball, atomic_cases, random_link_cdf,
+                  searched_minimal_in_ks_ball, truncate)
 from _oracle import dominates
 
 
@@ -139,3 +145,42 @@ def test_atomic_inputs_match_searched_anchors(kind, alpha):
         assert got.xs.tobytes() == ref.xs.tobytes()
         assert got.hs.tobytes() == ref.hs.tobytes()
         assert got.support_top() == ref.support_top()
+
+
+def _grid_cases():
+    """Inputs the grid branch takes: closed forms with values scaled by 2^k,
+    both wrappers over them, and link CDFs of both kinds."""
+    rng = np.random.default_rng(31)
+    cases = [AppxC1(10, 0.1, "l"), AppxC1(10, 0.1, "h"),
+             AppxC2(3, 0.4, "l"), AppxC2(3, 0.4, "h")]
+    for k in (-20, -3, 0, 7, 30):
+        c = 2.0 ** k
+        lo = max(c, 1.0)                       # an equal-revenue lo is >= 1
+        cases += [Exponential(1.0 / c), Uniform(0.0, 3.0 * c),
+                  Uniform(c, 4.0 * c), EqualRevenue(lo, 10.0 * lo)]
+    closed = list(cases)
+    cases += [UpShift(d, 0.1) for d in closed[::2]]
+    cases += [DownShiftSpike(d, 0.05, 3.0 * float(d.ppf(0.5)))
+              for d in closed[1::2]]
+    for kind in KINDS:
+        for i in range(4):
+            link = random_link_cdf(rng, kind, from_zero=i % 2 == 0)
+            c = 2.0 ** (10 * i - 15)
+            cases += [link, PiecewiseLinkCDF(kind, link.xs * c, link.hs,
+                                             link.support_top() * c)]
+    return cases
+
+
+@pytest.mark.parametrize("grid", [64, 2048, 8192])
+def test_grid_inputs_match_the_anchor_reference(grid):
+    """The grid branch reads G and its quantiles off UpShift; its knots and
+    top are bit-identical to spelling G^{-1} and G out on the input."""
+    for dist in _grid_cases():
+        for kind in KINDS:
+            for alpha in (0.0, 1e-9, 0.05, 0.5):
+                got = minimal_in_ks_ball(dist, alpha, kind, grid)
+                ref = anchored_minimal_in_ks_ball(dist, alpha, kind, grid)
+                assert got.xs.tobytes() == ref.xs.tobytes()
+                assert got.hs.tobytes() == ref.hs.tobytes()
+                assert (np.float64(got.support_top()).tobytes()
+                        == np.float64(ref.support_top()).tobytes())

@@ -33,8 +33,8 @@ from robust_auctions.links import KINDS, link_forward
 from robust_auctions.revenue import _BLOCK, _CHUNK, opt_single
 
 from _gen import (Truncated, atom_masses, atomic_cases, golden_ks_distance,
-                  random_link_cdf, random_step_cdf, row_major_sample_profiles,
-                  truncate)
+                  random_link_cdf, random_step_cdf, reference_support_facts,
+                  row_major_sample_profiles, truncate)
 from _oracle import dominates
 
 
@@ -158,6 +158,31 @@ def test_left_limit_closed_forms():
         np.testing.assert_array_equal(d.cdf_left(smooth), d.cdf(smooth))
 
 
+def test_support_facts_match_the_per_type_formulas():
+    """support_top and breakpoints, read off the two fields each constructor
+    sets, equal every type's own formulas bit for bit, through both
+    wrappers too; each breakpoints() call returns a fresh array."""
+    rng = np.random.default_rng(17)
+    bases = [Exponential(0.3), Uniform(0.5, 3.0), EqualRevenue(1.0, 20.0),
+             StepCDF([0.5, 1.0, 4.0], [0.2, 0.5, 0.3]), PointMass(2.0),
+             random_link_cdf(rng, "mhr"), random_link_cdf(rng, "regular"),
+             AppxC1(10, 0.1, "l"), AppxC1(10, 0.1, "h"),
+             AppxC2(3, 0.4, "l"), AppxC2(3, 0.4, "h")]
+    cases = (bases + [UpShift(d, 0.1) for d in bases]
+             + [DownShiftSpike(d, 0.05, 2.5) for d in bases])
+    for d in cases:
+        top, pts = reference_support_facts(d)
+        assert type(d.support_top()) is float
+        assert np.float64(d.support_top()).tobytes() == np.float64(top).tobytes()
+        got = d.breakpoints()
+        assert got.dtype == np.float64 and got.tobytes() == pts.tobytes()
+        xs = np.concatenate((np.linspace(0.0, 25.0, 101), pts[np.isfinite(pts)]))
+        before = d.cdf(xs).tobytes(), d.cdf_left(xs).tobytes()
+        got[:] = 7.0
+        assert d.breakpoints().tobytes() == pts.tobytes()
+        assert (d.cdf(xs).tobytes(), d.cdf_left(xs).tobytes()) == before
+
+
 def test_cdf_scalar_vs_array():
     dist = StepCDF([1.0, 2.0], [0.5, 0.5])
     assert isinstance(dist.cdf(1.5), float)
@@ -244,6 +269,11 @@ def test_constructors_reject_non_finite_parameters():
     (lambda: DownShiftSpike(Exponential(1.0), 0.0, 20.0), r"alpha must be in \(0, 1\)"),
     (lambda: DownShiftSpike(Exponential(1.0), 1.0, 20.0), r"alpha must be in \(0, 1\)"),
     (lambda: PointMass(-1.0), "point mass location must be nonnegative"),
+    (lambda: PiecewiseLinkCDF("mhr", [-1.0, 1.0], [0.0, 1.0], 2.0),
+     "knot xs must be nonnegative"),
+    (lambda: Uniform(-1.0, 1.0), "need 0 <= lo < hi"),
+    (lambda: Uniform(2.0, 2.0), "need 0 <= lo < hi"),
+    (lambda: Uniform(3.0, 1.0), "need 0 <= lo < hi"),
     (lambda: ProductDist([]), "need at least one component"),
     (lambda: uniform_stream(0, -1, 4), "start and count must be nonnegative"),
     (lambda: uniform_stream(0, 0, -1), "start and count must be nonnegative"),

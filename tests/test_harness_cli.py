@@ -31,7 +31,8 @@ from robust_auctions.links import convex_envelope
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
-from robust_auctions.revenue import revenue_ratio_detail, truth_mechanism
+from robust_auctions.revenue import (revenue_at_reserve,
+                                     revenue_ratio_detail, truth_mechanism)
 
 from _gen import read_rows, time_limit
 
@@ -173,6 +174,13 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
         assert calls == {"corrupt": 2 * 2, "truth": 1}
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    """Zero or negative workers is a ConfigError; it used to run serially."""
+    with pytest.raises(ConfigError, match="^workers must be at least 1$"):
+        run_sweep(_small_config(), workers=workers)
+
+
 def test_population_cells_use_eval_seed_offset():
     """A sweep with no sample sizes runs the population variant (m reported
     as 0) and evaluates on the seed displaced by the fixed offset."""
@@ -235,8 +243,11 @@ def test_reproduce_cex1_fooled_and_not_fooled():
 def test_reproduce_cex1_memory_peak():
     """The naive and robust learners share one sorted empirical CDF and one
     shave: the traced peak of one op stays near 10.9 arrays of m floats
-    (13.5 when each learner sorted and shaved on its own)."""
+    (13.5 when each learner sorted and shaved on its own).  A small op runs
+    first: the first call in a process allocates about 0.7 arrays of m more
+    once, which is not the op's own memory."""
     m = 200_000
+    reproduce_counterexample1(0.05, 20.0, 1_000, 1)
     tracemalloc.start()
     try:
         reproduce_counterexample1(0.05, 20.0, m, 1)
@@ -549,10 +560,40 @@ def test_cli_delta_with_infinite_confidence_term(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_reproduce_cex1_check_failure_exits_3(monkeypatch, capsys):
+    """A fooled naive learner that earned more than the spike ceiling (here
+    every reserve is reported to earn the true optimum) is exit 3 with one
+    line."""
+    import robust_auctions.harness as harness
+
+    monkeypatch.setattr(harness, "revenue_at_reserve",
+                        lambda dist, r: revenue_at_reserve(dist, 1.0))
+    assert main(["reproduce-cex1", "--alpha", "0.05", "--c", "1.0",
+                 "--m", "20000", "--seed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: naive ratio ")
+    assert "exceeds the spike revenue ceiling" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("m", ["0", "-5"])
 def test_cli_reproduce_cex1_rejects_empty_samples(capsys, m):
     assert main(["reproduce-cex1", "--m", m]) == 2
     assert capsys.readouterr().err == "error: m must be at least 1\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "true_dists": ["exp:1.0"], "adversary": "shift:down", "kind": "mhr",
+        "alphas": [0.05], "seeds": [0], "ms": [100], "mc_draws": 1000}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
