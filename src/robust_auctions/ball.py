@@ -16,18 +16,17 @@ Working with the capped function G = min(F~ + alpha, 1):
   * anchor points below the top are linked and enveloped;
   * envelope vertices become the knots of the output PiecewiseLinkCDF.
 
-Anchor selection depends on the input.  Purely atomic inputs keep their own
-atom table (`atom_cdf`): one anchor per atom, with G shifted inline, and one
-at x = 0 with the input's own mass there (this is the convention the
-empirical shading pipeline needs: the budget is accounted for in the
-quantiles, never at zero); between atoms G is flat, so nothing is lost.
-Everything else, link CDFs included, reads G off the cap `UpShift(F~, alpha)`
-(the shift:up adversary's output; F~ itself at alpha = 0): anchors at its
-quantile-uniform grid joined with its breakpoints and x = 0, which keeps
-plateaus and support tops exact, valued by its CDF.  Anchoring a link CDF at
-its own knots alone would be wrong for alpha > 0: when ppf(1 - alpha) falls
-between knots, the rising stretch past the last kept knot needs anchors or
-its mass would wrongly fold into the closing atom.  (A same-kind input with
+G is built in one place for every input, from F~'s own table
+(`Distribution.table`) shifted by alpha, with one anchor rule: x = 0 at
+G(0) = min(F~(0) + alpha, 1), then the table at the quantiles
+G^{-1}(q) = F~^{-1}(q - alpha), q > G(0), of a uniform grid, joined with the
+breakpoints, which keep plateaus and support tops exact.  A purely atomic
+input tabulates its atoms instead; G is flat between them, so nothing is
+lost.  (The empirical learner balls its shaded steps at alpha = 0, where
+G(0) is the input's own mass at zero.)  Anchoring a link CDF at its own
+knots alone would be wrong for alpha > 0: when ppf(1 - alpha) falls between
+knots, the rising stretch past the last kept knot needs anchors or its mass
+would wrongly fold into the closing atom.  (A same-kind input with
 alpha = 0 never reaches the anchor step; it is returned as is.)
 """
 
@@ -36,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import links
-from .distributions import Distribution, PiecewiseLinkCDF, UpShift
+from .distributions import Distribution, PiecewiseLinkCDF
 
 DEFAULT_GRID = 2048
 
@@ -48,29 +47,20 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
     links.check_kind(kind)
     alpha = links.check_alpha(alpha)
 
-    if alpha == 0.0 and isinstance(dist, PiecewiseLinkCDF):
-        if dist.kind == kind:
-            return dist    # already the envelope of itself
+    if alpha == 0.0 and isinstance(dist, PiecewiseLinkCDF) and dist.kind == kind:
+        return dist    # already the envelope of itself
 
     new_top = float(dist.ppf(1.0 - alpha))
     if not np.isfinite(new_top):
         # unbounded input with alpha = 0: close at the last grid quantile and
         # let the remaining sliver of mass ride on the top atom
         new_top = float(dist.ppf(grid / (grid + 1.0)))
-    if dist.purely_atomic and not isinstance(dist, PiecewiseLinkCDF):
-        xs, g = dist.atom_cdf()[::2]        # the atoms and F at them
-        g = np.minimum(np.add(g, alpha, out=g), 1.0, out=g)
-        if xs[0] > 0.0:
-            xs, g = np.concatenate(([0.0], xs)), np.concatenate(([0.0], g))
-        # the x = 0 anchor keeps the input's own mass at zero, uncapped
-        g[0] = float(dist.cdf(0.0))
-    else:
-        cap = UpShift(dist, alpha) if alpha > 0.0 else dist
-        pts = cap.breakpoints()
-        qs = np.arange(1, grid + 1) / (grid + 1.0)
-        xs = np.unique(np.concatenate((cap.ppf(qs), pts[np.isfinite(pts)],
-                                       [0.0])))
-        g = cap.cdf(xs)
+    g0 = min(float(dist.cdf(0.0)) + alpha, 1.0)
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    xs, g = dist.table(qs[qs > g0] - alpha)[::2]     # the anchors and F there
+    g = np.minimum(np.add(g, alpha, out=g), 1.0, out=g)
+    if xs[0] > 0.0:
+        xs, g = np.concatenate(([0.0], xs)), np.concatenate(([g0], g))
     # anchors at or past the top, or at G = 1, belong to the closing atom,
     # not the envelope
     keep = (xs < new_top) & (g < 1.0)

@@ -75,10 +75,16 @@ class Distribution:
         """Finite discontinuities and kinks, for grids and the KS metric."""
         return self._breaks.copy()
 
-    def atom_cdf(self):
-        """(locs, F(locs-), F(locs)) at the atoms, the breakpoints where F
-        jumps: the table the learner and the KS ball read instead of
-        searching each atom.  The CDF arrays are new; locs may be shared."""
+    def table(self, qs=()):
+        """(xs, F(xs-), F(xs)): the table the learner, the KS ball and
+        opt_single read instead of searching point by point.  A purely
+        atomic input tabulates its atoms, the breakpoints where F jumps, and
+        ignores qs; any other input the finite points of ppf(qs) joined with
+        its breakpoints.  The CDF arrays are new; xs may be shared."""
+        if not self.purely_atomic:
+            xs = np.unique(np.concatenate((self.ppf(qs), self.breakpoints())))
+            xs = xs[np.isfinite(xs)]
+            return xs, np.asarray(self.cdf_left(xs)), np.asarray(self.cdf(xs))
         xs = self.breakpoints()
         left, right = np.asarray(self.cdf_left(xs)), np.asarray(self.cdf(xs))
         keep = right - left > _ATOM_TOL
@@ -130,7 +136,7 @@ class StepCDF(Distribution):
         idx = np.searchsorted(self._cum, q, side="left")
         return self.values[np.minimum(idx, self.values.size - 1)]
 
-    def atom_cdf(self):
+    def table(self, qs=()):
         # the running sums, clipped as cdf/cdf_left clip them: bit for bit
         # the searched values, as the atoms strictly increase
         return (self.values, np.clip(self._cum0[:-1], 0.0, 1.0),

@@ -65,7 +65,7 @@ def _shave(E: StepCDF, params: ShadingParams):
     confidence-shaved survival q - sqrt(2 q (1-q) L / m) - 4 L / m at each,
     where q(v) = Pr[V >= v] and L = ln(2 m n / delta)."""
     m = params.m
-    xs, q = E.atom_cdf()[:2]
+    xs, q = E.table()[:2]
     if xs[0] > 0.0:
         xs, q = np.concatenate(([0.0], xs)), np.concatenate(([0.0], q))
     q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included

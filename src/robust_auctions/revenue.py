@@ -45,12 +45,13 @@ def opt_single(dist: Distribution):
 
     The candidates: for a PiecewiseLinkCDF its knots, its support top and
     (MHR only) each piece's interior stationary point 1/slope, which are
-    exact (regular pieces have monotone revenue, so their ends suffice); for
-    a purely atomic input its atoms; for anything else a quantile-uniform
-    grid plus the breakpoints, whose best point is refined locally to 1e-6
-    by the zoom `ks_distance` shares.
+    exact (regular pieces have monotone revenue, so their ends suffice);
+    for anything else the points of its table at a quantile-uniform grid
+    (`Distribution.table`: the atoms alone when purely atomic, which are
+    exact), whose best point is refined locally to 1e-6 by the zoom
+    `ks_distance` shares.  Between atoms revenue rises to the next atom, so
+    the zoom never beats an atom.
     """
-    exact = isinstance(dist, PiecewiseLinkCDF) or dist.purely_atomic
     if isinstance(dist, PiecewiseLinkCDF):
         cand = [dist.xs, [dist.support_top()]]
         if dist.kind == "mhr":
@@ -59,19 +60,13 @@ def opt_single(dist: Distribution):
         cand = np.unique(np.concatenate(cand))
         cand = cand[cand > 0] if cand.size > 1 else cand
         revs = revenue_at_reserve(dist, cand)
-    elif dist.purely_atomic:
-        # F(atom-) off the atom table, unsearched; atoms are valid prices
-        cand, f_left, _ = dist.atom_cdf()
-        revs = _posted_revenue(cand, f_left)
-    else:
-        qs = np.linspace(0.0, 1.0, _OPT_GRID, endpoint=False)
-        cand = np.unique(np.concatenate([np.asarray(dist.ppf(qs), dtype=float),
-                                         dist.breakpoints()]))
-        cand = cand[np.isfinite(cand) & (cand >= 0)]
-        revs = revenue_at_reserve(dist, cand)
-    i = int(np.argmax(revs))
-    if exact:
+        i = int(np.argmax(revs))
         return float(cand[i]), float(revs[i])
+    # F(x-) off the table, unsearched; its points are valid prices
+    cand, f_left, _ = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
+                                             endpoint=False))
+    revs = _posted_revenue(cand, f_left)
+    i = int(np.argmax(revs))
     return _refine_max(lambda p: revenue_at_reserve(dist, p), cand, i,
                        float(revs[i]), 1e-6)
 

@@ -99,23 +99,33 @@ def atomic_cases(rng, count=200):
     return cases
 
 
+def jump_table(dist):
+    """(locs, F(locs-), F(locs)) at the breakpoints where F jumps by more
+    than 1e-15, whatever the type: the atoms of any distribution, found by
+    searching its CDF at every breakpoint.  A reference for the atom tables
+    and for the atoms of types that are not purely atomic."""
+    xs = dist.breakpoints()
+    left, right = np.asarray(dist.cdf_left(xs)), np.asarray(dist.cdf(xs))
+    keep = right - left > 1e-15
+    return xs[keep], left[keep], right[keep]
+
+
 def atom_masses(dist):
-    """(locations, masses) of the point masses in dist's atom table."""
-    locs, left, right = dist.atom_cdf()
+    """(locations, masses) of the point masses of dist."""
+    locs, left, right = jump_table(dist)
     return locs, right - left
 
 
 def searched_minimal_in_ks_ball(dist, alpha, kind):
-    """The atomic branch of ball.minimal_in_ks_ball as it was before the
-    atom table: anchors from np.unique over 0 and the atoms, and G from
-    dist.cdf searched at every anchor.  A reference for bit-identity."""
+    """ball.minimal_in_ks_ball on a purely atomic input, spelled out: anchors
+    from np.unique over 0 and the atoms, and G = min(F + alpha, 1) from
+    dist.cdf searched at every anchor, x = 0 included.  A reference for
+    bit-identity."""
     alpha = links.check_alpha(alpha)
     new_top = float(dist.ppf(1.0 - alpha))
-    xs = np.unique(np.concatenate(([0.0], dist.atom_cdf()[0])))
+    xs = np.unique(np.concatenate(([0.0], jump_table(dist)[0])))
     xs = xs[(xs >= 0.0) & (xs < new_top)]
     g = np.minimum(np.asarray(dist.cdf(xs)) + alpha, 1.0)
-    if xs.size and xs[0] == 0.0:
-        g[0] = float(dist.cdf(0.0))
     keep = g < 1.0
     xs, g = xs[keep], g[keep]
     if xs.size == 0:
@@ -128,9 +138,9 @@ def searched_minimal_in_ks_ball(dist, alpha, kind):
 
 
 def anchored_minimal_in_ks_ball(dist, alpha, kind, grid):
-    """minimal_in_ks_ball on an input that is not purely atomic, as it was
-    before the grid branch read its cap off UpShift: G^{-1} and G spelled out
-    on the input itself.  A reference for bit-identity."""
+    """minimal_in_ks_ball on an input that is not purely atomic, spelled out:
+    G^{-1} and G written on the input itself, every grid quantile kept, and
+    anchors through np.unique with 0.  A reference for bit-identity."""
     alpha = links.check_alpha(alpha)
     if alpha == 0.0 and isinstance(dist, PiecewiseLinkCDF) and dist.kind == kind:
         return dist
@@ -190,10 +200,10 @@ def reference_support_facts(dist):
 
 
 def searched_opt_single(dist):
-    """opt_single on a purely atomic input as it was before the atom table:
-    revenue_at_reserve searches F(atom-) for every atom.  A reference for
-    bit-identity."""
-    cand = dist.atom_cdf()[0]
+    """opt_single on a purely atomic input, spelled out: revenue_at_reserve
+    searches F(atom-) at every atom, and nothing is refined.  A reference
+    for bit-identity."""
+    cand = jump_table(dist)[0]
     revs = revenue_at_reserve(dist, cand)
     i = int(np.argmax(revs))
     return float(cand[i]), float(revs[i])
@@ -239,7 +249,7 @@ def reference_shade_quantiles(E, params, bidder_index):
     zero atom put first after the running minimum.  A reference for
     bit-identity."""
     m = params.m
-    xs, q = E.atom_cdf()[:2]
+    xs, q = jump_table(E)[:2]
     q = 1.0 - q
     L = np.log(2.0 * m * params.n / params.delta)
     shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m

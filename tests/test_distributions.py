@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from robust_auctions.distributions import (
     AppxC1,
     AppxC2,
-    Distribution,
     DownShiftSpike,
     EqualRevenue,
     Exponential,
@@ -33,8 +32,8 @@ from robust_auctions.links import KINDS, link_forward
 from robust_auctions.revenue import _BLOCK, _CHUNK, opt_single
 
 from _gen import (Truncated, atom_masses, atomic_cases, golden_ks_distance,
-                  random_link_cdf, random_step_cdf, reference_support_facts,
-                  row_major_sample_profiles, truncate)
+                  jump_table, random_link_cdf, random_step_cdf,
+                  reference_support_facts, row_major_sample_profiles, truncate)
 from _oracle import dominates
 
 
@@ -61,16 +60,35 @@ def _zoo():
     ]
 
 
-def test_atom_cdf_equals_searched_cdf():
-    """atom_cdf() is (atoms, cdf_left(atoms), cdf(atoms)) bit for bit:
-    StepCDF and PointMass, a one-atom StepCDF, read their running sums,
-    clipped as the searches clip them, and the corruption wrappers take the
-    base-class path."""
+def test_atomic_table_equals_searched_cdf():
+    """On purely atomic inputs table() is (atoms, cdf_left(atoms),
+    cdf(atoms)) bit for bit, whatever qs: StepCDF and PointMass, a one-atom
+    StepCDF, read their running sums, clipped as the searches clip them, and
+    the corruption wrappers take the base-class path."""
+    qs = np.linspace(0.0, 1.0, 7, endpoint=False)
     for dist in atomic_cases(np.random.default_rng(11)):
-        locs = dist.atom_cdf()[0]
+        locs = dist.table()[0]
         want = (locs, dist.cdf_left(locs), dist.cdf(locs))
-        for got, ref in zip(dist.atom_cdf(), want):
+        for got, alt, ref in zip(dist.table(), dist.table(qs), want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert alt.tobytes() == ref.tobytes()
+
+
+def test_table_equals_searched_cdf():
+    """table(qs) is (the unique finite points of ppf(qs) joined with the
+    breakpoints, cdf_left there, cdf there) bit for bit on every input that
+    is not purely atomic, for an empty, a coarse and a fine grid."""
+    for dist in _zoo() + [AppxC1(7, 0.8, "h")]:
+        if dist.purely_atomic:
+            continue
+        for qs in ((), np.linspace(0.0, 1.0, 9),
+                   np.arange(1, 2049) / 2049.0):
+            pts = np.unique(np.concatenate((np.asarray(dist.ppf(qs), float),
+                                            dist.breakpoints())))
+            pts = pts[np.isfinite(pts)]
+            want = (pts, dist.cdf_left(pts), dist.cdf(pts))
+            for got, ref in zip(dist.table(qs), want, strict=True):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("v", [0.0, 1.7, 2.0, 1e12])
@@ -91,7 +109,7 @@ def test_point_mass_is_the_one_atom_step(v):
         assert repr(getattr(pm, name)(v)) == repr(getattr(step, name)(v))
     same(pm.ppf(np.linspace(0.0, 1.0, 11)), step.ppf(np.linspace(0.0, 1.0, 11)))
     same(pm.sample(100, seed=3, start=5), step.sample(100, seed=3, start=5))
-    for a, b in zip(pm.atom_cdf(), step.atom_cdf(), strict=True):
+    for a, b in zip(pm.table(), step.table(), strict=True):
         same(a, b)
     for kind in KINDS:
         for alpha in (0.0, 0.1, 0.5):
@@ -141,16 +159,17 @@ def _closed_form_atoms(d):
 
 
 def test_left_limit_closed_forms():
-    """cdf - cdf_left is the atom mass at every breakpoint: atom_cdf() (and
-    the generic jump scan for types that override it) match closed forms, and
-    at breakpoints without an atom, such as AppxC1 'h' at v2 or
+    """cdf - cdf_left is the atom mass at every breakpoint: the reference
+    jump scan (and the atom table of purely atomic types) match closed
+    forms, and at breakpoints without an atom, such as AppxC1 'h' at v2 or
     DownShiftSpike at base.ppf(alpha), the left limit equals the CDF
     exactly."""
     # in AppxC1(7, 0.8, 'h') the piece below v2 rounds one ulp away from
     # the piece above it at v2, so the left limit must use the upper piece
     for d in _zoo() + [AppxC1(7, 0.8, "h")]:
         want_x, want_m = _closed_form_atoms(d)
-        for xs, left, right in (d.atom_cdf(), Distribution.atom_cdf(d)):
+        tables = [jump_table(d)] + ([d.table()] if d.purely_atomic else [])
+        for xs, left, right in tables:
             np.testing.assert_array_equal(xs, want_x)
             assert_allclose(right - left, want_m, rtol=0, atol=1e-12)
         pts = d.breakpoints()

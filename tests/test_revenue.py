@@ -413,7 +413,8 @@ def test_regular_shading_revenue_floor():
 
 
 def test_opt_single_atomic_matches_searched_scan():
-    """On purely atomic inputs opt_single reads F(atom-) off the atom table;
-    the reserve and revenue are bit-identical to searching every atom."""
+    """On purely atomic inputs opt_single reads F(atom-) off the atom table,
+    and its zoom never beats the best atom: the reserve and revenue are bit-
+    identical to searching every atom."""
     for dist in atomic_cases(np.random.default_rng(29)):
         assert repr(opt_single(dist)) == repr(searched_opt_single(dist))
