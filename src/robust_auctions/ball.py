@@ -62,13 +62,34 @@ def minimal_in_ks_ball(dist: Distribution, alpha: float, kind: str,
     if xs[0] > 0.0:
         xs, g = np.concatenate(([0.0], xs)), np.concatenate(([g0], g))
     # anchors at or past the top, or at G = 1, belong to the closing atom,
-    # not the envelope
-    keep = (xs < new_top) & (g < 1.0)
-    xs, hs = xs[keep], links.link_forward(kind, g[keep])
+    # not the envelope.  xs increases: those past the top are a slice off.
+    j = int(np.searchsorted(xs, new_top))
+    xs, g = xs[:j], g[:j]
+    if not g.max(initial=0.0) < 1.0:
+        keep = g < 1.0
+        xs, g = xs[keep], g[keep]
+    hs = links.link_forward(kind, g)
+    del g       # F off the table is not needed past here: free it first
     if xs.size == 0:
         # everything at or above new_top: the ball collapses to a point mass
         xs, hs = [new_top], [links.link_origin(kind)]
     elif xs.size > 1:
         env = links.convex_envelope(xs, hs)
         xs, hs = env.xs, env.ys
+        with np.errstate(over="ignore", divide="ignore"):
+            steep = np.isinf(np.diff(hs) / np.diff(xs))
+            if steep[-1]:
+                # a rise over a subnormal width overflows the slope; convex,
+                # the steep pieces end the curve.  From the first, one piece
+                # up to the last h at the first x with a finite slope lies
+                # below them all, so F <= G still, off on a subnormal sliver.
+                i = int(np.argmax(steep))
+                x0, dh = xs[i], hs[-1] - hs[i]
+                x = x0 + dh / np.finfo(float).max
+                while np.isinf(dh / (x - x0)):
+                    x = np.nextafter(x, np.inf)
+                xs, hs = np.append(xs[:i + 1], x), np.append(hs[:i + 1], hs[-1])
+                new_top = max(new_top, float(x))
+    else:
+        xs = xs.copy()      # not a view that holds the whole table alive
     return PiecewiseLinkCDF(kind, xs, hs, new_top)

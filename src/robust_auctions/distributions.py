@@ -110,15 +110,20 @@ class StepCDF(Distribution):
     def __init__(self, values, masses):
         values = np.asarray(values, dtype=float)
         masses = np.asarray(masses, dtype=float)
-        _check_finite(values=values, masses=masses)
-        if values.ndim != 1 or values.shape != masses.shape or values.size == 0:
-            raise ValueError("values and masses must be matching nonempty 1-d arrays")
-        if np.any(np.diff(values) <= 0):
-            raise ValueError("values must be strictly increasing")
-        if np.any(values < 0):
-            raise ValueError("values must be nonnegative")
-        if np.any(masses <= 0):
-            raise ValueError("masses must be positive")
+        # one test passes every valid input; the checks name what is wrong
+        if not (values.ndim == 1 and values.shape == masses.shape
+                and values.size and values[0] >= 0 and values[-1] < np.inf
+                and np.all(values[1:] > values[:-1])
+                and masses.min() > 0 and masses.max() < np.inf):
+            _check_finite(values=values, masses=masses)
+            if values.ndim != 1 or values.shape != masses.shape or values.size == 0:
+                raise ValueError("values and masses must be matching nonempty 1-d arrays")
+            if np.any(np.diff(values) <= 0):
+                raise ValueError("values must be strictly increasing")
+            if np.any(values < 0):
+                raise ValueError("values must be nonnegative")
+            if np.any(masses <= 0):
+                raise ValueError("masses must be positive")
         self._cum0 = np.zeros(masses.size + 1)     # F just below each atom
         cum = self._cum = np.cumsum(masses, out=self._cum0[1:])
         if abs(cum[-1] - 1.0) > 1e-9:
@@ -270,7 +275,9 @@ class Exponential(Distribution):
 
     def _ppf(self, q):
         with np.errstate(divide="ignore", over="ignore"):
-            return -np.log1p(-q) / self.rate
+            out = np.negative(q)    # -log1p(-q) / rate, computed in place
+            np.log1p(out, out=out)
+            return np.divide(np.negative(out, out=out), self.rate, out=out)
 
 
 class Uniform(Distribution):
@@ -505,9 +512,10 @@ class DownShiftSpike(Distribution):
                         np.maximum(np.asarray(base(arr)) - self.alpha, 0.0))
 
     def _ppf(self, q):
-        shifted = np.asarray(self.base.ppf(np.minimum(q + self.alpha, 1.0)))
-        return np.where(q <= self._left_at_spike,
-                        np.minimum(shifted, self.spike_x), self.spike_x)
+        shifted = np.add(q, self.alpha)     # base ppf at min(q + alpha, 1)
+        np.minimum(shifted, 1.0, out=shifted)
+        shifted = np.minimum(self.base._ppf(shifted), self.spike_x, out=shifted)
+        return np.where(q <= self._left_at_spike, shifted, self.spike_x)
 
     def breakpoints(self):
         base_pts = self.base.breakpoints()
@@ -524,10 +532,17 @@ def empirical_from_samples(samples) -> StepCDF:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("no samples")
-    if np.any(~np.isfinite(samples)) or np.any(samples < 0):
+    # min and max propagate NaN, with no mask of the samples' length
+    if not (samples.min() >= 0 and samples.max() < np.inf):
         raise ValueError("samples must be finite and nonnegative")
-    values, counts = np.unique(samples, return_counts=True)
-    return StepCDF(values, counts / samples.size)
+    # np.unique with counts, less its copies: flags at each new value and
+    # past the end give the values and the run lengths
+    srt = np.sort(samples)
+    new = np.empty(srt.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:-1])
+    idx = np.flatnonzero(new)
+    return StepCDF(srt[idx[:-1]], np.diff(idx) / samples.size)
 
 
 class ProductDist:

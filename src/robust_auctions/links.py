@@ -24,12 +24,19 @@ KINDS = ("mhr", "regular")
 # is a tolerance on slope *numerators*.
 _HULL_TOL = 1e-12
 
-# convex_envelope's pruning passes: points per block of a pass, and the most
-# passes before the stack loop takes whatever survived.  A pass drops at
-# least one point per concave run, so inputs such as a convex chain ending
-# in a low point lose only one point a pass and need the loop.
+# convex_envelope's pruning passes: points per block, the most passes before
+# the stack loop takes whatever survived, and the factor by which the stencil
+# width grows in a round (1, 16, 256, 4096: at most _BLOCK, so one held-back
+# block covers every read back).  A wide pass drops a point only if its cross
+# is at least _WIDE_TOL and the rounding bound _MARGIN (|y_a| + |y_b| + |y_c|)
+# (x_c - x_a): its sign is certain, and it is clear of the loop's tie band,
+# inside which a drop can change the near-tie the loop keeps (at 1e-12, 381
+# of 2,340 learners on samples scaled by 2^-45 .. 2^19 changed; at 1e-9 none).
 _BLOCK = 1 << 14
 _MAX_PASSES = 64
+_WIDTH_STEP = 16
+_WIDE_TOL = 1e-9
+_MARGIN = 8.0 * np.finfo(float).eps
 
 
 def check_kind(kind: str) -> str:
@@ -59,13 +66,16 @@ def link_forward(kind, p):
     """
     check_kind(kind)
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    # min and max, not masks of the input's length; NaN fails too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
         raise ValueError("link diverges: p must lie in [0, 1)")
+    # -log1p(-p) or 1 / (1 - p), in place on one new array
+    out = np.negative(arr, out=np.empty(arr.shape))
     if kind == "mhr":
-        out = -np.log1p(-arr)
+        np.negative(np.log1p(out, out=out), out=out)
     else:
-        out = 1.0 / (1.0 - arr)
-    return float(out) if np.isscalar(p) else out
+        np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+    return float(out) if np.isscalar(p) else out[()]    # 0-d: a scalar
 
 
 def link_inverse(kind, h):
@@ -115,15 +125,15 @@ class PiecewiseLinearFn:
 def convex_envelope(xs, ys) -> PiecewiseLinearFn:
     """Lower convex envelope of the points (xs[i], ys[i]).
 
-    Two steps.  First, pruning passes in numpy: each pass takes every
-    interior point's cross product with its current neighbours, in the
-    expression the stack loop uses, and drops the points that lie above
-    their neighbours' chord by at least the 1e-12 tolerance, so clearly not
-    vertices.  Passes repeat until one drops nothing or a fixed cap is
-    reached.  Second, the monotone-chain stack loop (`_chain`) runs on the
-    survivors and alone decides near-ties: cross products within 1e-12 of
-    zero merge collinear runs, so the output slope sequence is strictly
-    increasing.  The first and last input points are always vertices.
+    Two steps.  First, pruning passes in numpy (`_prune`): a pass at stencil
+    width d takes the cross product of every point i with points i - d and
+    i + d, in the expression the stack loop uses, and drops the points
+    clearly above that chord: by the 1e-12 tolerance at d = 1, by 1e-9 and
+    a Shewchuk-style rounding bound on wide passes.  Second, the
+    monotone-chain stack loop (`_chain`) runs on the few survivors and
+    alone decides near-ties: cross products within 1e-12 of zero merge
+    collinear runs, so the output slope sequence is strictly increasing.
+    The first and last input points are always vertices.
 
     Where the cross products are exact (integer points of modest size) the
     result is the loop's on the whole input; on near-collinear floats a
@@ -132,56 +142,94 @@ def convex_envelope(xs, ys) -> PiecewiseLinearFn:
     pts = PiecewiseLinearFn(xs, ys)     # checks the input
     if pts.xs.size < 2:
         raise ValueError("need at least two points")
-    # A pass reads the points (px, py) and compacts its survivors to the
-    # front of (x, y); later passes work in place.  Pages of x and y that no
-    # survivor reaches are never touched, so cost no memory.  The blocks
-    # stay because both simpler designs measured worse (2-core Xeon, numpy
-    # 2.4.6): whole-array passes raise the traced peak of a reproduce-cex1
-    # op at m = 2e5 from 10.9 to 12.2 arrays of m floats, past the 11.5 of
-    # test_reproduce_cex1_memory_peak; a blocked mask followed by x[keep]
-    # keeps the memory down but took a median 76 ms against 59 ms on the
-    # 948,558-point hull input of a learn-spike op, over 15 alternating runs.
-    px, py = pts.xs, pts.ys
+    return PiecewiseLinearFn(*_chain(*_prune(pts.xs, pts.ys)))
+
+
+def _prune(px, py):
+    """The points of (px, py) that the pruning passes keep, as (x, y).
+
+    A round runs passes at stencil widths d = 1, 16, 256, ... while a
+    point has both stencil ends and d <= _BLOCK, and ends after a wide
+    pass that drops nothing; rounds repeat until one drops nothing or
+    _MAX_PASSES passes have run.  The first pass compacts its survivors to
+    the front of new arrays (x, y), later ones work in place; pages no
+    survivor reaches are never touched.  Blocks, not whole-array passes:
+    those raised the traced peak of a reproduce-cex1 op at m = 2e5 from
+    10.9 to 12.2 arrays of m floats (2-core Xeon, numpy 2.4.6).
+    """
     n = px.size
     x, y = np.empty(n), np.empty(n)
-    x[0], y[0] = px[0], py[0]
     # block-sized scratch, reused by every block of every pass, so a pass
     # over a long input allocates nothing of its length
-    size = min(_BLOCK, n - 2)
-    a, b, c = np.empty(size), np.empty(size), np.empty(size)
-    below = np.empty(size, dtype=bool)
-    for _ in range(_MAX_PASSES):
-        w = 1           # x[:w] holds the survivors so far; x[0] always stays
-        for s in range(1, n - 1, _BLOCK):
-            e = min(s + _BLOCK, n - 1)
-            k = e - s
-            # cross of (i - 1, i, i + 1) for i in [s, e), as _chain takes it.
-            # In place, the writes of earlier blocks end before px[s - 1]
-            # unless they dropped nothing, so these reads see the pass's input.
-            ab, bb, cb, keep = a[:k], b[:k], c[:k], below[:k]
-            np.subtract(py[s:e], py[s - 1:e - 1], out=ab)
-            np.subtract(px[s + 1:e + 1], px[s:e], out=bb)
-            np.multiply(ab, bb, out=ab)
-            np.subtract(py[s + 1:e + 1], py[s:e], out=bb)
-            np.subtract(px[s:e], px[s - 1:e - 1], out=cb)
-            np.multiply(bb, cb, out=bb)
-            np.subtract(ab, bb, out=ab)
-            np.less(ab, _HULL_TOL, out=keep)
-            kept = int(np.count_nonzero(keep))
-            if kept == k and w == s and px is x:    # in place, nothing to move
-                w = e
-                continue
-            np.compress(keep, px[s:e], out=ab[:kept])
-            np.compress(keep, py[s:e], out=bb[:kept])
-            x[w:w + kept] = ab[:kept]
-            y[w:w + kept] = bb[:kept]
-            w += kept
-        x[w], y[w] = px[n - 1], py[n - 1]
-        px, py = x, y
-        if w + 1 == n:
-            break
-        n = w + 1
-    return PiecewiseLinearFn(*_chain(x[:n], y[:n]))
+    size = min(_BLOCK, n)
+    scratch = [np.empty(size) for _ in range(5)] + [np.empty(size, dtype=bool)]
+    # the rounding bound of a triple is below 4 _MARGIN max|y| (x_n - x_1):
+    # when that is below _WIDE_TOL, the bound cannot bind and is not taken
+    bounded = (4.0 * _MARGIN * max(float(py.max()), -float(py.min()))
+               * (float(px[-1]) - float(px[0])) >= _WIDE_TOL)
+    passes, dropped = 0, True
+    while dropped and passes < _MAX_PASSES:
+        dropped, d, wide_dropped = False, 1, True
+        while (wide_dropped and 2 * d < n and d <= _BLOCK
+               and passes < _MAX_PASSES):
+            kept = _pass(px, py, x, y, n, d, scratch, bounded)
+            px, py = x, y
+            dropped |= kept < n
+            wide_dropped = d == 1 or kept < n
+            n, d, passes = kept, _WIDTH_STEP * d, passes + 1
+    return px[:n], py[:n]
+
+
+def _pass(px, py, x, y, n, d, scratch, bounded):
+    """One pruning pass at stencil width d over (px[:n], py[:n]), taking
+    the rounding bound if `bounded`; compacts the survivors to the front of
+    (x, y), which may be (px, py), and returns their count."""
+    a, b, c, hx, hy, keep = scratch
+    if px is not x:
+        x[:d], y[:d] = px[:d], py[:d]
+    w = d       # x[:w] holds the survivors so far; x[:d] always stays
+    held = 0    # survivors of the last block, in (hx, hy)
+    for s in range(d, n - d, _BLOCK):
+        e = min(s + _BLOCK, n - d)
+        k = e - s
+        # cross of (i - d, i, i + d) for i in [s, e), as _chain takes it.
+        # In place, the survivors written so far end at or before the
+        # previous block's start, which is at most px[s - d]: a block's
+        # survivors are held back until the next block has read.
+        xa, xb, xc = px[s - d:e - d], px[s:e], px[s + d:e + d]
+        ya, yb, yc = py[s - d:e - d], py[s:e], py[s + d:e + d]
+        ab, bb, cb, kb = a[:k], b[:k], c[:k], keep[:k]
+        np.subtract(yb, ya, out=ab)
+        np.subtract(xc, xb, out=bb)
+        np.multiply(ab, bb, out=ab)
+        np.subtract(yc, yb, out=bb)
+        np.subtract(xb, xa, out=cb)
+        np.multiply(bb, cb, out=bb)
+        np.subtract(ab, bb, out=ab)
+        if d == 1 or not bounded:
+            np.less(ab, _HULL_TOL if d == 1 else _WIDE_TOL, out=kb)
+        else:   # keep unless the cross clears both the tolerance and bound
+            # an infinite bound keeps the point, a NaN one (inf * 0) is ignored
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.abs(ya, out=bb)
+                np.add(bb, np.abs(yb, out=cb), out=bb)
+                np.add(bb, np.abs(yc, out=cb), out=bb)
+                np.multiply(bb, np.subtract(xc, xa, out=cb), out=bb)
+            np.multiply(bb, _MARGIN, out=bb)
+            np.less(ab, np.fmax(bb, _WIDE_TOL, out=bb), out=kb)
+        kept = int(np.count_nonzero(kb))
+        if kept == k and w == s and px is x:    # in place, nothing to move
+            w = e
+            continue
+        x[w:w + held], y[w:w + held] = hx[:held], hy[:held]
+        w += held
+        held = kept
+        np.compress(kb, xb, out=hx[:kept])
+        np.compress(kb, yb, out=hy[:kept])
+    x[w:w + held], y[w:w + held] = hx[:held], hy[:held]
+    w += held
+    x[w:w + d], y[w:w + d] = px[n - d:n], py[n - d:n]
+    return w + d
 
 
 def _chain(xs, ys):

@@ -70,14 +70,18 @@ def _shave(E: StepCDF, params: ShadingParams):
         xs, q = np.concatenate(([0.0], xs)), np.concatenate(([0.0], q))
     q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included
     L = confidence_log(m, params.n, params.delta)
-    return xs, q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
+    shaved = np.sqrt(2.0 * q * (1.0 - q) * L / m)
+    np.subtract(q, shaved, out=shaved)      # q less the root, in place
+    shaved -= 4.0 * L / m
+    return xs, shaved
 
 
 def _cut(xs, shaved, alpha: float) -> StepCDF:
     """The budget cut: q_hat = max(shaved - alpha, 0) with q_hat(0) = 1,
     made non-increasing.  Atoms whose q_hat reaches 0 are truncated away;
     the last one left closes the support."""
-    q_hat = np.maximum(shaved - alpha, 0.0)
+    q_hat = np.subtract(shaved, alpha)
+    np.maximum(q_hat, 0.0, out=q_hat)
     q_hat[0] = 1.0                      # xs[0] is the zero atom
     np.minimum.accumulate(q_hat, out=q_hat)
     q_hat[:-1] -= q_hat[1:]             # now the atom masses
@@ -127,15 +131,16 @@ def _learn(samples, alpha, delta: float, kind: str, envelopes) -> list:
     bidders = [[] for _ in envelopes]
     for i, col in enumerate(cols):
         xs, shaved = _shave(empirical_from_samples(col), params)
+        if not all(envelopes):
+            # the ablation: the confidence shave alone, no budget cut
+            price, _ = opt_single(_cut(xs, shaved, 0.0))
+        if any(envelopes):
+            shaded = _cut(xs, shaved, params.alpha[i])
+        del xs, shaved      # freed before the ball's working arrays exist
         for env, out in zip(envelopes, bidders):
-            if env:
-                shaded = _cut(xs, shaved, params.alpha[i])
-                out.append(minimal_in_ks_ball(shaded, 0.0, kind))
-            else:
-                # the ablation: the confidence shave alone, no budget cut
-                price, _ = opt_single(_cut(xs, shaved, 0.0))
-                out.append(PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
-                                            price))
+            out.append(minimal_in_ks_ball(shaded, 0.0, kind) if env else
+                       PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
+                                        price))
     return [Mechanism(kind=kind, bidders=b, alpha=list(params.alpha),
                       provenance={"algorithm": "empirical", "m": m,
                                   "delta": float(delta), "with_envelope": env})

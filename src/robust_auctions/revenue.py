@@ -63,8 +63,8 @@ def opt_single(dist: Distribution):
         i = int(np.argmax(revs))
         return float(cand[i]), float(revs[i])
     # F(x-) off the table, unsearched; its points are valid prices
-    cand, f_left, _ = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
-                                             endpoint=False))
+    cand, f_left = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
+                                          endpoint=False))[:2]
     revs = _posted_revenue(cand, f_left)
     i = int(np.argmax(revs))
     return _refine_max(lambda p: revenue_at_reserve(dist, p), cand, i,

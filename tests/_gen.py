@@ -267,11 +267,12 @@ def reference_shade_quantiles(E, params, bidder_index):
 
 
 def pruned_envelope(xs, ys):
-    """convex_envelope's two steps on whole arrays, as (vertex xs, vertex ys):
-    each pruning pass takes every interior point's cross product with its
-    neighbours at once, in the same expression, and keeps the points below
-    the tolerance, for at most _MAX_PASSES passes; then the stack loop.  A
-    reference for bit-identity of the blocked in-place passes."""
+    """The envelope by neighbour-only pruning passes on whole arrays, as
+    (vertex xs, vertex ys): each pass takes every interior point's cross
+    product with its neighbours at once, in the stack loop's expression,
+    and keeps the points below the tolerance, for at most _MAX_PASSES
+    passes; then the stack loop.  A reference for the hull that the
+    wide-stencil passes of convex_envelope must not change."""
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     for _ in range(links._MAX_PASSES):
         cross = ((y[1:-1] - y[:-2]) * (x[2:] - x[1:-1])
@@ -281,6 +282,42 @@ def pruned_envelope(xs, ys):
             break
         x, y = x[keep], y[keep]
     return links._chain(x, y)
+
+
+def stencil_pruned_points(xs, ys):
+    """convex_envelope's pruning passes on whole arrays, as (x, y, widths):
+    the points they keep and the stencil width of every pass run.  A round
+    runs passes at widths d = 1, 16, 256, ... while 2 d < n and d <= _BLOCK,
+    up to the first wide pass that drops nothing; rounds repeat until one
+    drops nothing or _MAX_PASSES passes have run.  A pass keeps the interior
+    point b = i, with a = i - d and c = i + d, when its cross, in the stack
+    loop's expression, is below the tolerance (1e-12 at d = 1, _WIDE_TOL on
+    wide passes) or, on wide passes, below the rounding bound _MARGIN
+    (|y_a| + |y_b| + |y_c|) (x_c - x_a), which this reference always takes.
+    A reference for bit-identity of the blocked in-place passes."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    widths, dropped = [], True
+    while dropped and len(widths) < links._MAX_PASSES:
+        dropped, d, wide_dropped = False, 1, True
+        while (wide_dropped and 2 * d < x.size and d <= links._BLOCK
+               and len(widths) < links._MAX_PASSES):
+            n = x.size
+            xa, xb, xc = x[:n - 2 * d], x[d:n - d], x[2 * d:]
+            ya, yb, yc = y[:n - 2 * d], y[d:n - d], y[2 * d:]
+            cross = (yb - ya) * (xc - xb) - (yc - yb) * (xb - xa)
+            keep = np.ones(n, dtype=bool)
+            keep[d:n - d] = cross < (links._HULL_TOL if d == 1
+                                     else links._WIDE_TOL)
+            if d > 1:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bound = (np.abs(ya) + np.abs(yb) + np.abs(yc)) * (xc - xa)
+                keep[d:n - d] |= cross < bound * links._MARGIN
+            wide_dropped = d == 1 or not keep.all()
+            dropped |= not keep.all()
+            x, y = x[keep], y[keep]
+            widths.append(d)
+            d *= links._WIDTH_STEP
+    return x, y, widths
 
 
 def searched_inverse(vv, t, strict=False):

@@ -7,7 +7,7 @@ from robust_auctions import links
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
 
-from _gen import pruned_envelope, random_points
+from _gen import pruned_envelope, random_points, stencil_pruned_points
 from _oracle import naive_envelope
 
 
@@ -315,3 +315,151 @@ def test_envelope_equals_the_whole_array_reference_at_the_pass_cap(interior):
     ys = xs * xs
     ys[-1] = -1.0
     _assert_envelope_is_pruned_reference(xs, ys)
+
+
+def _assert_passes_are_the_stencil_reference(xs, ys):
+    x, y = links._prune(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    rx, ry, widths = stencil_pruned_points(xs, ys)
+    assert x.tobytes() == rx.tobytes()
+    assert y.tobytes() == ry.tobytes()
+    return widths
+
+
+@pytest.mark.parametrize("n", [3, 5, links._BLOCK - 1, links._BLOCK,
+                               links._BLOCK + 1, 2 * links._BLOCK + 1,
+                               3 * links._BLOCK + 2])
+def test_stencil_passes_equal_the_whole_array_reference(n):
+    """The blocked in-place passes keep what whole-array passes keep, bit
+    for bit, at sizes around the block edges: on a noisy parabola, a random
+    walk, near-collinear floats and a convex chain ending in a low point,
+    and on the first two scaled down by 2^-20 in x and 2^-10 in y, where
+    the rounding bound cannot reach the wide tolerance and is not taken."""
+    rng = np.random.default_rng(n)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    low_end = xs * xs
+    low_end[-1] = -1.0
+    parabola = 1e-3 * (xs - xs.mean()) ** 2 + rng.uniform(0.0, 1.0, n)
+    walk = np.cumsum(rng.integers(-50, 51, n)).astype(float)
+    for x, ys in ((xs, parabola), (xs, walk),
+                  (xs, 0.5 * xs + rng.normal(0.0, 1e-13, n)), (xs, low_end),
+                  (xs * 2.0 ** -20, parabola * 2.0 ** -10),
+                  (xs * 2.0 ** -20, walk * 2.0 ** -10)):
+        _assert_passes_are_the_stencil_reference(x, ys)
+
+
+@pytest.mark.parametrize("n", [2 * links._BLOCK + 1, 3 * links._BLOCK - 1,
+                               3 * links._BLOCK, 3 * links._BLOCK + 1,
+                               4 * links._BLOCK + 5])
+def test_stencil_passes_equal_the_reference_up_to_the_widest(n):
+    """Exact parabolas whose rounds run every width up to 16^3 = 4096 over
+    several blocks.  With a raised run, a pass at width d drops the run's
+    points within d of its edges.  With deep dips, a pass drops only the
+    two points d away from each dip: fewer than d in a block, so the next
+    block reads back points that the block's survivors would overwrite if
+    they were written before that read."""
+    rng = np.random.default_rng(n)
+    xs = np.arange(n, dtype=float)
+    raised = xs * xs
+    raised[n // 4:3 * n // 4] += 1e10
+    dipped = xs * xs
+    dips = rng.choice(n, 40, replace=False)
+    dipped[dips] -= rng.uniform(1e8, 1e9, dips.size).round()
+    for ys in (raised, dipped):
+        widths = _assert_passes_are_the_stencil_reference(xs, ys)
+        assert links._WIDTH_STEP ** 3 in widths
+        np.testing.assert_array_equal(convex_envelope(xs, ys).xs,
+                                      pruned_envelope(xs, ys)[0])
+
+
+def test_wide_passes_drop_only_certain_signs():
+    """64 points on the line y = 1 + 0.75 x / 2^19, with x up to 1.7e7:
+    width-16 crosses read up to 1.9e-8 on rounding alone, past the wide
+    tolerance.  The rounding bound, 8 eps (|y_a| + |y_b| + |y_c|)
+    (x_c - x_a), at least 3.9e-7 here, keeps those points; dropped on
+    their cross alone, the loop would keep one vertex more."""
+    rng = np.random.default_rng(116)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, 64)) * 2.0 ** 19
+    ys = 1.0 + 0.75 * xs / 2.0 ** 19
+    d = 16
+    cross = ((ys[d:-d] - ys[:-2 * d]) * (xs[2 * d:] - xs[d:-d])
+             - (ys[2 * d:] - ys[d:-d]) * (xs[d:-d] - xs[:-2 * d]))
+    bound = ((abs(ys[:-2 * d]) + abs(ys[d:-d]) + abs(ys[2 * d:]))
+             * (xs[2 * d:] - xs[:-2 * d]) * links._MARGIN)
+    assert np.any(cross >= links._WIDE_TOL) and np.all(cross < bound)
+    env = convex_envelope(xs, ys)
+    assert env.xs.size == 4
+    hx, hy = links._chain(xs, ys)
+    np.testing.assert_array_equal(env.xs, hx)
+    np.testing.assert_array_equal(env.ys, hy)
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_wide_passes_keep_equal_revenue_balls_at_every_scale(kind):
+    """EqualRevenue(2^k, 50 2^k), balled at alpha = 0 for k in [-40, 40]:
+    a straight regular link, and near-ties everywhere far below k = 0.  The
+    hull is the neighbour-pass reference's at every scale.  (Wide passes
+    at the loop's own 1e-12 tolerance gain a knot at k = -32 .. -29 in the
+    mhr kind.)"""
+    from robust_auctions.ball import minimal_in_ks_ball
+    from robust_auctions.distributions import EqualRevenue
+
+    class ScaledEqualRevenue(EqualRevenue):
+        """EqualRevenue(lo, cap) for any lo > 0 (the type wants lo >= 1)."""
+        def __init__(self, lo, cap):
+            super().__init__(1.0, cap / lo)
+            self.lo, self.cap = lo, cap
+            self._top, self._breaks = cap, np.array([lo, cap])
+
+    seen = []
+    def spy(xs, ys):
+        seen.append((np.array(xs), np.array(ys)))
+        return convex_envelope(xs, ys)
+    for k in range(-40, 41):
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(links, "convex_envelope", spy)
+            out = minimal_in_ks_ball(ScaledEqualRevenue(2.0 ** k, 50 * 2.0 ** k),
+                                     0.0, kind)
+        (xs, hs), = seen
+        rx, ry = pruned_envelope(xs, hs)
+        assert out.xs.tobytes() == rx.tobytes(), k
+        assert out.hs.tobytes() == ry.tobytes(), k
+
+
+def test_the_loop_sees_only_the_hull_of_a_learn_input(monkeypatch):
+    """On the tail-spike learner's hull input the pruning passes leave the
+    stack loop a few times the vertex count, not tens of thousands."""
+    from robust_auctions.harness import reproduce_counterexample1
+
+    sizes = []
+    chain = links._chain
+    def spy(xs, ys):
+        out = chain(xs, ys)
+        sizes.append((xs.size, out[0].size))
+        return out
+    monkeypatch.setattr(links, "_chain", spy)
+    reproduce_counterexample1(0.05, 20.0, 2 * 10 ** 5, 7)
+    (points, vertices), = sizes
+    assert points <= 3 * vertices
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_wide_passes_keep_learners_on_small_values(kind):
+    """Learners on Exp(1000) samples, values near 1e-3: the balled link
+    points crowd the 1e-12 tie band, and the hull is the neighbour-pass
+    reference's.  (Wide passes at 1e-12 gain a knot in the regular kind.)"""
+    from robust_auctions.distributions import Exponential
+    from robust_auctions.pipeline import robust_empirical_myerson
+
+    seen = []
+    def spy(xs, ys):
+        seen.append((np.array(xs), np.array(ys)))
+        return convex_envelope(xs, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(links, "convex_envelope", spy)
+        mech = robust_empirical_myerson([Exponential(1000.0).sample(50_000, 2)],
+                                        [0.05], 0.01, kind)
+    (xs, hs), = seen
+    rx, ry = pruned_envelope(xs, hs)
+    assert mech.bidders[0].xs.tobytes() == rx.tobytes()
+    assert mech.bidders[0].hs.tobytes() == ry.tobytes()

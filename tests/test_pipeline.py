@@ -3,7 +3,7 @@ no-envelope mechanism constructions, and the population-level variant."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_auctions.ball import minimal_in_ks_ball
@@ -301,15 +301,46 @@ def test_shared_naive_cut_to_the_zero_atom():
     assert naive.reserves == [0.0]
 
 
+# atoms at 0 and at the smallest normal float: the ball's first two anchors
+# are a subnormal width apart under a link rise of 4.2 (mhr) or 172
+# (regular), and that slope overflows
+_SUBNORMAL_GAP = [(0.0, 1), (2.2250738585072014e-308, 1137), (1.0, 2455)]
+
+
 @settings(deadline=None, max_examples=150, database=None)
 @given(st.lists(st.tuples(st.floats(0.0, 50.0, allow_subnormal=False),
                           st.integers(1, 3000)), min_size=1, max_size=8),
        st.sampled_from([0.0, 1e-9, 0.01, 0.2, 0.6, 0.999999]),
        st.sampled_from([1e-6, 0.01, 0.5, 0.999]),
        st.sampled_from(["mhr", "regular"]))
+@example(_SUBNORMAL_GAP, 0.6, 1e-6, "mhr")
+@example(_SUBNORMAL_GAP, 0.6, 1e-6, "regular")
 def test_shared_learners_equal_independent_calls_on_atoms(atoms, alpha,
                                                           delta, kind):
     # atoms with repeat counts: exact ties, often a zero atom, m up to 24,000
     values, counts = zip(*atoms)
     samples = np.repeat(values, counts)
     _assert_sharing_changes_nothing(samples, alpha, delta, kind)
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_learner_survives_a_subnormal_anchor_gap(kind):
+    """The overflowing piece's right knot moves right to the first x with a
+    finite slope: the learned CDF stays at or below the shaded one at its
+    atoms, and reaches the shaded level at 2.2e-308 by x < 1e-305."""
+    values, counts = zip(*_SUBNORMAL_GAP)
+    samples = np.repeat(values, counts)
+    mech = robust_empirical_myerson([samples], [0.6], 1e-6, kind)
+    learned = mech.bidders[0]
+    assert np.all(np.isfinite(np.diff(learned.hs) / np.diff(learned.xs)))
+    params = ShadingParams(m=samples.size, n=1, delta=1e-6, alpha=(0.6,))
+    shaded = shade_quantiles(empirical_from_samples(samples), params, 0)
+    atoms = shaded.values
+    assert atoms.tolist() == [0.0, 2.2250738585072014e-308, 1.0]
+    assert np.all(learned.cdf(atoms) <= shaded.cdf(atoms))
+    assert learned.cdf(0.0) == shaded.cdf(0.0)
+    assert learned.xs.tolist() == [0.0, learned.xs[1]]
+    assert atoms[1] < learned.xs[1] < 1e-305
+    assert learned.cdf(learned.xs[1]) == pytest.approx(shaded.cdf(atoms[1]),
+                                                       rel=1e-15)
+    assert learned.support_top() == 1.0
