@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_auctions import links
+from robust_auctions.ball import minimal_in_ks_ball
+from robust_auctions.distributions import EqualRevenue, Exponential
+from robust_auctions.harness import reproduce_counterexample1
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
+from robust_auctions.pipeline import robust_empirical_myerson
 
 from _gen import pruned_envelope, random_points, stencil_pruned_points
 from _oracle import naive_envelope
@@ -393,6 +397,27 @@ def test_wide_passes_drop_only_certain_signs():
     np.testing.assert_array_equal(env.ys, hy)
 
 
+def _enveloped_points(call):
+    """call()'s result, and the points it passed to convex_envelope (once)."""
+    seen = []
+    def spy(xs, ys):
+        seen.append((np.array(xs), np.array(ys)))
+        return convex_envelope(xs, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(links, "convex_envelope", spy)
+        out = call()
+    (points,) = seen
+    return out, points
+
+
+class ScaledEqualRevenue(EqualRevenue):
+    """EqualRevenue(lo, cap) for any lo > 0 (the type wants lo >= 1)."""
+    def __init__(self, lo, cap):
+        super().__init__(1.0, cap / lo)
+        self.lo, self.cap = lo, cap
+        self._top, self._breaks = cap, np.array([lo, cap])
+
+
 @pytest.mark.parametrize("kind", ["mhr", "regular"])
 def test_wide_passes_keep_equal_revenue_balls_at_every_scale(kind):
     """EqualRevenue(2^k, 50 2^k), balled at alpha = 0 for k in [-40, 40]:
@@ -400,27 +425,10 @@ def test_wide_passes_keep_equal_revenue_balls_at_every_scale(kind):
     hull is the neighbour-pass reference's at every scale.  (Wide passes
     at the loop's own 1e-12 tolerance gain a knot at k = -32 .. -29 in the
     mhr kind.)"""
-    from robust_auctions.ball import minimal_in_ks_ball
-    from robust_auctions.distributions import EqualRevenue
-
-    class ScaledEqualRevenue(EqualRevenue):
-        """EqualRevenue(lo, cap) for any lo > 0 (the type wants lo >= 1)."""
-        def __init__(self, lo, cap):
-            super().__init__(1.0, cap / lo)
-            self.lo, self.cap = lo, cap
-            self._top, self._breaks = cap, np.array([lo, cap])
-
-    seen = []
-    def spy(xs, ys):
-        seen.append((np.array(xs), np.array(ys)))
-        return convex_envelope(xs, ys)
     for k in range(-40, 41):
-        seen.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(links, "convex_envelope", spy)
-            out = minimal_in_ks_ball(ScaledEqualRevenue(2.0 ** k, 50 * 2.0 ** k),
-                                     0.0, kind)
-        (xs, hs), = seen
+        dist = ScaledEqualRevenue(2.0 ** k, 50 * 2.0 ** k)
+        out, (xs, hs) = _enveloped_points(
+            lambda: minimal_in_ks_ball(dist, 0.0, kind))
         rx, ry = pruned_envelope(xs, hs)
         assert out.xs.tobytes() == rx.tobytes(), k
         assert out.hs.tobytes() == ry.tobytes(), k
@@ -429,8 +437,6 @@ def test_wide_passes_keep_equal_revenue_balls_at_every_scale(kind):
 def test_the_loop_sees_only_the_hull_of_a_learn_input(monkeypatch):
     """On the tail-spike learner's hull input the pruning passes leave the
     stack loop a few times the vertex count, not tens of thousands."""
-    from robust_auctions.harness import reproduce_counterexample1
-
     sizes = []
     chain = links._chain
     def spy(xs, ys):
@@ -448,18 +454,9 @@ def test_wide_passes_keep_learners_on_small_values(kind):
     """Learners on Exp(1000) samples, values near 1e-3: the balled link
     points crowd the 1e-12 tie band, and the hull is the neighbour-pass
     reference's.  (Wide passes at 1e-12 gain a knot in the regular kind.)"""
-    from robust_auctions.distributions import Exponential
-    from robust_auctions.pipeline import robust_empirical_myerson
-
-    seen = []
-    def spy(xs, ys):
-        seen.append((np.array(xs), np.array(ys)))
-        return convex_envelope(xs, ys)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(links, "convex_envelope", spy)
-        mech = robust_empirical_myerson([Exponential(1000.0).sample(50_000, 2)],
-                                        [0.05], 0.01, kind)
-    (xs, hs), = seen
+    samples = Exponential(1000.0).sample(50_000, 2)
+    mech, (xs, hs) = _enveloped_points(
+        lambda: robust_empirical_myerson([samples], [0.05], 0.01, kind))
     rx, ry = pruned_envelope(xs, hs)
     assert mech.bidders[0].xs.tobytes() == rx.tobytes()
     assert mech.bidders[0].hs.tobytes() == ry.tobytes()
