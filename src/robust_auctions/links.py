@@ -28,10 +28,11 @@ _HULL_TOL = 1e-12
 # the stack loop takes whatever survived, and the factor by which the stencil
 # width grows in a round (1, 16, 256, 4096: at most _BLOCK, so one held-back
 # block covers every read back).  A wide pass drops a point only if its cross
-# is at least _WIDE_TOL and the rounding bound _MARGIN (|y_a| + |y_b| + |y_c|)
-# (x_c - x_a): its sign is certain, and it is clear of the loop's tie band,
-# inside which a drop can change the near-tie the loop keeps (at 1e-12, 381
-# of 2,340 learners on samples scaled by 2^-45 .. 2^19 changed; at 1e-9 none).
+# is at least _WIDE_TOL and its block's rounding bound: 4 _MARGIN max|y| times
+# the x span of the block's triples, above Shewchuk's bound on any one triple.
+# Its sign is then certain, and it is clear of the loop's tie band, inside
+# which a drop can change the near-tie the loop keeps (at 1e-12, 381 of 2,340
+# learners on samples scaled by 2^-45 .. 2^19 changed; at 1e-9 none).
 _BLOCK = 1 << 14
 _MAX_PASSES = 64
 _WIDTH_STEP = 16
@@ -129,7 +130,7 @@ def convex_envelope(xs, ys) -> PiecewiseLinearFn:
     width d takes the cross product of every point i with points i - d and
     i + d, in the expression the stack loop uses, and drops the points
     clearly above that chord: by the 1e-12 tolerance at d = 1, by 1e-9 and
-    a Shewchuk-style rounding bound on wide passes.  Second, the
+    a rounding bound per block on wide passes.  Second, the
     monotone-chain stack loop (`_chain`) runs on the few survivors and
     alone decides near-ties: cross products within 1e-12 of zero merge
     collinear runs, so the output slope sequence is strictly increasing.
@@ -163,16 +164,12 @@ def _prune(px, py):
     # over a long input allocates nothing of its length
     size = min(_BLOCK, n)
     scratch = [np.empty(size) for _ in range(5)] + [np.empty(size, dtype=bool)]
-    # the rounding bound of a triple is below 4 _MARGIN max|y| (x_n - x_1):
-    # when that is below _WIDE_TOL, the bound cannot bind and is not taken
-    bounded = (4.0 * _MARGIN * max(float(py.max()), -float(py.min()))
-               * (float(px[-1]) - float(px[0])) >= _WIDE_TOL)
     passes, dropped = 0, True
     while dropped and passes < _MAX_PASSES:
         dropped, d, wide_dropped = False, 1, True
         while (wide_dropped and 2 * d < n and d <= _BLOCK
                and passes < _MAX_PASSES):
-            kept = _pass(px, py, x, y, n, d, scratch, bounded)
+            kept = _pass(px, py, x, y, n, d, scratch)
             px, py = x, y
             dropped |= kept < n
             wide_dropped = d == 1 or kept < n
@@ -180,10 +177,10 @@ def _prune(px, py):
     return px[:n], py[:n]
 
 
-def _pass(px, py, x, y, n, d, scratch, bounded):
-    """One pruning pass at stencil width d over (px[:n], py[:n]), taking
-    the rounding bound if `bounded`; compacts the survivors to the front of
-    (x, y), which may be (px, py), and returns their count."""
+def _pass(px, py, x, y, n, d, scratch):
+    """One pruning pass at stencil width d over (px[:n], py[:n]); compacts
+    the survivors to the front of (x, y), which may be (px, py), and
+    returns their count."""
     a, b, c, hx, hy, keep = scratch
     if px is not x:
         x[:d], y[:d] = px[:d], py[:d]
@@ -206,17 +203,13 @@ def _pass(px, py, x, y, n, d, scratch, bounded):
         np.subtract(xb, xa, out=cb)
         np.multiply(bb, cb, out=bb)
         np.subtract(ab, bb, out=ab)
-        if d == 1 or not bounded:
-            np.less(ab, _HULL_TOL if d == 1 else _WIDE_TOL, out=kb)
-        else:   # keep unless the cross clears both the tolerance and bound
-            # an infinite bound keeps the point, a NaN one (inf * 0) is ignored
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.abs(ya, out=bb)
-                np.add(bb, np.abs(yb, out=cb), out=bb)
-                np.add(bb, np.abs(yc, out=cb), out=bb)
-                np.multiply(bb, np.subtract(xc, xa, out=cb), out=bb)
-            np.multiply(bb, _MARGIN, out=bb)
-            np.less(ab, np.fmax(bb, _WIDE_TOL, out=bb), out=kb)
+        tol = _HULL_TOL
+        if d > 1:   # Python floats: an overflow is inf and keeps the block
+            yw = py[s - d:e + d]
+            tol = max(_WIDE_TOL, 4.0 * _MARGIN
+                      * max(float(yw.max()), -float(yw.min()))
+                      * (float(px[e - 1 + d]) - float(px[s - d])))
+        np.less(ab, tol, out=kb)
         kept = int(np.count_nonzero(kb))
         if kept == k and w == s and px is x:    # in place, nothing to move
             w = e

@@ -291,10 +291,11 @@ def stencil_pruned_points(xs, ys):
     up to the first wide pass that drops nothing; rounds repeat until one
     drops nothing or _MAX_PASSES passes have run.  A pass keeps the interior
     point b = i, with a = i - d and c = i + d, when its cross, in the stack
-    loop's expression, is below the tolerance (1e-12 at d = 1, _WIDE_TOL on
-    wide passes) or, on wide passes, below the rounding bound _MARGIN
-    (|y_a| + |y_b| + |y_c|) (x_c - x_a), which this reference always takes.
-    A reference for bit-identity of the blocked in-place passes."""
+    loop's expression, is below the tolerance: 1e-12 at d = 1; on wide
+    passes _WIDE_TOL or, if larger, the rounding bound of i's block of
+    _BLOCK points, 4 _MARGIN max|y| (x span), over the points the block's
+    triples read.  A reference for bit-identity of the blocked in-place
+    passes."""
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     widths, dropped = [], True
     while dropped and len(widths) < links._MAX_PASSES:
@@ -302,16 +303,17 @@ def stencil_pruned_points(xs, ys):
         while (wide_dropped and 2 * d < x.size and d <= links._BLOCK
                and len(widths) < links._MAX_PASSES):
             n = x.size
-            xa, xb, xc = x[:n - 2 * d], x[d:n - d], x[2 * d:]
-            ya, yb, yc = y[:n - 2 * d], y[d:n - d], y[2 * d:]
-            cross = (yb - ya) * (xc - xb) - (yc - yb) * (xb - xa)
+            cross = ((y[d:n - d] - y[:n - 2 * d]) * (x[2 * d:] - x[d:n - d])
+                     - (y[2 * d:] - y[d:n - d]) * (x[d:n - d] - x[:n - 2 * d]))
+            tol = np.full(n - 2 * d, links._HULL_TOL if d == 1
+                          else links._WIDE_TOL)
+            for s in range(d, n - d, links._BLOCK) if d > 1 else ():
+                e = min(s + links._BLOCK, n - d)
+                bound = (4.0 * links._MARGIN * np.abs(y[s - d:e + d]).max()
+                         * (x[e - 1 + d] - x[s - d]))
+                tol[s - d:e - d] = max(tol[0], bound)
             keep = np.ones(n, dtype=bool)
-            keep[d:n - d] = cross < (links._HULL_TOL if d == 1
-                                     else links._WIDE_TOL)
-            if d > 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bound = (np.abs(ya) + np.abs(yb) + np.abs(yc)) * (xc - xa)
-                keep[d:n - d] |= cross < bound * links._MARGIN
+            keep[d:n - d] = cross < tol
             wide_dropped = d == 1 or not keep.all()
             dropped |= not keep.all()
             x, y = x[keep], y[keep]

@@ -337,7 +337,7 @@ def test_stencil_passes_equal_the_whole_array_reference(n):
     for bit, at sizes around the block edges: on a noisy parabola, a random
     walk, near-collinear floats and a convex chain ending in a low point,
     and on the first two scaled down by 2^-20 in x and 2^-10 in y, where
-    the rounding bound cannot reach the wide tolerance and is not taken."""
+    no block's rounding bound reaches the wide tolerance."""
     rng = np.random.default_rng(n)
     xs = np.cumsum(rng.uniform(0.01, 1.0, n))
     low_end = xs * xs
@@ -378,9 +378,10 @@ def test_stencil_passes_equal_the_reference_up_to_the_widest(n):
 def test_wide_passes_drop_only_certain_signs():
     """64 points on the line y = 1 + 0.75 x / 2^19, with x up to 1.7e7:
     width-16 crosses read up to 1.9e-8 on rounding alone, past the wide
-    tolerance.  The rounding bound, 8 eps (|y_a| + |y_b| + |y_c|)
-    (x_c - x_a), at least 3.9e-7 here, keeps those points; dropped on
-    their cross alone, the loop would keep one vertex more."""
+    tolerance.  Each triple's rounding bound, 8 eps (|y_a| + |y_b| +
+    |y_c|) (x_c - x_a), at least 3.9e-7 here, is below the block's, which
+    keeps those points; dropped on their cross alone, the loop would keep
+    one vertex more."""
     rng = np.random.default_rng(116)
     xs = np.cumsum(rng.uniform(0.01, 1.0, 64)) * 2.0 ** 19
     ys = 1.0 + 0.75 * xs / 2.0 ** 19
