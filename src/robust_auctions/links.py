@@ -232,10 +232,15 @@ def _chain(xs, ys):
     The middle point b of the last two hull points (a, b) is popped while
     (a, b, c) is not strictly convex for the next point c: slope(a, b) >=
     slope(b, c), i.e. cross >= 0, with a tolerance of 1e-12 merging ties.
+    Nothing pops before the first consecutive triple with cross >= -1e-12,
+    so that prefix is taken whole; a relative tie predicate must move both.
     """
-    hull_x: list[float] = []
-    hull_y: list[float] = []
-    for x, y in zip(xs.tolist(), ys.tolist()):
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        tie = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
+               - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]) >= -_HULL_TOL)
+    start = int(np.argmax(np.append(tie, True))) + 2    # past the prefix
+    hull_x, hull_y = xs[:start].tolist(), ys[:start].tolist()
+    for x, y in zip(xs[start:].tolist(), ys[start:].tolist()):
         while len(hull_x) >= 2:
             ax, ay = hull_x[-2], hull_y[-2]
             bx, by = hull_x[-1], hull_y[-1]

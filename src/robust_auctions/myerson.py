@@ -31,14 +31,22 @@ from .links import check_kind
 _NEG_INF = float("-inf")
 
 
+def _rank_key(t, strict):
+    """np.nextafter(t, max(t, +inf where strict, else -inf)), -0.0 as +0.0."""
+    bits = np.add(t, 0.0).view(np.int64)    # -0.0 + 0.0 is +0.0
+    sign = bits >> 63       # -1 below zero, where the bits fall as t rises
+    bits += (strict ^ sign) - sign          # two's complement: -s = ~s + 1
+    return np.minimum(bits, 0x7FF0 << 48, out=bits).view(float)  # inf's bits
+
+
 class _KnotRank:
     """np.searchsorted(knots, a, side) for a nonempty non-decreasing table
     of finite span and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi)
     - lo) * s), s = 2 len(knots) / (hi - lo), is monotone in floating point,
     so knots in lower buckets than a are < a and in higher ones > a: the
     rank is start[f(a)] plus ceil(log2(occupancy + 1)) steps in a's bucket,
-    each adding step * (knot <= a) ("right") or step * (knot < a) ("left").
-    The tables depend on the knots alone, so one rank serves both sides."""
+    step 2^k adding the bool (knot <= a) ("right") or (knot < a) ("left")
+    << k.  The tables depend on the knots alone: one rank serves both sides."""
 
     def __init__(self, knots):
         knots = np.asarray(knots, dtype=float)
@@ -50,9 +58,9 @@ class _KnotRank:
         counts = np.bincount(self._bucket(knots))
         self._start = np.cumsum(counts) - counts
         steps = int(counts.max()).bit_length()
-        self._steps = [1 << k for k in reversed(range(steps))]
         # NaN compares false, so a step never counts past the table's end
-        self._padded = np.concatenate((knots, np.full(1 << steps, np.nan)))
+        padded = np.concatenate((knots, np.full(1 << steps, np.nan)))
+        self._steps = [(k, padded[(1 << k) - 1:]) for k in range(steps)][::-1]
 
     def _bucket(self, a):
         b = np.clip(a, self._lo, self._hi) - self._lo
@@ -61,9 +69,10 @@ class _KnotRank:
 
     def __call__(self, a, side="right"):
         before = np.less_equal if side == "right" else np.less
-        rank = self._start[self._bucket(a)]
-        for step in self._steps:
-            rank += before(self._padded[step - 1:][rank], a) * step
+        rank = self._start.take(self._bucket(a))
+        for k, ahead in self._steps:
+            le = before(ahead.take(rank), a)
+            rank += le << k if k else le
         return rank
 
 
@@ -115,10 +124,10 @@ class VirtualValueFn:
         arr = np.ascontiguousarray(v, dtype=float)  # copies strided columns
         i = self._rank(arr)
         if self.kind == "mhr":
-            out = arr - self._inv_tab[i]
+            out = arr - self._inv_tab.take(i)
             np.minimum(out, self.top, out=out)    # v - 1/slope <= v < top below it
         else:
-            out = self._sup_tab[i]
+            out = self._sup_tab.take(i)
         return float(out[0]) if np.ndim(v) == 0 else out
 
     def inverse(self, t, strict=False):
@@ -126,10 +135,8 @@ class VirtualValueFn:
         target), vectorized.  Targets beyond the top-atom value clamp to the
         support top (the public `inverse_virtual` raises instead)."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        # phi(v) > t is phi(v) >= the next float up, so one left-side rank
-        # serves both: of nextafter(t, max(t, +inf where strict, else -inf))
-        with np.errstate(over="ignore"):    # the largest float steps to inf
-            key = np.nextafter(arr, np.maximum(arr, np.subtract(strict, 0.5) * np.inf))
+        # phi(v) > t is phi(v) >= the next float up: one left rank serves both
+        key = _rank_key(arr, strict)
         # a target above every sup lands on the closing piece: the top
         if self._sup_rank is not None and not np.any(key < 0.0):
             i = self._sup_rank(key, "left") + self._neg_sups
@@ -138,10 +145,10 @@ class VirtualValueFn:
         if self.kind == "mhr":
             # a flat piece (1/slope inf) meets t = -inf at its left end
             with np.errstate(invalid="ignore"):
-                out = np.fmax(self._lefts[i], arr + self._inv_s[i])
-            np.minimum(out, self._rights[i], out=out)
+                out = np.fmax(self._lefts.take(i), arr + self._inv_s.take(i))
+            np.minimum(out, self._rights.take(i), out=out)
         else:
-            out = self._lefts[i]
+            out = self._lefts.take(i)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     @property

@@ -85,9 +85,9 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
                     seed: int) -> RevenueEstimate:
     """The one Monte Carlo pass: each chunk of n_draws sampled profiles is
     run through every mechanism in `mechs`, a cache-sized block of profiles
-    at a time.  The sums and co-moments are taken over the whole chunk, and
-    the covariance comes from chunk co-moments merged by Chan, Golub and
-    LeVeque's pairwise update."""
+    at a time.  The sums and co-moments (of the payments' deviations, made
+    in place) are taken over the whole chunk, and the covariance comes from
+    chunk co-moments merged by Chan, Golub and LeVeque's pairwise update."""
     if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
     n_draws = int(n_draws)
@@ -109,9 +109,12 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take
-        devs = [pay - m for pay, m in zip(pays, chunk_mean)]
-        # single-threaded reductions: a BLAS dot would wake worker threads
-        chunk_co = np.array([[np.sum(a * b) for b in devs] for a in devs])
+        pays -= chunk_mean[:, None]
+        # once per pair (a * b is b * a); no BLAS dot: it wakes worker threads
+        prod, chunk_co = np.empty(take), np.empty_like(co)
+        for i, j in zip(*np.triu_indices(len(mechs))):
+            np.multiply(pays[i], pays[j], out=prod)
+            chunk_co[i, j] = chunk_co[j, i] = np.sum(prod)
         delta = chunk_mean - mean
         co += chunk_co + np.multiply.outer(delta, delta) * (done * take
                                                             / (done + take))

@@ -281,7 +281,40 @@ def pruned_envelope(xs, ys):
         if keep.all():
             break
         x, y = x[keep], y[keep]
-    return links._chain(x, y)
+    return looped_chain(x, y)
+
+
+def looped_chain(xs, ys):
+    """links._chain as a stack loop over every point, with no prefix taken
+    whole: the monotone-chain lower hull (Andrew 1979) of points sorted by
+    x, popping the middle point b of the last two hull points (a, b) while
+    cross >= -1e-12 for the next point c.  A reference for bit-identity."""
+    hull_x: list[float] = []
+    hull_y: list[float] = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        while len(hull_x) >= 2:
+            ax, ay = hull_x[-2], hull_y[-2]
+            bx, by = hull_x[-1], hull_y[-1]
+            cross = (by - ay) * (x - bx) - (y - by) * (bx - ax)
+            if cross >= -links._HULL_TOL:
+                hull_x.pop()
+                hull_y.pop()
+            else:
+                break
+        hull_x.append(x)
+        hull_y.append(y)
+    return np.array(hull_x), np.array(hull_y)
+
+
+def near_collinear_points(rng):
+    """Sorted points near a line, crowding the loop's 1e-12 tie band at some
+    scales: n from 8 to 512, x spans of 10^-6 .. 10^6, slope 0.5, noise of
+    1e-17 .. 1e-10 and offsets of 0 .. 1e6 in y."""
+    n = int(rng.integers(8, 513))
+    xs = np.unique(rng.uniform(0.0, 1.0, n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+    noise = 10.0 ** rng.uniform(-17.0, -10.0) * rng.standard_normal(xs.size)
+    offset = rng.choice([0.0, 1.0, 10.0 ** rng.uniform(0.0, 6.0)])
+    return xs, offset + 0.5 * xs + noise
 
 
 def stencil_pruned_points(xs, ys):

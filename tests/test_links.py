@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from robust_auctions import links
 from robust_auctions.ball import minimal_in_ks_ball
-from robust_auctions.distributions import EqualRevenue, Exponential
+from robust_auctions.distributions import (EqualRevenue, Exponential,
+                                           ProductDist, Uniform)
 from robust_auctions.harness import reproduce_counterexample1
 from robust_auctions.links import (PiecewiseLinearFn, convex_envelope,
                                    link_forward, link_inverse, link_origin)
 from robust_auctions.pipeline import robust_empirical_myerson
+from robust_auctions.revenue import truth_mechanism
 
-from _gen import pruned_envelope, random_points, stencil_pruned_points
+from _gen import (looped_chain, near_collinear_points, pruned_envelope,
+                  random_points, stencil_pruned_points)
 from _oracle import naive_envelope
 
 
@@ -461,3 +464,74 @@ def test_wide_passes_keep_learners_on_small_values(kind):
     rx, ry = pruned_envelope(xs, hs)
     assert mech.bidders[0].xs.tobytes() == rx.tobytes()
     assert mech.bidders[0].hs.tobytes() == ry.tobytes()
+
+
+def _assert_chain_is_the_loop(xs, ys):
+    hx, hy = links._chain(xs, ys)
+    rx, ry = looped_chain(xs, ys)
+    assert hx.tobytes() == rx.tobytes()
+    assert hy.tobytes() == ry.tobytes()
+
+
+def _consecutive_crosses(xs, ys):
+    return ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
+            - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]))
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_chain_is_the_loop_on_the_truth_grids(kind):
+    """_chain, which takes its convex prefix whole, is the stack loop over
+    every point, bit for bit, on the truth mechanism's hull inputs for Exp(1),
+    Exp(1/2) and U(0, 3): collinear in the mhr kind for the exponentials, so
+    every point ties, and strictly convex for U(0, 3), which the loop then
+    never sees."""
+    inputs = []
+    chain = links._chain
+    def spy(xs, ys):
+        inputs.append((xs.copy(), ys.copy()))
+        return chain(xs, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(links, "_chain", spy)
+        truth_mechanism(ProductDist([Exponential(1.0), Exponential(0.5),
+                                     Uniform(0.0, 3.0)]), kind)
+    assert [xs.size for xs, _ in inputs] == [8192, 8192, 8193]
+    for xs, ys in inputs:
+        _assert_chain_is_the_loop(xs, ys)
+    cross = [_consecutive_crosses(xs, ys) for xs, ys in inputs]
+    assert np.all(cross[2] < -links._HULL_TOL)      # U(0, 3): no tie
+    if kind == "mhr":
+        assert np.all(cross[0] >= -links._HULL_TOL)  # Exp(1): all ties
+
+
+def test_chain_is_the_loop_past_a_convex_prefix():
+    """A convex prefix ends in a near-tie on either side of -1e-12 (or on
+    +-1e-12 itself); the points after it pop back into the prefix.  _chain
+    is the stack loop bit for bit, and so it is at 1, 2 and 3 points."""
+    for target in (-1.5e-12, -1e-12, -0.5e-12, 0.0, 1e-12, 5e-12):
+        xs = np.arange(12, dtype=float)
+        ys = 0.01 * xs * xs
+        # point 10 makes the triple (8, 9, 10) cross at about `target`
+        ys[10] = ys[9] + ((ys[9] - ys[8]) * (xs[10] - xs[9]) - target)
+        ys[11] = -1.0 if target < 0 else ys[10] + 0.5
+        cross = _consecutive_crosses(xs, ys)
+        assert np.all(cross[:8] < -links._HULL_TOL)
+        assert abs(cross[8] - target) < 1e-14
+        _assert_chain_is_the_loop(xs, ys)
+    for xs, ys in (([0.0], [1.0]), ([0.0, 1.0], [1.0, 0.0]),
+                   ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+                   ([0.0, 1.0, 2.0], [0.0, 0.0, 1.0]),
+                   ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])):
+        _assert_chain_is_the_loop(np.array(xs), np.array(ys))
+
+
+def test_chain_is_the_loop_on_near_collinear_points():
+    """2,000 near-collinear inputs, whose crosses sit in and around the
+    1e-12 tie band: _chain is the stack loop over every point, bit for
+    bit."""
+    rng = np.random.default_rng(86)
+    prefixes = 0
+    for _ in range(2000):
+        xs, ys = near_collinear_points(rng)
+        _assert_chain_is_the_loop(xs, ys)
+        prefixes += bool(_consecutive_crosses(xs, ys)[:1] < -links._HULL_TOL)
+    assert prefixes > 100

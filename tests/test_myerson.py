@@ -13,6 +13,7 @@ from robust_auctions.myerson import (
     _KnotRank,
     Outcome,
     VirtualValueFn,
+    _rank_key,
     inverse_virtual,
     virtual_value,
 )
@@ -360,6 +361,75 @@ def test_strict_rank_is_the_left_rank_of_the_next_float(knots, repeat, extra):
     rank = _KnotRank(knots)
     assert np.array_equal(rank(t, "right"), right)
     assert np.array_equal(rank(up, "left"), right)
+
+
+# the targets named for the integer step, and random floats over 2^+-1000
+_STEP_TARGETS = np.concatenate([
+    [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.finfo(float).max,
+     np.inf], _EDGE_TARGETS,
+    np.random.default_rng(20).choice([-1.0, 1.0], 2000)
+    * np.exp2(np.random.default_rng(21).uniform(-1000.0, 1000.0, 2000))])
+
+
+def test_rank_key_is_nextafter_bit_for_bit():
+    """The integer step on the bits is np.nextafter(t, max(t, +inf where
+    strict, else -inf)) bit for bit, with -0.0 read as +0.0 (the one change:
+    the two zeros rank alike), for a strict flag and a strict mask; and
+    inverse, which ranks by it, is the searched reference on these
+    targets."""
+    t = _STEP_TARGETS
+    mask = np.random.default_rng(22).random(t.size) < 0.5
+    with np.errstate(over="ignore"):    # the largest float steps to inf
+        for strict in (False, True, mask):
+            away = np.where(strict, np.inf, -np.inf)
+            want = np.nextafter(t + 0.0, np.maximum(t + 0.0, away))
+            assert _rank_key(t, strict).tobytes() == want.tobytes()
+            assert np.array_equal(_rank_key(t, strict),
+                                  np.nextafter(t, np.maximum(t, away)))
+    assert _rank_key(np.array([-0.0]), True)[0] == 5e-324
+    assert _rank_key(np.array([-5e-324]), True).tobytes() == (
+        np.array([-0.0]).tobytes())
+    rng = np.random.default_rng(23)
+    for kind in ("mhr", "regular"):
+        for cdf in _INVERSE_CASES + [_tricky_link_cdf(rng, kind),
+                                     random_link_cdf(rng, kind)]:
+            vv = VirtualValueFn(cdf)
+            for strict in (False, True):
+                assert (vv.inverse(t, strict).tobytes()
+                        == searched_inverse(vv, t, strict).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_payments_batch_at_a_runner_up_phi_of_either_zero(kind):
+    """A point mass at z = +0.0 or -0.0 (knot and support top) has phi = z
+    at every bid.  A winner against it pays the threshold of a zero target,
+    weak or strict by index.  Payments equal the prefix/suffix reference bit
+    for bit.  (numpy's floor at 0 returns +0.0 for -0.0 here, so inverse
+    sees +0.0 either way; its own test above covers -0.0 targets.)"""
+    rng = np.random.default_rng(24)
+    for zero in (0.0, -0.0):
+        flat = PiecewiseLinkCDF(kind, [zero], [link_origin(kind)], zero)
+        phi = VirtualValueFn(flat).phi(np.array([0.0, 1.0]))
+        assert phi.tobytes() == np.array([zero, zero]).tobytes()
+        for n in (2, 3):
+            for at in range(n):
+                others = [random_link_cdf(rng, kind, from_zero=True)
+                          for _ in range(n - 1)]
+                mech = Mechanism(kind, others[:at] + [flat] + others[at:])
+                tops = np.array([vv.top for vv in mech.vvs])
+                profiles = rng.uniform(0.0, 1.1, (400, n)) * tops
+                winners, payments = mech.payments_batch(profiles)
+                ref_w, ref_p = reference_payments(mech, profiles)
+                assert np.array_equal(winners, ref_w)
+                assert payments.tobytes() == ref_p.tobytes()
+                # sales whose runner-up is the zero bidder: every other
+                # loser has phi < 0
+                phis = np.column_stack([vv.phi(profiles[:, j]) for j, vv
+                                        in enumerate(mech.vvs)])
+                phis[np.arange(400), np.maximum(winners, 0)] = -np.inf
+                phis[:, at] = -np.inf
+                assert np.any((winners >= 0) & (winners != at)
+                              & (phis.max(axis=1) < 0.0)), (zero, n, at)
 
 
 def _assert_masked_inverse_is_split(vv, rng):

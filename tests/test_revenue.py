@@ -1,6 +1,8 @@
 """Tests for revenue_at_reserve / opt_single / Monte Carlo estimates and the
 population-level revenue inequalities they are meant to satisfy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
@@ -221,23 +223,53 @@ def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
                                rtol=1e-9)
 
 
+def _three_bidder_mechanisms():
+    """The three-bidder instance (Exp(1), Exp(1/2), U[0, 3]) and three
+    mechanisms on it: the truth mechanism, and population-robust ones
+    learned at shift:down, alpha = 0.05, in the mhr and regular kinds."""
+    truth = ProductDist([parse_dist_spec(s)
+                         for s in ("exp:1.0", "exp:0.5", "unif:0:3")])
+    corrupted = ProductDist([corrupt(d, "shift:down", 0.05)
+                             for d in truth.components])
+    return truth, [truth_mechanism(truth, "mhr")] + [
+        population_robust_myerson(corrupted, [0.05] * 3, kind)
+        for kind in ("mhr", "regular")]
+
+
 def test_blocks_leave_the_chunk_moments_unchanged():
     """rev_monte_carlo samples and pays a block of rows at a time but sums
     over whole chunks: its means and covariance are those of one
     sample_profiles call per chunk, bit for bit, at draw counts on either
-    side of a block edge and past a chunk edge.  The instance is three
-    bidders (Exp(1), Exp(1/2), U[0, 3]) with the truth mechanism against a
-    population-robust one learned at shift:down, alpha = 0.05."""
-    truth = ProductDist([parse_dist_spec(s)
-                         for s in ("exp:1.0", "exp:0.5", "unif:0:3")])
-    corrupted = [corrupt(d, "shift:down", 0.05) for d in truth.components]
-    mech = population_robust_myerson(ProductDist(corrupted), [0.05] * 3, "mhr")
-    mechs = [truth_mechanism(truth, "mhr"), mech]
-    for draws in (1, _BLOCK - 1, _BLOCK + 1, _CHUNK + 12_345):
-        est = rev_monte_carlo(mechs, truth, draws, seed=11)
-        means, cov = unblocked_rev_monte_carlo(mechs, truth, draws, seed=11)
-        assert est.means == means, draws
-        assert est.cov.tobytes() == cov.tobytes(), draws
+    side of a block edge and past a chunk edge, for one, two and three
+    mechanisms.  Each co-moment is taken once and mirrored, so the
+    covariance is exactly symmetric."""
+    truth, mechs = _three_bidder_mechanisms()
+    for k in (1, 2, 3):
+        for draws in (1, _BLOCK - 1, _BLOCK + 1, _CHUNK + 12_345):
+            est = rev_monte_carlo(mechs[:k], truth, draws, seed=11)
+            means, cov = unblocked_rev_monte_carlo(mechs[:k], truth, draws,
+                                                   seed=11)
+            assert est.means == means, (k, draws)
+            assert est.cov.tobytes() == cov.tobytes(), (k, draws)
+            assert est.cov.tobytes() == est.cov.T.copy().tobytes()
+
+
+def test_monte_carlo_pass_holds_one_chunk_array_per_mechanism():
+    """A pass over k mechanisms at _CHUNK + 12,345 draws holds the chunk's
+    payments of each mechanism and one scratch product: a traced peak of
+    at most k + 1.5 arrays of _CHUNK floats, the rest being blocks.
+    (Deviations in new arrays, one per mechanism, put it at 2k + 1.05 to
+    2k + 1.19.)"""
+    truth, mechs = _three_bidder_mechanisms()
+    rev_monte_carlo(mechs, truth, 10, seed=3)     # one-time allocations
+    for k in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            rev_monte_carlo(mechs[:k], truth, _CHUNK + 12_345, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k + 1.5) * 8 * _CHUNK, (k, peak / (8 * _CHUNK))
 
 
 def test_revenue_ratio_errors():
