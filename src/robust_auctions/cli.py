@@ -24,7 +24,7 @@ from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       RESULT_COLUMNS, format_row, reproduce_counterexample1,
                       result_row, run_sweep, write_csv, write_rows)
-from .links import convex_envelope
+from .links import KINDS, convex_envelope
 from .myerson import Mechanism
 from .pipeline import robust_empirical_myerson
 from .revenue import revenue_ratio_detail
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_corrupt)
 
     l = sub.add_parser("learn", help="robust empirical Myerson from samples")
-    l.add_argument("--kind", choices=("mhr", "regular"), required=True)
+    l.add_argument("--kind", choices=KINDS, required=True)
     l.add_argument("--alpha", required=True, help="A or A1,...,An")
     l.add_argument("--delta", type=float, default=0.01)
     l.add_argument("--samples", required=True)

@@ -65,8 +65,8 @@ class Distribution:
         out = self._ppf(arr)
         return float(out[0]) if np.ndim(q) == 0 else out
 
-    def sample(self, count: int, seed: int, start: int = 0) -> np.ndarray:
-        return self._ppf(uniform_stream(seed, start, count))
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        return self._ppf(uniform_stream(seed, 0, count))
 
     def support_top(self) -> float:
         return self._top
@@ -186,7 +186,7 @@ class PiecewiseLinkCDF(Distribution):
             raise ValueError("knot slopes must be finite")
         if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
             raise ValueError("link knots must be convex")
-        support_top = float(support_top)
+        support_top = float(support_top) + 0.0     # -0.0 is +0.0
         if not np.isfinite(support_top) or support_top < xs[-1]:
             raise ValueError("support_top must be finite, at or beyond the last knot")
         self.kind = kind

@@ -18,7 +18,7 @@ from ._rng import check_seed
 from .adversary import AdversaryError, corrupt, parse_adversary
 from .distributions import (Exponential, ProductDist, dist_from_dict,
                             parse_dist_spec)
-from .links import KINDS, check_alpha
+from .links import check_alpha, check_kind
 from .pipeline import (_learn, confidence_log, population_robust_myerson,
                        robust_empirical_myerson)
 from .revenue import (opt_single, revenue_at_reserve, revenue_ratio_detail,
@@ -102,10 +102,9 @@ class ExperimentConfig:
                         corrupt(d, self.adversary, a)
             for m in self.ms:   # the learner's own check of ln(2 m n / delta)
                 confidence_log(m, len(self._dists), self.delta)
+            check_kind(self.kind)
         except (TypeError, ValueError, OverflowError, AdversaryError) as exc:
             raise ConfigError(str(exc))
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}")
         if self.mc_draws < 1:
             raise ConfigError("mc_draws must be positive")
 

@@ -177,10 +177,13 @@ def _prune(px, py):
     return px[:n], py[:n]
 
 
+@np.errstate(over="ignore", invalid="ignore")    # as in _chain
 def _pass(px, py, x, y, n, d, scratch):
     """One pruning pass at stencil width d over (px[:n], py[:n]); compacts
     the survivors to the front of (x, y), which may be (px, py), and
-    returns their count."""
+    returns their count.  A point stays unless its cross is >= the
+    tolerance: a cross whose products both overflow is NaN, and _chain
+    keeps that point too."""
     a, b, c, hx, hy, keep = scratch
     if px is not x:
         x[:d], y[:d] = px[:d], py[:d]
@@ -209,7 +212,7 @@ def _pass(px, py, x, y, n, d, scratch):
             tol = max(_WIDE_TOL, 4.0 * _MARGIN
                       * max(float(yw.max()), -float(yw.min()))
                       * (float(px[e - 1 + d]) - float(px[s - d])))
-        np.less(ab, tol, out=kb)
+        np.logical_not(np.greater_equal(ab, tol, out=kb), out=kb)
         kept = int(np.count_nonzero(kb))
         if kept == k and w == s and px is x:    # in place, nothing to move
             w = e

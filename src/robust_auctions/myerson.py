@@ -80,7 +80,6 @@ class VirtualValueFn:
     """Per-piece closed-form virtual values for one PiecewiseLinkCDF."""
 
     def __init__(self, cdf: PiecewiseLinkCDF):
-        self.cdf = cdf
         self.kind = cdf.kind
         self.top = cdf.support_top()
         xs, hs = cdf.xs, cdf.hs
@@ -178,12 +177,6 @@ def inverse_virtual(cdf: PiecewiseLinkCDF, t):
     return VirtualValueFn(cdf).inverse(t)
 
 
-@dataclass(frozen=True)
-class Outcome:
-    winner: int | None
-    payment: float
-
-
 @dataclass
 class Mechanism:
     """A Myerson auction: one link CDF (hence one virtual value fn) per bidder."""
@@ -209,15 +202,6 @@ class Mechanism:
     @property
     def reserves(self) -> list:
         return [vv.reserve for vv in self.vvs]
-
-    def run(self, bids) -> Outcome:
-        """The truthful auction on one bid profile."""
-        bids = np.asarray(bids, dtype=float)
-        if bids.shape != (self.n,):
-            raise ValueError("arity mismatch")
-        winners, payments = self.payments_batch(bids.reshape(1, -1))
-        w = int(winners[0])
-        return Outcome(winner=None if w < 0 else w, payment=float(payments[0]))
 
     def payments_batch(self, profiles: np.ndarray):
         """Vectorized truthful auction over rows of `profiles`.

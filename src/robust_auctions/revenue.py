@@ -78,7 +78,6 @@ class RevenueEstimate:
     means: tuple
     cov: np.ndarray
     n_draws: int
-    seed: int
 
 
 def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
@@ -121,8 +120,7 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
         mean += delta * (take / (done + take))
         done += take
     return RevenueEstimate(means=tuple(t / n_draws for t in totals),
-                           cov=co / n_draws / n_draws, n_draws=n_draws,
-                           seed=int(seed))
+                           cov=co / n_draws / n_draws, n_draws=n_draws)
 
 
 def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:

@@ -323,8 +323,8 @@ def stencil_pruned_points(xs, ys):
     runs passes at widths d = 1, 16, 256, ... while 2 d < n and d <= _BLOCK,
     up to the first wide pass that drops nothing; rounds repeat until one
     drops nothing or _MAX_PASSES passes have run.  A pass keeps the interior
-    point b = i, with a = i - d and c = i + d, when its cross, in the stack
-    loop's expression, is below the tolerance: 1e-12 at d = 1; on wide
+    point b = i, with a = i - d and c = i + d, unless its cross, in the stack
+    loop's expression, is at least the tolerance: 1e-12 at d = 1; on wide
     passes _WIDE_TOL or, if larger, the rounding bound of i's block of
     _BLOCK points, 4 _MARGIN max|y| (x span), over the points the block's
     triples read.  A reference for bit-identity of the blocked in-place
@@ -346,7 +346,7 @@ def stencil_pruned_points(xs, ys):
                          * (x[e - 1 + d] - x[s - d]))
                 tol[s - d:e - d] = max(tol[0], bound)
             keep = np.ones(n, dtype=bool)
-            keep[d:n - d] = cross < tol
+            keep[d:n - d] = ~(cross >= tol)     # a NaN cross keeps its point
             wide_dropped = d == 1 or not keep.all()
             dropped |= not keep.all()
             x, y = x[keep], y[keep]

@@ -108,7 +108,7 @@ def test_point_mass_is_the_one_atom_step(v):
         same(getattr(pm, name)(x), getattr(step, name)(x))
         assert repr(getattr(pm, name)(v)) == repr(getattr(step, name)(v))
     same(pm.ppf(np.linspace(0.0, 1.0, 11)), step.ppf(np.linspace(0.0, 1.0, 11)))
-    same(pm.sample(100, seed=3, start=5), step.sample(100, seed=3, start=5))
+    same(pm.sample(100, seed=3), step.sample(100, seed=3))
     for a, b in zip(pm.table(), step.table(), strict=True):
         same(a, b)
     for kind in KINDS:
@@ -487,8 +487,8 @@ def test_sampling_prefix_stable():
     for dist in [Exponential(1.0), Uniform(0, 2),
                  StepCDF([1, 2, 5], [0.3, 0.3, 0.4])]:
         full = dist.sample(100, seed=42)
-        assert np.array_equal(dist.sample(50, seed=42), full[:50])
-        assert np.array_equal(dist.sample(50, seed=42, start=50), full[50:])
+        for k in (1, 50, 99):
+            assert np.array_equal(dist.sample(k, seed=42), full[:k])
         assert not np.array_equal(full, dist.sample(100, seed=43))
 
 

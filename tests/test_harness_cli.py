@@ -351,6 +351,24 @@ def test_cli_eval_zero_draws_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_eval_reads_a_negative_zero_support_top(tmp_path, capsys):
+    """A mechanism whose support top is -0.0 evaluates as the +0.0 one; it
+    used to print two numpy warnings and exit 2."""
+    link = {"type": "link_cdf", "kind": "regular", "knots": [[0.0, 1.0]]}
+    rows = []
+    for top in (-0.0, 0.0):
+        mech_json = tmp_path / "mech.json"
+        mech_json.write_text(json.dumps(
+            {"kind": "regular", "bidders": [dict(link, support_top=top)]}))
+        capsys.readouterr()
+        assert main(["eval", "--mech", str(mech_json), "--true",
+                     "exp:1.0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows.append(out)
+    assert rows[0] == rows[1]
+
+
 def test_cli_no_envelope_round_trip(tmp_path, capsys):
     """The ablation posts the tail-spike location c / alpha = 20 as its
     price; its JSON loads as a plain Mechanism and eval reproduces the

@@ -195,13 +195,30 @@ def lattice_points(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(lattice_points())
-def test_envelope_equals_stack_loop_on_lattice(points):
+@given(lattice_points(), st.one_of(st.integers(0, 1002),
+                                   st.integers(980, 1002)))
+def test_envelope_equals_stack_loop_on_lattice(points, shift):
+    """Scaling x by 2**shift scales every cross exactly until its products
+    overflow, near shift 980; past that the envelope still keeps every
+    vertex of the unscaled hull."""
     xs, ys = points
     env = convex_envelope(xs, ys)
     hx, hy = links._chain(xs, ys)
     np.testing.assert_array_equal(env.xs, hx)
     np.testing.assert_array_equal(env.ys, hy)
+    scale = 2.0 ** shift
+    scaled = convex_envelope(xs * scale, ys)
+    idx = np.searchsorted(scaled.xs, hx * scale)
+    np.testing.assert_array_equal(scaled.xs[idx], hx * scale)
+    np.testing.assert_array_equal(scaled.ys[idx], hy)
+
+
+def test_envelope_keeps_a_vertex_whose_cross_overflows():
+    """(1e308, 1e10) lies 7.6e9 below the chord of its neighbours, but
+    both products of its cross overflow: inf - inf is NaN, and a NaN cross
+    keeps its point, as the stack loop does."""
+    env = convex_envelope([0.0, 1e308, 1.7e308], [0.0, 1e10, 3e10])
+    assert env.xs.tolist() == [0.0, 1e308, 1.7e308]
 
 
 @st.composite
@@ -462,6 +479,22 @@ def test_wide_passes_keep_learners_on_small_values(kind):
     mech, (xs, hs) = _enveloped_points(
         lambda: robust_empirical_myerson([samples], [0.05], 0.01, kind))
     rx, ry = pruned_envelope(xs, hs)
+    assert mech.bidders[0].xs.tobytes() == rx.tobytes()
+    assert mech.bidders[0].hs.tobytes() == ry.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+@pytest.mark.parametrize("values", ["exp", "geomspace"])
+def test_learners_on_values_near_the_float_limit(kind, values):
+    """Learners on Exp(1) samples times 1e307 and on values from 1e300 to
+    1.7e308: the pruning passes' cross products overflow without a warning
+    (warnings are errors here), and the hull is the stack loop's over every
+    point."""
+    samples = (Exponential(1.0).sample(20_000, 3) * 1e307 if values == "exp"
+               else np.geomspace(1e300, 1.7e308, 20_000))
+    mech, (xs, hs) = _enveloped_points(
+        lambda: robust_empirical_myerson([samples], [0.0], 0.05, kind))
+    rx, ry = looped_chain(xs, hs)
     assert mech.bidders[0].xs.tobytes() == rx.tobytes()
     assert mech.bidders[0].hs.tobytes() == ry.tobytes()
 

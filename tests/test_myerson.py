@@ -11,7 +11,6 @@ from robust_auctions.links import link_origin
 from robust_auctions.myerson import (
     Mechanism,
     _KnotRank,
-    Outcome,
     VirtualValueFn,
     _rank_key,
     inverse_virtual,
@@ -146,34 +145,38 @@ def test_optimal_reserve_matches_grid_oracle():
             assert abs(rev - grev) < 1e-4
 
 
+def _one_profile(mech, bids):
+    """(winner, payment) of a one-row payments_batch; winner -1: no sale."""
+    winners, payments = mech.payments_batch(np.asarray([bids], dtype=float))
+    return int(winners[0]), float(payments[0])
+
+
 def test_auction_worked_examples():
     mech = Mechanism("mhr", [_exp_link(), _exp_link()])
-    assert mech.run([3.0, 2.0]) == Outcome(winner=0, payment=2.0)
-    assert mech.run([2.0, 3.0]) == Outcome(winner=1, payment=2.0)
-    assert mech.run([0.5, 0.4]) == Outcome(winner=None, payment=0.0)
+    assert _one_profile(mech, [3.0, 2.0]) == (0, 2.0)
+    assert _one_profile(mech, [2.0, 3.0]) == (1, 2.0)
+    assert _one_profile(mech, [0.5, 0.4]) == (-1, 0.0)
     # exact tie: lowest index wins and pays the tying bid
-    assert mech.run([1.5, 1.5]) == Outcome(winner=0, payment=1.5)
+    assert _one_profile(mech, [1.5, 1.5]) == (0, 1.5)
     # bids beyond the support top are clamped, not rejected
-    assert mech.run([5.0, 2.0]) == Outcome(winner=0, payment=2.0)
+    assert _one_profile(mech, [5.0, 2.0]) == (0, 2.0)
 
 
 def test_single_bidder_pays_reserve():
     mech = Mechanism("mhr", [_exp_link()])
-    assert mech.run([3.0]) == Outcome(winner=0, payment=1.0)
-    assert mech.run([0.9]) == Outcome(winner=None, payment=0.0)
+    assert _one_profile(mech, [3.0]) == (0, 1.0)
+    assert _one_profile(mech, [0.9]) == (-1, 0.0)
     assert mech.reserves == [1.0]
 
 
-def test_payments_batch_matches_run():
+def test_payments_batch_matches_one_row_calls():
     rng = np.random.default_rng(31)
     bidders = [random_link_cdf(rng, "mhr", from_zero=True) for _ in range(3)]
     mech = Mechanism("mhr", bidders)
     profiles = rng.uniform(0.0, 6.0, size=(200, 3))
     winners, payments = mech.payments_batch(profiles)
     for row, w, p in zip(profiles, winners, payments):
-        out = mech.run(row)
-        assert out.winner == (None if w < 0 else w)
-        assert out.payment == p
+        assert _one_profile(mech, row) == (w, p)
 
 
 def test_winner_pays_at_most_bid_and_losers_nothing():
@@ -250,15 +253,29 @@ def test_mechanism_dict_roundtrip():
     assert_allclose(p1, p2, atol=0)
 
 
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_negative_zero_support_top_reads_as_zero(kind):
+    """A one-knot link CDF at 0 whose support top is -0.0 is the +0.0 one:
+    the same dict form, reserves and payments, bit for bit.  (Its ranks
+    used to bin with scale -inf, and eval exited 2.)"""
+    origin = link_origin(kind)
+    neg, pos = (Mechanism(kind, [PiecewiseLinkCDF(kind, [0.0], [origin], top)
+                                 for _ in range(2)]) for top in (-0.0, 0.0))
+    assert repr(neg.to_dict()) == repr(pos.to_dict())
+    assert np.array(neg.reserves).tobytes() == np.array(pos.reserves).tobytes()
+    profiles = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    for a, b in zip(neg.payments_batch(profiles), pos.payments_batch(profiles)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_auction_validation():
     mech = Mechanism("mhr", [_exp_link(), _exp_link()])
-    with pytest.raises(ValueError, match="arity mismatch"):
-        mech.run([1.0])
+    for bids in ([[1.0]], [1.0, 2.0]):     # one bid short, or not a matrix
+        with pytest.raises(ValueError, match="profile matrix arity mismatch"):
+            mech.payments_batch(np.array(bids))
     with pytest.raises(ValueError, match="bids must be nonnegative"):
-        mech.run([1.0, -2.0])
+        mech.payments_batch(np.array([[1.0, -2.0]]))
     # a NaN bid would otherwise win the argmax and cancel bidder 1's sale
-    with pytest.raises(ValueError, match="bids must be nonnegative"):
-        mech.run([np.nan, 2.0])
     with pytest.raises(ValueError, match="bids must be nonnegative"):
         mech.payments_batch(np.array([[np.nan, 2.0]]))
     with pytest.raises(ValueError, match="bids must be nonnegative"):
@@ -401,16 +418,16 @@ def test_rank_key_is_nextafter_bit_for_bit():
 
 @pytest.mark.parametrize("kind", ["mhr", "regular"])
 def test_payments_batch_at_a_runner_up_phi_of_either_zero(kind):
-    """A point mass at z = +0.0 or -0.0 (knot and support top) has phi = z
-    at every bid.  A winner against it pays the threshold of a zero target,
-    weak or strict by index.  Payments equal the prefix/suffix reference bit
-    for bit.  (numpy's floor at 0 returns +0.0 for -0.0 here, so inverse
-    sees +0.0 either way; its own test above covers -0.0 targets.)"""
+    """A point mass at z = +0.0 or -0.0 (knot and support top) has phi =
+    +0.0 at every bid: a -0.0 support top reads as +0.0.  A winner against
+    it pays the threshold of a zero target, weak or strict by index.
+    Payments equal the prefix/suffix reference bit for bit.  (inverse's own
+    test above covers -0.0 targets.)"""
     rng = np.random.default_rng(24)
     for zero in (0.0, -0.0):
         flat = PiecewiseLinkCDF(kind, [zero], [link_origin(kind)], zero)
         phi = VirtualValueFn(flat).phi(np.array([0.0, 1.0]))
-        assert phi.tobytes() == np.array([zero, zero]).tobytes()
+        assert phi.tobytes() == np.zeros(2).tobytes()
         for n in (2, 3):
             for at in range(n):
                 others = [random_link_cdf(rng, kind, from_zero=True)

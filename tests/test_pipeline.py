@@ -161,16 +161,14 @@ def test_no_envelope_ablation_posted_price():
     posted = mech.bidders[0]
     assert posted.xs.tolist() == [3.0] and posted.support_top() == 3.0
     assert mech.reserves == [3.0]
-    assert mech.run([2.9]).winner is None
-    out = mech.run([3.0])
-    assert out.winner == 0 and out.payment == 3.0
-    winners, pays = mech.payments_batch(np.array([[0.5], [3.0], [10.0]]))
-    np.testing.assert_array_equal(winners, [-1, 0, 0])
-    np.testing.assert_allclose(pays, [0.0, 3.0, 3.0])
+    winners, pays = mech.payments_batch(np.array([[0.5], [2.9], [3.0],
+                                                  [10.0]]))
+    np.testing.assert_array_equal(winners, [-1, -1, 0, 0])
+    np.testing.assert_array_equal(pays, [0.0, 0.0, 3.0, 3.0])
     with pytest.raises(ValueError, match="profile matrix arity mismatch"):
         mech.payments_batch(np.zeros((3, 2)))
     with pytest.raises(ValueError, match="bids must be nonnegative"):
-        mech.run([-1.0])
+        mech.payments_batch(np.array([[-1.0]]))
     # the corruption budget is recorded but not subtracted in this branch
     mech2 = robust_empirical_myerson([samples], [0.2], 0.05, "mhr",
                                      with_envelope=False)

@@ -124,7 +124,7 @@ def test_rev_monte_carlo_exponential_posted_price():
     mech = Mechanism(kind="mhr", bidders=[_exp_link()])
     truth = ProductDist([Exponential(1.0)])
     est = rev_monte_carlo([mech], truth, 1_000_000, seed=42)
-    assert est.n_draws == 1_000_000 and est.seed == 42
+    assert est.n_draws == 1_000_000
     mean, hw = mean_and_half_width(est)
     assert hw < 2e-3
     assert abs(mean - np.exp(-1.0)) <= 3 * hw
