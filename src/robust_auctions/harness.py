@@ -21,13 +21,15 @@ from .distributions import (Exponential, ProductDist, dist_from_dict,
 from .links import check_alpha, check_kind
 from .pipeline import (_learn, confidence_log, population_robust_myerson,
                        robust_empirical_myerson)
-from .revenue import (opt_single, revenue_at_reserve, revenue_ratio_detail,
-                      truth_mechanism)
+from .revenue import (_ratio, opt_single, rev_monte_carlo, revenue_at_reserve,
+                      revenue_ratio_detail, truth_mechanism)
 
 # Evaluation draws must not reuse the learning sample stream: the learner and
 # the evaluator both consume (seed, profile index) substreams, so the eval
 # seed is displaced by a fixed offset.
 _EVAL_SEED_OFFSET = 1_000_007
+# cells per Monte Carlo pass, which holds one chunk array per mechanism
+_PASS_CELLS = 8
 
 RESULT_COLUMNS = ("n", "kind", "adversary", "alpha", "m", "seed",
                   "ratio", "ci", "opt", "rev")
@@ -129,50 +131,53 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int, corrupted,
-             bench) -> dict:
-    """One sweep cell: learn from the truths corrupted at alpha (population
-    when m is None) and evaluate against `bench`, the truth mechanism (None
-    for one bidder, whose ratio is exact)."""
-    truths = cfg.dists()
-    n = len(truths)
+def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int, corrupted):
+    """One sweep cell's mechanism, learned from the truths corrupted at
+    alpha; the population variant, which ignores the seed, when m is None."""
+    n = len(corrupted)
     if m is None:
-        mech = population_robust_myerson(ProductDist(corrupted), [alpha] * n,
+        return population_robust_myerson(ProductDist(corrupted), [alpha] * n,
                                          cfg.kind)
-    else:
-        profiles = ProductDist(corrupted).sample_profiles(int(m), seed)
-        mech = robust_empirical_myerson([profiles[:, j] for j in range(n)],
-                                        [alpha] * n, cfg.delta, cfg.kind)
-    detail = revenue_ratio_detail(mech, ProductDist(truths), cfg.mc_draws,
-                                  seed + _EVAL_SEED_OFFSET, bench=bench)
-    return result_row(n, cfg.kind, cfg.adversary, alpha,
-                      0 if m is None else int(m), seed, *detail)
+    profiles = ProductDist(corrupted).sample_profiles(int(m), seed)
+    return robust_empirical_myerson([profiles[:, j] for j in range(n)],
+                                    [alpha] * n, cfg.delta, cfg.kind)
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All cells of the sweep, sorted by (alpha, m, seed).  Each alpha's
-    corruption (KS self-check included) and the truth mechanism are built
-    once, before the cells are dispatched."""
+    corruption (KS self-check included) and population mechanism, and the
+    truth mechanism, are built once.  On `workers` threads the mechanisms
+    are learned, then each seed's cells share Monte Carlo passes (n > 1)."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    truths = cfg.dists()
+    truths = ProductDist(cfg.dists())
     corrupted = {a: [corrupt(d, cfg.adversary, a) for d in truths]
                  for a in set(cfg.alphas)}
-    bench = (truth_mechanism(ProductDist(truths), cfg.kind)
-             if len(truths) > 1 else None)
-    cells = [(a, m, s) for a in cfg.alphas for m in (cfg.ms or [None])
-             for s in cfg.seeds]
+    bench = truth_mechanism(truths, cfg.kind) if truths.n > 1 else None
+    cells = sorted((a, m, s) for a in cfg.alphas for m in (cfg.ms or [None])
+                   for s in cfg.seeds)
+    # each distinct cell and its mechanism's key, seed-free for population
+    learn = {c: c if c[1] else (c[0], None, None) for c in cells}
+    by_seed = [[c for c in learn if c[2] == s] for s in dict.fromkeys(cfg.seeds)]
+    passes = [g[i:i + _PASS_CELLS] for g in by_seed
+              for i in range(0, len(g), _PASS_CELLS)]
 
-    def cell(c):
-        return run_cell(cfg, *c, corrupted[c[0]], bench)
+    def evaluate(batch):
+        seed = batch[0][2] + _EVAL_SEED_OFFSET
+        if bench is None:   # one bidder: exact, no draws
+            return {c: revenue_ratio_detail(mech[learn[c]], truths,
+                                            cfg.mc_draws, seed) for c in batch}
+        est = rev_monte_carlo([bench, *(mech[learn[c]] for c in batch)],
+                              truths, cfg.mc_draws, seed)
+        return {c: _ratio(est, j) for j, c in enumerate(batch, 1)}
 
-    if workers == 1:
-        rows = list(map(cell, cells))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, cells))
-    rows.sort(key=lambda r: (r["alpha"], r["m"], r["seed"]))
-    return rows
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        fan = pool.map if workers > 1 else map   # no thread, no second heap
+        mech = dict(fan(lambda k: (k, run_cell(cfg, *k, corrupted[k[0]])),
+                        dict.fromkeys(learn.values())))
+        detail = {c: d for ds in fan(evaluate, passes) for c, d in ds.items()}
+    return [result_row(truths.n, cfg.kind, cfg.adversary, a, m or 0, s,
+                       *detail[a, m, s]) for a, m, s in cells]
 
 
 def _csv_line(values) -> str:

@@ -242,6 +242,8 @@ def _chain(xs, ys):
         tie = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
                - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]) >= -_HULL_TOL)
     start = int(np.argmax(np.append(tie, True))) + 2    # past the prefix
+    if start >= xs.size:    # every point is a vertex
+        return xs.copy(), ys.copy()
     hull_x, hull_y = xs[:start].tolist(), ys[:start].tolist()
     for x, y in zip(xs[start:].tolist(), ys[start:].tolist()):
         while len(hull_x) >= 2:

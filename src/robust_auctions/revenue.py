@@ -132,6 +132,18 @@ def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:
                      provenance={"role": "benchmark", "grid": _TRUTH_GRID})
 
 
+def _ratio(est: RevenueEstimate, j: int):
+    """(ratio, ci, opt, rev) of mechanism j of a pass against mechanism 0."""
+    opt, rev, cov = est.means[0], est.means[j], est.cov
+    if opt <= 0:
+        raise ValueError("zero OPT")
+    ratio = rev / opt
+    # the variance of the mean residual rev_i - ratio * opt_i (Cochran's
+    # ratio estimator); 0 for a mechanism against itself
+    var = max(cov[j, j] - 2 * ratio * cov[0, j] + ratio * ratio * cov[0, 0], 0.0)
+    return ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
+
+
 def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
                          seed: int, bench: Mechanism | None = None):
     """(ratio, ci, opt, rev).  OPT is exact for n=1; for n>1 it is the Monte
@@ -140,19 +152,10 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
     if mech.n == 1:     # exact: no draws, so no variance
-        _, opt = opt_single(d_true.components[0])
-        rev = revenue_at_reserve(d_true.components[0], mech.reserves[0])
-        cov = np.zeros((2, 2))
+        d = d_true.components[0]
+        means = opt_single(d)[1], revenue_at_reserve(d, mech.reserves[0])
+        est = RevenueEstimate(means, np.zeros((2, 2)), 0)
     else:
-        if bench is None:
-            bench = truth_mechanism(d_true, mech.kind)
-        est = rev_monte_carlo([bench, mech], d_true, n_draws, seed)
-        (opt, rev), cov = est.means, est.cov
-    if opt <= 0:
-        raise ValueError("zero OPT")
-    ratio = rev / opt
-    # the variance of the mean residual rev_i - ratio * opt_i (Cochran's
-    # ratio estimator); 0 for a mechanism against itself
-    var = max(cov[1, 1] - 2 * ratio * cov[0, 1] + ratio * ratio * cov[0, 0], 0.0)
-    return ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
-
+        est = rev_monte_carlo([bench or truth_mechanism(d_true, mech.kind),
+                               mech], d_true, n_draws, seed)
+    return _ratio(est, 1)

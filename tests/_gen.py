@@ -10,15 +10,21 @@ import numpy as np
 
 from robust_auctions import links
 from robust_auctions._rng import profile_uniforms
+from robust_auctions.adversary import corrupt
 from robust_auctions.distributions import (AppxC1, AppxC2, Distribution,
                                            DownShiftSpike, EqualRevenue,
                                            Exponential, PiecewiseLinkCDF,
-                                           PointMass, StepCDF, Uniform,
-                                           UpShift, _candidate_points,
-                                           appx_c1, appx_c2)
-from robust_auctions.harness import RESULT_COLUMNS
+                                           PointMass, ProductDist, StepCDF,
+                                           Uniform, UpShift,
+                                           _candidate_points, appx_c1,
+                                           appx_c2)
+from robust_auctions.harness import (_EVAL_SEED_OFFSET, RESULT_COLUMNS,
+                                     result_row)
 from robust_auctions.links import link_origin
-from robust_auctions.revenue import revenue_at_reserve
+from robust_auctions.pipeline import (population_robust_myerson,
+                                      robust_empirical_myerson)
+from robust_auctions.revenue import (opt_single, rev_monte_carlo,
+                                     revenue_at_reserve, truth_mechanism)
 
 
 def random_points(rng, k_max=50, allow_flats=True):
@@ -472,6 +478,52 @@ def unblocked_rev_monte_carlo(mechs, d_true, n_draws, seed):
         mean += delta * (take / (done + take))
         done += take
     return tuple(t / n_draws for t in totals), co / n_draws / n_draws
+
+
+def per_cell_sweep(cfg):
+    """harness.run_sweep as it was before cells shared Monte Carlo passes:
+    every cell learns its own mechanism and takes its own pass against the
+    truth mechanism (`per_cell`).  A reference for bit-identity."""
+    truths = cfg.dists()
+    corrupted = {a: [corrupt(d, cfg.adversary, a) for d in truths]
+                 for a in set(cfg.alphas)}
+    bench = (truth_mechanism(ProductDist(truths), cfg.kind)
+             if len(truths) > 1 else None)
+    cells = [(a, m, s) for a in cfg.alphas for m in (cfg.ms or [None])
+             for s in cfg.seeds]
+    rows = [per_cell(cfg, *c, corrupted[c[0]], bench) for c in cells]
+    rows.sort(key=lambda r: (r["alpha"], r["m"], r["seed"]))
+    return rows
+
+
+def per_cell(cfg, alpha, m, seed, corrupted, bench):
+    """One sweep cell as harness.run_cell ran it, learning and evaluating,
+    with revenue.revenue_ratio_detail's body inlined."""
+    truths = cfg.dists()
+    n = len(truths)
+    if m is None:
+        mech = population_robust_myerson(ProductDist(corrupted), [alpha] * n,
+                                         cfg.kind)
+    else:
+        profiles = ProductDist(corrupted).sample_profiles(int(m), seed)
+        mech = robust_empirical_myerson([profiles[:, j] for j in range(n)],
+                                        [alpha] * n, cfg.delta, cfg.kind)
+    d_true = ProductDist(truths)
+    if mech.n == 1:     # exact: no draws, so no variance
+        _, opt = opt_single(d_true.components[0])
+        rev = revenue_at_reserve(d_true.components[0], mech.reserves[0])
+        cov = np.zeros((2, 2))
+    else:
+        est = rev_monte_carlo([bench, mech], d_true, cfg.mc_draws,
+                              seed + _EVAL_SEED_OFFSET)
+        (opt, rev), cov = est.means, est.cov
+    if opt <= 0:
+        raise ValueError("zero OPT")
+    ratio = rev / opt
+    var = max(cov[1, 1] - 2 * ratio * cov[0, 1] + ratio * ratio * cov[0, 0], 0.0)
+    detail = ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
+    return result_row(n, cfg.kind, cfg.adversary, alpha,
+                      0 if m is None else int(m), seed, *detail)
 
 
 def mean_and_half_width(est, i=0):

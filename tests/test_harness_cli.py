@@ -34,7 +34,7 @@ from robust_auctions.pipeline import (population_robust_myerson,
 from robust_auctions.revenue import (revenue_at_reserve,
                                      revenue_ratio_detail, truth_mechanism)
 
-from _gen import read_rows, time_limit
+from _gen import per_cell_sweep, read_rows, time_limit
 
 
 def _small_config(**overrides):
@@ -146,6 +146,14 @@ def test_sweep_deterministic_across_runs_and_workers(tmp_path):
     assert p1.read_bytes() == p8.read_bytes()
 
 
+def _counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_sweep_builds_seed_free_work_once(monkeypatch):
     """run_sweep corrupts each distinct alpha once (the KS self-checks run
     inside corrupt, once per corruption) and builds the truth mechanism
@@ -154,15 +162,9 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
     import robust_auctions.revenue as revenue
 
     calls = {"corrupt": 0, "truth": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(harness, "corrupt", counting("corrupt", corrupt))
-    truth = counting("truth", revenue.truth_mechanism)
+    monkeypatch.setattr(harness, "corrupt",
+                        _counting(calls, "corrupt", corrupt))
+    truth = _counting(calls, "truth", revenue.truth_mechanism)
     monkeypatch.setattr(harness, "truth_mechanism", truth)
     monkeypatch.setattr(revenue, "truth_mechanism", truth)   # a cell's own
     cfg = _small_config(true_dists=["exp:1.0", "exp:0.5"],
@@ -172,6 +174,51 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
         rows = run_sweep(cfg, workers=workers)
         assert len(rows) == 18
         assert calls == {"corrupt": 2 * 2, "truth": 1}
+
+
+_SHARED_PASS_CONFIGS = {
+    # 2 alphas x 2 sample sizes per seed, seed 3 twice
+    "grid": dict(true_dists=["exp:1.0", "unif:0:2"], seeds=[3, 3, 4]),
+    "one-bidder": dict(),
+    # population cells, two seeds, past a chunk edge
+    "population": dict(true_dists=["exp:1.0", "exp:0.5"], seeds=[5, 6],
+                       ms=[], mc_draws=2 ** 20 + 1),
+    # 3 x 3 = 9 cells per seed, one more than a pass holds
+    "over-cap": dict(true_dists=["exp:1.0", "exp:0.5"], kind="regular",
+                     alphas=[0.0, 0.02, 0.05], seeds=[1], ms=[100, 200, 300],
+                     mc_draws=3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_PASS_CONFIGS))
+def test_sweep_equals_the_per_cell_reference(monkeypatch, name):
+    """run_sweep's rows equal, bit for bit, those of each cell learning its
+    own mechanism and taking its own pass (_gen.per_cell_sweep).  For n > 1
+    it takes one Monte Carlo pass per distinct seed and batch of at most
+    _PASS_CELLS distinct cells, none for n = 1, and it builds one population
+    mechanism per distinct alpha."""
+    import robust_auctions.harness as harness
+
+    cfg = _small_config(**_SHARED_PASS_CONFIGS[name])
+    expected = per_cell_sweep(cfg)
+    calls = {"pass": 0, "population": 0}
+    monkeypatch.setattr(harness, "rev_monte_carlo",
+                        _counting(calls, "pass", harness.rev_monte_carlo))
+    monkeypatch.setattr(harness, "population_robust_myerson",
+                        _counting(calls, "population",
+                                  harness.population_robust_myerson))
+    cells = {(a, m) for a in cfg.alphas for m in cfg.ms or [None]}
+    passes = 0 if len(cfg.true_dists) == 1 else (
+        len(set(cfg.seeds)) * -(-len(cells) // harness._PASS_CELLS))
+    for workers in (1, 2, 8):
+        calls.update({"pass": 0, "population": 0})
+        rows = run_sweep(cfg, workers=workers)
+        assert [format_row(r) for r in rows] == [format_row(r)
+                                                 for r in expected]
+        assert rows == expected
+        assert calls == {"pass": passes,
+                         "population": 0 if cfg.ms else len(set(cfg.alphas))}
+    assert name != "over-cap" or passes == 2
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -187,17 +234,19 @@ def test_population_cells_use_eval_seed_offset():
     cfg = ExperimentConfig(true_dists=["exp:1.0", "exp:1.0"],
                            adversary="shift:up", kind="mhr", alphas=[0.05],
                            seeds=[7], ms=[], mc_draws=20_000)
-    truths = cfg.dists()
-    row = run_cell(cfg, 0.05, None, 7,
-                   [corrupt(d, "shift:up", 0.05) for d in truths],
-                   truth_mechanism(ProductDist(truths), "mhr"))
+    [row] = run_sweep(cfg)
     assert row["m"] == 0 and row["seed"] == 7
+    truths = cfg.dists()
+    cell = run_cell(cfg, 0.05, None, 7,
+                    [corrupt(d, "shift:up", 0.05) for d in truths])
+    bench = truth_mechanism(ProductDist(truths), "mhr")
 
     truths = [parse_dist_spec("exp:1.0")] * 2
     shaded = [corrupt(d, "shift:up", 0.05) for d in truths]
     mech = population_robust_myerson(ProductDist(shaded), [0.05, 0.05], "mhr")
+    assert cell.to_dict() == mech.to_dict()
     ratio, ci, opt, rev = revenue_ratio_detail(mech, ProductDist(truths),
-                                               20_000, 7 + 1_000_007)
+                                               20_000, 7 + 1_000_007, bench)
     assert row["ratio"] == ratio
     assert row["ci"] == ci and row["opt"] == opt and row["rev"] == rev
 
