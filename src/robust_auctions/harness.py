@@ -28,8 +28,8 @@ from .revenue import (_ratio, opt_single, rev_monte_carlo, revenue_at_reserve,
 # the evaluator both consume (seed, profile index) substreams, so the eval
 # seed is displaced by a fixed offset.
 _EVAL_SEED_OFFSET = 1_000_007
-# cells per Monte Carlo pass, which holds one chunk array per mechanism
-_PASS_CELLS = 8
+# cells per Monte Carlo pass; each adds a chunk array (8 MB at 10^6 draws)
+_PASS_CELLS = 2
 
 RESULT_COLUMNS = ("n", "kind", "adversary", "alpha", "m", "seed",
                   "ratio", "ci", "opt", "rev")
@@ -159,8 +159,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     # each distinct cell and its mechanism's key, seed-free for population
     learn = {c: c if c[1] else (c[0], None, None) for c in cells}
     by_seed = [[c for c in learn if c[2] == s] for s in dict.fromkeys(cfg.seeds)]
-    passes = [g[i:i + _PASS_CELLS] for g in by_seed
-              for i in range(0, len(g), _PASS_CELLS)]
+    size = min(_PASS_CELLS, -(-len(learn) // workers))   # no idle worker
+    passes = [g[i:i + size] for g in by_seed for i in range(0, len(g), size)]
 
     def evaluate(batch):
         seed = batch[0][2] + _EVAL_SEED_OFFSET

@@ -145,10 +145,10 @@ def _ratio(est: RevenueEstimate, j: int):
 
 
 def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
-                         seed: int, bench: Mechanism | None = None):
+                         seed: int):
     """(ratio, ci, opt, rev).  OPT is exact for n=1; for n>1 it is the Monte
-    Carlo revenue of `bench`, the truth mechanism (built if not given), on
-    mech's profiles.  The ci is the paired 95% delta-method half width."""
+    Carlo revenue of the truth mechanism on mech's profiles.  The ci is the
+    paired 95% delta-method half width."""
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
     if mech.n == 1:     # exact: no draws, so no variance
@@ -156,6 +156,6 @@ def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
         means = opt_single(d)[1], revenue_at_reserve(d, mech.reserves[0])
         est = RevenueEstimate(means, np.zeros((2, 2)), 0)
     else:
-        est = rev_monte_carlo([bench or truth_mechanism(d_true, mech.kind),
-                               mech], d_true, n_draws, seed)
+        est = rev_monte_carlo([truth_mechanism(d_true, mech.kind), mech],
+                              d_true, n_draws, seed)
     return _ratio(est, 1)

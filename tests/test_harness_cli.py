@@ -31,8 +31,7 @@ from robust_auctions.links import convex_envelope
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
-from robust_auctions.revenue import (revenue_at_reserve,
-                                     revenue_ratio_detail, truth_mechanism)
+from robust_auctions.revenue import revenue_at_reserve, revenue_ratio_detail
 
 from _gen import per_cell_sweep, read_rows, time_limit
 
@@ -166,7 +165,8 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
                         _counting(calls, "corrupt", corrupt))
     truth = _counting(calls, "truth", revenue.truth_mechanism)
     monkeypatch.setattr(harness, "truth_mechanism", truth)
-    monkeypatch.setattr(revenue, "truth_mechanism", truth)   # a cell's own
+    # revenue_ratio_detail's own
+    monkeypatch.setattr(revenue, "truth_mechanism", truth)
     cfg = _small_config(true_dists=["exp:1.0", "exp:0.5"],
                         alphas=[0.0, 0.05, 0.05], seeds=[1, 2, 3])
     for workers in (1, 2):
@@ -176,17 +176,20 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
         assert calls == {"corrupt": 2 * 2, "truth": 1}
 
 
+# each config, and its Monte Carlo passes at 1, 2 and 8 workers
 _SHARED_PASS_CONFIGS = {
-    # 2 alphas x 2 sample sizes per seed, seed 3 twice
-    "grid": dict(true_dists=["exp:1.0", "unif:0:2"], seeds=[3, 3, 4]),
-    "one-bidder": dict(),
+    # 2 alphas x 2 sample sizes per seed, seed 3 twice: two cells a pass,
+    # one at 8 workers, which have 8 distinct cells to share
+    "grid": (dict(true_dists=["exp:1.0", "unif:0:2"], seeds=[3, 3, 4]),
+             (4, 4, 8)),
+    "one-bidder": (dict(), (0, 0, 0)),
     # population cells, two seeds, past a chunk edge
-    "population": dict(true_dists=["exp:1.0", "exp:0.5"], seeds=[5, 6],
-                       ms=[], mc_draws=2 ** 20 + 1),
-    # 3 x 3 = 9 cells per seed, one more than a pass holds
-    "over-cap": dict(true_dists=["exp:1.0", "exp:0.5"], kind="regular",
-                     alphas=[0.0, 0.02, 0.05], seeds=[1], ms=[100, 200, 300],
-                     mc_draws=3000),
+    "population": (dict(true_dists=["exp:1.0", "exp:0.5"], seeds=[5, 6],
+                        ms=[], mc_draws=2 ** 20 + 1), (2, 2, 4)),
+    # 3 x 3 = 9 cells of one seed, more than a pass holds
+    "over-cap": (dict(true_dists=["exp:1.0", "exp:0.5"], kind="regular",
+                      alphas=[0.0, 0.02, 0.05], seeds=[1], ms=[100, 200, 300],
+                      mc_draws=3000), (5, 5, 5)),
 }
 
 
@@ -195,11 +198,13 @@ def test_sweep_equals_the_per_cell_reference(monkeypatch, name):
     """run_sweep's rows equal, bit for bit, those of each cell learning its
     own mechanism and taking its own pass (_gen.per_cell_sweep).  For n > 1
     it takes one Monte Carlo pass per distinct seed and batch of at most
-    _PASS_CELLS distinct cells, none for n = 1, and it builds one population
+    _PASS_CELLS distinct cells, and no fewer passes than workers while
+    there are cells to spread; none for n = 1.  It builds one population
     mechanism per distinct alpha."""
     import robust_auctions.harness as harness
 
-    cfg = _small_config(**_SHARED_PASS_CONFIGS[name])
+    overrides, passes = _SHARED_PASS_CONFIGS[name]
+    cfg = _small_config(**overrides)
     expected = per_cell_sweep(cfg)
     calls = {"pass": 0, "population": 0}
     monkeypatch.setattr(harness, "rev_monte_carlo",
@@ -207,18 +212,15 @@ def test_sweep_equals_the_per_cell_reference(monkeypatch, name):
     monkeypatch.setattr(harness, "population_robust_myerson",
                         _counting(calls, "population",
                                   harness.population_robust_myerson))
-    cells = {(a, m) for a in cfg.alphas for m in cfg.ms or [None]}
-    passes = 0 if len(cfg.true_dists) == 1 else (
-        len(set(cfg.seeds)) * -(-len(cells) // harness._PASS_CELLS))
-    for workers in (1, 2, 8):
+    assert harness._PASS_CELLS == 2
+    for workers, n_passes in zip((1, 2, 8), passes):
         calls.update({"pass": 0, "population": 0})
         rows = run_sweep(cfg, workers=workers)
         assert [format_row(r) for r in rows] == [format_row(r)
                                                  for r in expected]
         assert rows == expected
-        assert calls == {"pass": passes,
+        assert calls == {"pass": n_passes,
                          "population": 0 if cfg.ms else len(set(cfg.alphas))}
-    assert name != "over-cap" or passes == 2
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -239,14 +241,13 @@ def test_population_cells_use_eval_seed_offset():
     truths = cfg.dists()
     cell = run_cell(cfg, 0.05, None, 7,
                     [corrupt(d, "shift:up", 0.05) for d in truths])
-    bench = truth_mechanism(ProductDist(truths), "mhr")
 
     truths = [parse_dist_spec("exp:1.0")] * 2
     shaded = [corrupt(d, "shift:up", 0.05) for d in truths]
     mech = population_robust_myerson(ProductDist(shaded), [0.05, 0.05], "mhr")
     assert cell.to_dict() == mech.to_dict()
     ratio, ci, opt, rev = revenue_ratio_detail(mech, ProductDist(truths),
-                                               20_000, 7 + 1_000_007, bench)
+                                               20_000, 7 + 1_000_007)
     assert row["ratio"] == ratio
     assert row["ci"] == ci and row["opt"] == opt and row["rev"] == rev
 

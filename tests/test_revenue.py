@@ -28,6 +28,7 @@ from robust_auctions.pipeline import population_robust_myerson
 from robust_auctions.revenue import (
     _BLOCK,
     _CHUNK,
+    _ratio,
     opt_single,
     rev_monte_carlo,
     revenue_at_reserve,
@@ -189,8 +190,8 @@ def test_revenue_ratio_ci_covers_exact_ratio():
     posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
     covered = 0
     for seed in range(200):
-        ratio, ci, _, _ = revenue_ratio_detail(posted, truth, 20_000, seed,
-                                               bench=bench)
+        est = rev_monte_carlo([bench, posted], truth, 20_000, seed)
+        ratio, ci, _, _ = _ratio(est, 1)
         covered += abs(ratio - exact) <= ci
     assert 0.92 <= covered / 200 <= 0.98
 
@@ -214,8 +215,8 @@ def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
 
     monkeypatch.setattr(revenue, "_CHUNK", 997)
     mean, hw = mean_and_half_width(rev_monte_carlo([posted], truth, draws, seed))
-    got_ratio, ci, opt, rev = revenue_ratio_detail(posted, truth, draws, seed,
-                                                   bench=bench)
+    got_ratio, ci, opt, rev = _ratio(
+        rev_monte_carlo([bench, posted], truth, draws, seed), 1)
     np.testing.assert_allclose([mean, rev, opt, got_ratio],
                                [rev_i.mean(), rev_i.mean(), opt_i.mean(), ratio],
                                rtol=1e-12)
