@@ -595,22 +595,25 @@ def _candidate_points(d1, d2):
     return cand[np.isfinite(cand)], exact
 
 
-def _refine_max(f, cand, i, best, tol):
-    """(x, f(x)) of the best point seen from `best` at cand[i] on, as a
-    33-point grid zooms on the bracket around cand[i] (f is vectorised),
-    until the bracket is within tol or stops shrinking (adjacent floats)."""
-    best_x = float(cand[i])
-    lo = cand[i - 1] if i > 0 else cand[i]
-    hi = cand[i + 1] if i + 1 < cand.size else cand[i]
-    width = np.inf
-    while tol < hi - lo < width:
+def _refine_max(f, cand, idx, best, tol):
+    """(x, f(x)) of the best point seen from `best` at cand[idx[0]] on, as
+    a 33-point grid zooms on the bracket around each cand[i], i in idx, all
+    at once (f is elementwise), each until it is within its tol or stops
+    shrinking (adjacent floats).  A bracket's zoom does not depend on best."""
+    idx = np.atleast_1d(idx)
+    best_x = float(cand[idx[0]])
+    lo, hi = cand[np.maximum(idx - 1, 0)], cand[np.minimum(idx + 1, cand.size - 1)]
+    tol, width = np.broadcast_to(tol, lo.shape), np.full(lo.shape, np.inf)
+    while (go := (tol < hi - lo) & (hi - lo < width)).any():
+        lo, hi, tol = lo[go], hi[go], tol[go]
         width = hi - lo
-        grid = np.linspace(lo, hi, 33)
-        vals = f(grid)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best_x, best = float(grid[j]), float(vals[j])
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+        grid = np.linspace(lo, hi, 33, axis=-1)
+        vals = f(grid.ravel()).reshape(grid.shape)
+        rows, j = np.arange(lo.size), np.argmax(vals, axis=1)
+        k = int(np.argmax(vals[rows, j]))
+        if vals[k, j[k]] > best:
+            best_x, best = float(grid[k, j[k]]), float(vals[k, j[k]])
+        lo, hi = grid[rows, np.maximum(j - 1, 0)], grid[rows, np.minimum(j + 1, 32)]
     return best_x, best
 
 
@@ -631,10 +634,9 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
         return best
     # refine around the best few grid points; the gap is continuous there
     gap = lambda x: np.abs(d1.cdf(x) - d2.cdf(x))
-    for i in np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]:
-        tol = 1e-13 * max(1.0, abs(cand[i]))
-        best = _refine_max(gap, cand, i, best, tol)[1]
-    return best
+    idx = np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]
+    return _refine_max(gap, cand, idx, best,
+                       1e-13 * np.maximum(1.0, np.abs(cand[idx])))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -113,31 +113,39 @@ class VirtualValueFn:
         self._rights = np.append(rights, self.top)
         self._inv_s = np.append(inv_s, 0.0)
         self._rank = _KnotRank(self._lefts)
-        self._inv_tab = np.append(np.inf, self._inv_s)
-        self._sup_tab = np.concatenate(([_NEG_INF], self._sups, [self.top]))
+        # by rank: 1/slope, phi = v - it (mhr), or phi itself (regular)
+        self._phi_tab = (np.append(np.inf, self._inv_s) if self.kind == "mhr"
+                         else np.concatenate(([_NEG_INF], self._sups, [self.top])))
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, v):
         """Virtual value, vectorized; -inf below the first knot, clamped to
-        the top-atom value for v >= support top.  v must not be NaN."""
+        the top-atom value for v >= support top.  ValueError if v is NaN."""
         arr = np.ascontiguousarray(v, dtype=float)  # copies strided columns
-        i = self._rank(arr)
-        if self.kind == "mhr":
-            out = arr - self._inv_tab.take(i)
-            np.minimum(out, self.top, out=out)    # v - 1/slope <= v < top below it
-        else:
-            out = self._sup_tab.take(i)
+        if np.isnan(arr.min(initial=0.0)):          # min propagates NaN
+            raise ValueError("v must not be NaN")
+        out = self._phi(arr, self._rank(arr), self._phi_tab)
         return float(out[0]) if np.ndim(v) == 0 else out
+
+    def _phi(self, v, i, tab):
+        """phi of v at ranks i in knots holding `_lefts`; tab: `_phi_tab` by i."""
+        if self.kind != "mhr":
+            return tab.take(i)
+        out = v - tab.take(i)       # v - 1/slope <= v < top below it
+        return np.minimum(out, self.top, out=out)
 
     def inverse(self, t, strict=False):
         """inf{v : phi(v) >= t}, or > t where `strict` (a bool or one per
         target), vectorized.  Targets beyond the top-atom value clamp to the
-        support top (the public `inverse_virtual` raises instead)."""
+        support top (`inverse_virtual` raises instead); NaN raises ValueError."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
+        low = arr.min(initial=np.inf)               # min propagates NaN
+        if np.isnan(low):
+            raise ValueError("t must not be NaN")
         # phi(v) > t is phi(v) >= the next float up: one left rank serves both
         key = _rank_key(arr, strict)
         # a target above every sup lands on the closing piece: the top
-        if self._sup_rank is not None and not np.any(key < 0.0):
+        if self._sup_rank is not None and low >= 0.0:
             i = self._sup_rank(key, "left") + self._neg_sups
         else:   # no sup >= 0, or a target < 0, which payments never send
             i = np.searchsorted(self._sups, key)
@@ -157,8 +165,6 @@ class VirtualValueFn:
 
 def virtual_value(cdf: PiecewiseLinkCDF, v):
     """phi(v); errors if v is NaN, negative or beyond the support top."""
-    if np.any(np.isnan(np.asarray(v, dtype=float))):
-        raise ValueError("v must not be NaN")
     if np.any(np.asarray(v) > cdf.support_top() + 1e-12):
         raise ValueError("v beyond support top")
     if np.any(np.asarray(v) < 0):
@@ -169,12 +175,23 @@ def virtual_value(cdf: PiecewiseLinkCDF, v):
 def inverse_virtual(cdf: PiecewiseLinkCDF, t):
     """Smallest v with phi(v) >= t; errors if t is NaN or exceeds the
     top-atom value."""
-    if np.any(np.isnan(np.asarray(t, dtype=float))):
-        raise ValueError("t must not be NaN")
     top = cdf.support_top()
     if np.any(np.asarray(t) > top):
         raise ValueError("t exceeds max virtual value")
     return VirtualValueFn(cdf).inverse(t)
+
+
+def _pass_ranks(mechs):
+    """Per bidder a _KnotRank over the union U of the mechanisms' piece
+    lefts, and per mechanism and bidder its `_phi_tab` by rank in U: no left
+    lies in (U[r - 1], b], so b's own rank is the count of lefts <= U[r - 1]."""
+    rankers, tables = [], []
+    for vvs in zip(*(mech.vvs for mech in mechs)):
+        union = np.unique(np.concatenate([vv._lefts for vv in vvs]))
+        rankers.append(_KnotRank(union))
+        tables.append([vv._phi_tab.take(np.append(0, np.searchsorted(
+            vv._lefts, union, "right"))) for vv in vvs])
+    return rankers, [list(tabs) for tabs in zip(*tables)]
 
 
 @dataclass
@@ -194,6 +211,7 @@ class Mechanism:
                 raise ValueError(f"mechanism kind {self.kind!r} but bidder "
                                  f"{j + 1} is {b.kind!r}")
         self.vvs = [VirtualValueFn(b) for b in self.bidders]
+        self._reserve_tab = np.array([0.0] + self.reserves)  # by winner + 1
 
     @property
     def n(self) -> int:
@@ -203,12 +221,13 @@ class Mechanism:
     def reserves(self) -> list:
         return [vv.reserve for vv in self.vvs]
 
-    def payments_batch(self, profiles: np.ndarray):
+    def payments_batch(self, profiles: np.ndarray, _ranked=None, _out=None):
         """Vectorized truthful auction over rows of `profiles`.
 
         Returns (winners, payments); winner is -1 when nobody clears their
         reserve.  A bid at or above a bidder's support top has phi = top;
-        negative and NaN bids are rejected.
+        negative and NaN bids are rejected.  A Monte Carlo pass hands in
+        its shared ranks (`_ranked`, see `_pass_ranks`) and a row to fill.
         """
         B = np.asarray(profiles, dtype=float)
         if B.ndim != 2 or B.shape[1] != self.n:
@@ -216,30 +235,34 @@ class Mechanism:
         if not np.all(B >= 0.0):
             raise ValueError("bids must be nonnegative")
         rows = B.shape[0]
+        ranked = _ranked or [(vv._rank(col), vv._phi_tab)      # own knots
+                             for vv, col in zip(self.vvs, B.T)]
+        phis = (vv._phi(col, *r) for vv, col, r in zip(self.vvs, B.T, ranked))
         # the best phi and its bidder, the second largest, and whether the
         # runner-up (the first index among the maxima of the others) is below
         # the winner, in plain ufunc passes (no select on a per-row mask)
-        best, second = self.vvs[0].phi(B[:, 0]), np.full(rows, _NEG_INF)
+        best, second = next(phis), np.full(rows, _NEG_INF)
         win, lower = np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
-        for j in range(1, self.n):
-            phi = self.vvs[j].phi(B[:, j])
+        for j, phi in enumerate(phis, 1):
             new = phi > best                         # ties keep the lower index
             lower &= phi <= second                   # else j is the runner-up
             lower |= new                             # else the old best is
             np.maximum(second, np.minimum(best, phi), out=second)  # the middle
             np.maximum(best, phi, out=best)
             np.maximum(win, new * j, out=win)        # j ascends
-        win = (win + 1) * (best >= 0) - 1            # -1: nobody has phi >= 0
-        payments = np.zeros(rows)
-        for j, vv in enumerate(self.vvs):
-            won = np.flatnonzero(win == j)
-            # the winner beats a higher-index runner-up weakly and a
-            # lower-index one strictly; a runner-up with phi < 0 (or an all
-            # -inf field) leaves the reserve either way.  So every target
-            # inverse sees is >= 0, and a strict one's value is >= the reserve
-            r = second[won]
-            payments[won] = vv.inverse(np.maximum(r, 0.0), lower[won] & (r >= 0))
-        return win, payments
+        win = (win + 1) * (best >= 0)                # 0: nobody has phi >= 0
+        # a runner-up with phi < 0 (or an all -inf field) leaves the winner
+        # its reserve: inverse(0.0), taken once per mechanism
+        payments = self._reserve_tab.take(win, out=_out, mode="clip")
+        # else the winner beats a higher-index runner-up weakly and a
+        # lower-index one strictly; -0.0 is >= 0 and is sent as +0.0
+        contested = np.flatnonzero(second >= 0.0)
+        won = win.take(contested)
+        for j, vv in enumerate(self.vvs, 1):
+            at = contested[won == j]
+            payments[at] = vv.inverse(np.maximum(second.take(at), 0.0),
+                                      lower.take(at))
+        return win - 1, payments
 
     def to_dict(self) -> dict:
         return {"n": self.n, "kind": self.kind,

@@ -14,7 +14,7 @@ import numpy as np
 from .ball import minimal_in_ks_ball
 from .distributions import (Distribution, PiecewiseLinkCDF, ProductDist,
                             _refine_max)
-from .myerson import Mechanism
+from .myerson import Mechanism, _pass_ranks
 
 _CHUNK = 1 << 20
 _BLOCK = 1 << 16     # rows sampled and paid at a time within a chunk
@@ -95,6 +95,7 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
     totals = [0.0] * len(mechs)
     mean = np.zeros(len(mechs))
     co = np.zeros((len(mechs), len(mechs)))
+    rankers, tables = _pass_ranks(mechs)
     done = 0
     while done < n_draws:
         take = min(_CHUNK, n_draws - done)
@@ -103,8 +104,12 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
             hi = min(lo + _BLOCK, take)
             profiles = d_true.sample_profiles(hi - lo, seed,
                                               first_profile=done + lo)
-            for pay, mech in zip(pays, mechs):
-                pay[lo:hi] = mech.payments_batch(profiles)[1]
+            # each bid column is ranked once, for every mechanism
+            ranks = [rank(col) for rank, col in zip(rankers, profiles.T)]
+            for pay, mech, tabs in zip(pays, mechs, tables):
+                mech.payments_batch(profiles, list(zip(ranks, tabs)),
+                                    pay[lo:hi])
+        del profiles, ranks     # before the moments take their scratch array
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take

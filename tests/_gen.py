@@ -249,6 +249,42 @@ def golden_ks_distance(d1, d2):
     return best
 
 
+def one_bracket_refine_max(f, cand, i, best, tol):
+    """distributions._refine_max as it was before it zoomed every bracket at
+    once: one bracket, one 33-point grid at a time.  A reference for
+    bit-identity."""
+    best_x = float(cand[i])
+    lo = cand[i - 1] if i > 0 else cand[i]
+    hi = cand[i + 1] if i + 1 < cand.size else cand[i]
+    width = np.inf
+    while tol < hi - lo < width:
+        width = hi - lo
+        grid = np.linspace(lo, hi, 33)
+        vals = f(grid)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best_x, best = float(grid[j]), float(vals[j])
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+    return best_x, best
+
+
+def bracketwise_ks_distance(d1, d2):
+    """ks_distance as it was before its five brackets zoomed at once: one
+    `one_bracket_refine_max` call per bracket, best first.  A reference for
+    bit-identity."""
+    cand, exact = _candidate_points(d1, d2)
+    gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
+    gap_l = np.abs(np.asarray(d1.cdf_left(cand)) - np.asarray(d2.cdf_left(cand)))
+    best = float(max(gap_r.max(), gap_l.max()))
+    if exact:
+        return best
+    gap = lambda x: np.abs(d1.cdf(x) - d2.cdf(x))
+    for i in np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]:
+        tol = 1e-13 * max(1.0, abs(cand[i]))
+        best = one_bracket_refine_max(gap, cand, i, best, tol)[1]
+    return best
+
+
 def reference_shade_quantiles(E, params, bidder_index):
     """pipeline.shade_quantiles as it was before the shave and the budget
     cut were split: one body, survival pinned by an `xs == 0` mask and the
@@ -440,6 +476,37 @@ def reference_payments(mech, profiles):
             pay[finite] = np.maximum(pay[finite], alt)
         payments[won] = pay
     return winners, payments
+
+
+def topped_payments(mech, profiles):
+    """(winners, payments) of `mech.payments_batch` as it was before Monte
+    Carlo passes shared bid ranks and uncontested winners read their reserve
+    from a table: each bidder's phi by its own rank, a top-two reduction,
+    then one `inverse` call per bidder on every row it wins.  A reference
+    for bit-identity."""
+    B = np.asarray(profiles, dtype=float)
+    if B.ndim != 2 or B.shape[1] != mech.n:
+        raise ValueError("profile matrix arity mismatch")
+    if not np.all(B >= 0.0):
+        raise ValueError("bids must be nonnegative")
+    rows = B.shape[0]
+    best, second = mech.vvs[0].phi(B[:, 0]), np.full(rows, -np.inf)
+    win, lower = np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool)
+    for j in range(1, mech.n):
+        phi = mech.vvs[j].phi(B[:, j])
+        new = phi > best
+        lower &= phi <= second
+        lower |= new
+        np.maximum(second, np.minimum(best, phi), out=second)
+        np.maximum(best, phi, out=best)
+        np.maximum(win, new * j, out=win)
+    win = (win + 1) * (best >= 0) - 1
+    payments = np.zeros(rows)
+    for j, vv in enumerate(mech.vvs):
+        won = np.flatnonzero(win == j)
+        r = second[won]
+        payments[won] = vv.inverse(np.maximum(r, 0.0), lower[won] & (r >= 0))
+    return win, payments
 
 
 def row_major_sample_profiles(prod, count, seed, first_profile=0):

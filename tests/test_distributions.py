@@ -31,9 +31,10 @@ from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.links import KINDS, link_forward
 from robust_auctions.revenue import _BLOCK, _CHUNK, opt_single
 
-from _gen import (Truncated, atom_masses, atomic_cases, golden_ks_distance,
-                  jump_table, random_link_cdf, random_step_cdf,
-                  reference_support_facts, row_major_sample_profiles, truncate)
+from _gen import (Truncated, atom_masses, atomic_cases,
+                  bracketwise_ks_distance, golden_ks_distance, jump_table,
+                  random_link_cdf, random_step_cdf, reference_support_facts,
+                  row_major_sample_profiles, truncate)
 from _oracle import dominates
 
 
@@ -373,6 +374,34 @@ def test_ks_zoom_matches_golden_section():
         for alpha in (0.01, 0.05):
             d = corrupt(truth, adversary, alpha)
             assert ks_distance(d, truth) == golden_ks_distance(d, truth)
+
+
+def test_ks_zoom_of_all_brackets_at_once_is_the_bracketwise_zoom():
+    """ks_distance zooms its five brackets as one batch of grids and returns
+    what the bracket-at-a-time zoom (`_gen.bracketwise_ks_distance`)
+    returned, bit for bit: each bracket's zoom is independent of the best
+    value, and a row of linspace over arrays is the scalar linspace.  The
+    cases: balls of four truths in both kinds, the lower-bound pairs, two
+    parametric pairs, every adversary's self-check input and random link
+    CDFs against each other and against parametric truths."""
+    rng = np.random.default_rng(41)
+    truths = [Exponential(1.0), Exponential(0.5), Uniform(1.0, 4.0),
+              EqualRevenue(2.0, 10.0), appx_c2(3, 0.5, "h")]
+    pairs = [(minimal_in_ks_ball(d, a, k), d) for d in truths[:4]
+             for k in KINDS for a in (0.0, 0.05)]
+    pairs += [(appx_c1(2, 0.4, "l"), appx_c1(2, 0.4, "h")),
+              (appx_c2(3, 0.5, "l"), appx_c2(3, 0.5, "h")),
+              (Exponential(1.0), Exponential(2.0)), (Uniform(0, 1), truths[0])]
+    pairs += [(corrupt(d, adversary, alpha), d) for d in truths
+              for adversary in ("tailspike:1.0", "tailspike:20.0",
+                                "shift:up", "shift:down")
+              for alpha in (0.01, 0.05)]
+    for i in range(20):
+        kind = KINDS[i % 2]
+        pairs.append((random_link_cdf(rng, kind), random_link_cdf(rng, kind)))
+        pairs.append((random_link_cdf(rng, kind), truths[i % len(truths)]))
+    for d1, d2 in pairs:
+        assert ks_distance(d1, d2) == bracketwise_ks_distance(d1, d2)
 
 
 def test_ks_symmetry():

@@ -12,13 +12,15 @@ from robust_auctions.myerson import (
     Mechanism,
     _KnotRank,
     VirtualValueFn,
+    _pass_ranks,
     _rank_key,
     inverse_virtual,
     virtual_value,
 )
 from robust_auctions.revenue import opt_single
 
-from _gen import random_link_cdf, reference_payments, searched_inverse
+from _gen import (random_link_cdf, reference_payments, searched_inverse,
+                  topped_payments)
 from _oracle import grid_reserve
 
 
@@ -749,3 +751,114 @@ def test_payments_with_a_negative_lower_index_runner_up(kind, n):
         hits["-inf"] += int(np.sum(last & np.isneginf(runner_up)))
     assert hits["-inf"] > 0
     assert n == 1 or hits["finite"] > 0, hits
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_virtual_value_fn_rejects_nan(kind):
+    """phi and inverse raise ValueError on a NaN anywhere in their input,
+    with no warning first (phi's rank used to warn in a cast and then raise
+    numpy's IndexError; inverse returned the support top)."""
+    vv = VirtualValueFn(PiecewiseLinkCDF(kind, [0.0, 1.0],
+                                         [link_origin(kind), 2.0], 2.0))
+    for x in (np.nan, [1.0, np.nan], np.full(5, np.nan), [np.inf, np.nan]):
+        with pytest.raises(ValueError, match="v must not be NaN"):
+            vv.phi(x)
+        for strict in (False, True):
+            with pytest.raises(ValueError, match="t must not be NaN"):
+                vv.inverse(x, strict)
+    assert vv.phi(np.array([])).size == vv.inverse(np.array([])).size == 0
+
+
+def _kernel_case(rng, kind, n, k):
+    """k mechanisms of n bidders drawn from one small pool of link CDFs, so
+    that they share knots, and bids that hit every kind of row: on knots
+    and support tops (of any mechanism), one ulp either side, -0.0, 0.0,
+    +inf, rows where every bid is 0 (nobody clears a reserve) and rows
+    where one bidder alone bids.  Half the time in the regular kind one
+    more mechanism has its equal-revenue phi of 0 stored as -0.0, which no
+    validated CDF yields, so that runner-ups at -0.0 occur."""
+    pool = [random_link_cdf(rng, kind, from_zero=bool(rng.random() < 0.5))
+            for _ in range(int(rng.integers(1, 4)))]
+    pool += [c for c in _INVERSE_CASES if c.kind == kind][:2]
+    mechs = [Mechanism(kind, [pool[int(rng.integers(len(pool)))]
+                              for _ in range(n)]) for _ in range(k)]
+    if kind == "regular" and rng.random() < 0.5:
+        # _INVERSE_CASES[1]: phi = 0 on its equal-revenue pieces
+        neg = Mechanism(kind, [_INVERSE_CASES[1]] * n)
+        for vv in neg.vvs:
+            vv._phi_tab[vv._phi_tab == 0.0] = -0.0
+        mechs.append(neg)
+    rows = 600
+    profiles = np.empty((rows, n))
+    for j in range(n):
+        knots = np.concatenate([m.vvs[j]._lefts for m in mechs])
+        pts = np.concatenate([knots, np.nextafter(knots, np.inf),
+                              np.nextafter(knots, 0.0),
+                              [-0.0, 0.0, np.inf, 1e300]])
+        top = max(m.vvs[j].top for m in mechs)
+        profiles[:, j] = np.where(rng.random(rows) < 0.5,
+                                  rng.choice(pts, rows),
+                                  rng.uniform(0.0, 1.2 * top, rows))
+    profiles[:30] = 0.0
+    lone = rng.integers(0, n, 30)
+    profiles[30:60] = 0.0
+    profiles[np.arange(30, 60), lone] = rng.uniform(0.0, 8.0, 30)
+    return mechs, profiles
+
+
+def _assert_kernel_is_topped(mechs, profiles):
+    """Each mechanism's payments_batch, alone and on a pass's shared ranks
+    written into a given row, equals the parent kernel bit for bit.
+    Returns the count of rows whose runner-up phi is -0.0."""
+    rankers, tables = _pass_ranks(mechs)
+    for B in (profiles, np.asfortranarray(profiles)):
+        ranks = [rank(np.ascontiguousarray(col))
+                 for rank, col in zip(rankers, B.T)]
+        for mech, tabs in zip(mechs, tables):
+            ref_w, ref_p = topped_payments(mech, B)
+            winners, payments = mech.payments_batch(B)
+            assert np.array_equal(winners, ref_w)
+            assert payments.tobytes() == ref_p.tobytes()
+            out = np.full(B.shape[0], np.nan)
+            winners, payments = mech.payments_batch(B, list(zip(ranks, tabs)),
+                                                    out)
+            assert payments is out
+            assert np.array_equal(winners, ref_w)
+            assert out.tobytes() == ref_p.tobytes()
+    neg = 0
+    for mech in mechs:
+        if mech.n > 1:
+            phis = np.sort(np.column_stack([vv.phi(profiles[:, j]) for j, vv
+                                            in enumerate(mech.vvs)]), axis=1)
+            second = phis[:, -2]
+            neg += int(np.sum((second == 0.0) & np.signbit(second)))
+    return neg
+
+
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["mhr", "regular"]),
+       n=st.integers(1, 4), k=st.integers(1, 3))
+def test_payments_batch_equals_the_topped_kernel(seed, kind, n, k):
+    """The reserve table and shared ranks change no bit of any payment:
+    every mechanism of a pass equals `_gen.topped_payments`, a verbatim
+    copy of the kernel that ranked each bidder on its own knots and called
+    inverse for every sale."""
+    _assert_kernel_is_topped(*_kernel_case(np.random.default_rng(seed),
+                                           kind, n, k))
+
+
+@pytest.mark.parametrize("kind", ["mhr", "regular"])
+def test_topped_kernel_cases_reach_every_row_kind(kind):
+    """The cases above reach what they are named for: runner-ups at -0.0
+    (regular), +inf bids, all-zero rows and lone-bidder rows, at n = 1 to 4
+    and with three mechanisms sharing knots."""
+    rng = np.random.default_rng(31 + len(kind))
+    neg = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            mechs, profiles = _kernel_case(rng, kind, n, 3)
+            neg += _assert_kernel_is_topped(mechs, profiles)
+            assert np.isposinf(profiles).any()
+            assert all((m.payments_batch(profiles[:30])[0] == -1).all()
+                       for m in mechs)
+    assert kind == "mhr" or neg > 0

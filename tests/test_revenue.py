@@ -5,8 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _gen import (atomic_cases, mean_and_half_width, random_link_cdf,
-                  searched_opt_single, time_limit, truncate,
+from _gen import (atomic_cases, mean_and_half_width, one_bracket_refine_max,
+                  random_link_cdf, searched_opt_single, time_limit, truncate,
                   unblocked_rev_monte_carlo)
 from _oracle import dominates
 
@@ -28,6 +28,7 @@ from robust_auctions.pipeline import population_robust_myerson
 from robust_auctions.revenue import (
     _BLOCK,
     _CHUNK,
+    _OPT_GRID,
     _ratio,
     opt_single,
     rev_monte_carlo,
@@ -83,6 +84,23 @@ def test_opt_single_frozen_values():
     # [2, inf) is maximized at the bottom of the support
     r, opt = opt_single(AppxC2(1, 0.5, "l"))
     np.testing.assert_allclose([r, opt], [2.0, 2.0], rtol=0, atol=1e-9)
+
+
+def test_opt_single_zoom_is_the_one_bracket_zoom():
+    """opt_single's zoom, one bracket of the batched helper it shares with
+    ks_distance, gives the price and revenue of the one-bracket zoom
+    (`_gen.one_bracket_refine_max`) bit for bit."""
+    for d in (Exponential(1.0), Exponential(0.3), Uniform(0.5, 3.0),
+              EqualRevenue(1.0, 20.0), AppxC2(3, 0.5, "h"),
+              UpShift(Exponential(1.0), 0.05),
+              corrupt(Uniform(0.0, 3.0), "shift:down", 0.05)):
+        cand, f_left = d.table(np.linspace(0.0, 1.0, _OPT_GRID,
+                                           endpoint=False))[:2]
+        revs = cand * (1.0 - f_left)
+        i = int(np.argmax(revs))
+        want = one_bracket_refine_max(lambda p: revenue_at_reserve(d, p),
+                                      cand, i, float(revs[i]), 1e-6)
+        assert opt_single(d) == want
 
 
 def test_opt_single_equal_revenue_is_flat():
@@ -253,6 +271,36 @@ def test_blocks_leave_the_chunk_moments_unchanged():
             assert est.means == means, (k, draws)
             assert est.cov.tobytes() == cov.tobytes(), (k, draws)
             assert est.cov.tobytes() == est.cov.T.copy().tobytes()
+
+
+def test_a_pass_pays_each_mechanism_as_it_pays_alone(monkeypatch):
+    """In a pass over k mechanisms, which share each block's bid ranks, every
+    mechanism pays what its own payments_batch pays on the block, bit for
+    bit; so its mean and variance are those of a pass over it alone."""
+    truth, mechs = _three_bidder_mechanisms()
+    rng = np.random.default_rng(8)
+    kinds = [m.kind for m in mechs]
+    mechs += [Mechanism(kind, [random_link_cdf(rng, kind) for _ in range(3)])
+              for kind in kinds]
+    paid = Mechanism.payments_batch
+    calls = []
+
+    def checked(self, profiles, *shared):
+        winners, payments = paid(self, profiles, *shared)
+        alone = paid(self, profiles)
+        assert shared and np.array_equal(winners, alone[0])
+        assert payments.tobytes() == alone[1].tobytes()
+        calls.append(self)
+        return winners, payments
+
+    monkeypatch.setattr(Mechanism, "payments_batch", checked)
+    est = rev_monte_carlo(mechs, truth, _BLOCK + 17, seed=5)
+    assert len(calls) == 2 * len(mechs)
+    monkeypatch.undo()
+    for j, mech in enumerate(mechs):
+        one = rev_monte_carlo([mech], truth, _BLOCK + 17, seed=5)
+        assert one.means[0] == est.means[j]
+        assert one.cov[0, 0] == est.cov[j, j]
 
 
 def test_monte_carlo_pass_holds_one_chunk_array_per_mechanism():
