@@ -21,8 +21,7 @@ from .distributions import (Exponential, ProductDist, dist_from_dict,
 from .links import check_alpha, check_kind
 from .pipeline import (_learn, confidence_log, population_robust_myerson,
                        robust_empirical_myerson)
-from .revenue import (_ratio, opt_single, rev_monte_carlo, revenue_at_reserve,
-                      revenue_ratio_detail, truth_mechanism)
+from .revenue import _benchmark, _ratios
 
 # Evaluation draws must not reuse the learning sample stream: the learner and
 # the evaluator both consume (seed, profile index) substreams, so the eval
@@ -146,14 +145,14 @@ def run_cell(cfg: ExperimentConfig, alpha: float, m, seed: int, corrupted):
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     """All cells of the sweep, sorted by (alpha, m, seed).  Each alpha's
     corruption (KS self-check included) and population mechanism, and the
-    truth mechanism, are built once.  On `workers` threads the mechanisms
-    are learned, then each seed's cells share Monte Carlo passes (n > 1)."""
+    benchmark, are built once.  On `workers` threads the mechanisms are
+    learned, then each seed's cells share Monte Carlo passes (n > 1)."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     truths = ProductDist(cfg.dists())
     corrupted = {a: [corrupt(d, cfg.adversary, a) for d in truths]
                  for a in set(cfg.alphas)}
-    bench = truth_mechanism(truths, cfg.kind) if truths.n > 1 else None
+    bench = _benchmark(truths, cfg.kind)
     cells = sorted((a, m, s) for a in cfg.alphas for m in (cfg.ms or [None])
                    for s in cfg.seeds)
     # each distinct cell and its mechanism's key, seed-free for population
@@ -163,19 +162,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list:
     passes = [g[i:i + size] for g in by_seed for i in range(0, len(g), size)]
 
     def evaluate(batch):
-        seed = batch[0][2] + _EVAL_SEED_OFFSET
-        if bench is None:   # one bidder: exact, no draws
-            return {c: revenue_ratio_detail(mech[learn[c]], truths,
-                                            cfg.mc_draws, seed) for c in batch}
-        est = rev_monte_carlo([bench, *(mech[learn[c]] for c in batch)],
-                              truths, cfg.mc_draws, seed)
-        return {c: _ratio(est, j) for j, c in enumerate(batch, 1)}
+        return zip(batch, _ratios(bench, [mech[learn[c]] for c in batch],
+                                  truths, cfg.mc_draws,
+                                  batch[0][2] + _EVAL_SEED_OFFSET))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         fan = pool.map if workers > 1 else map   # no thread, no second heap
         mech = dict(fan(lambda k: (k, run_cell(cfg, *k, corrupted[k[0]])),
                         dict.fromkeys(learn.values())))
-        detail = {c: d for ds in fan(evaluate, passes) for c, d in ds.items()}
+        detail = {c: d for ds in fan(evaluate, passes) for c, d in ds}
     return [result_row(truths.n, cfg.kind, cfg.adversary, a, m or 0, s,
                        *detail[a, m, s]) for a, m, s in cells]
 
@@ -201,15 +196,16 @@ def write_rows(rows, path):
               ([row[col] for col in RESULT_COLUMNS] for row in rows))
 
 
-def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,
-                              delta: float = 0.01) -> dict:
+def reproduce_counterexample1(alpha: float, c: float, m: int,
+                              seed: int) -> dict:
     """Tail-spike corruption of Exponential(1): naive vs. robust learning.
 
-    Both learners see the same corrupted samples.  When the naive learner is
-    actually fooled (its reserve lands in the spike region), its exact ratio
-    is checked against the (c/alpha) e^{-c/alpha} / OPT ceiling; a violation
-    raises CheckFailure.  With tiny alpha the confidence shading removes the
-    spike on its own, nobody is fooled, and both ratios are close to 1.
+    Both learners see the same corrupted samples, at delta = 0.01.  When the
+    naive learner is actually fooled (its reserve lands in the spike region),
+    its exact ratio is checked against the (c/alpha) e^{-c/alpha} / OPT
+    ceiling; a violation raises CheckFailure.  With tiny alpha the confidence
+    shading removes the spike on its own, nobody is fooled, and both ratios
+    are close to 1.
     """
     alpha, c, m = float(alpha), float(c), int(m)
     if not 0.0 < alpha < 1.0:
@@ -218,13 +214,12 @@ def reproduce_counterexample1(alpha: float, c: float, m: int, seed: int,
         raise ConfigError("c must be positive")
     if m < 1:
         raise ConfigError("m must be at least 1")
-    truth = Exponential(1.0)
-    corrupted = corrupt(truth, f"tailspike:{c!r}", alpha)
+    truths = ProductDist([Exponential(1.0)])
+    corrupted = corrupt(truths.components[0], f"tailspike:{c!r}", alpha)
     samples = corrupted.sample(m, seed)
-    naive, robust = _learn([samples], [alpha], delta, "mhr", (False, True))
-    _, opt = opt_single(truth)
-    naive_ratio = revenue_at_reserve(truth, naive.reserves[0]) / opt
-    robust_ratio = revenue_at_reserve(truth, robust.reserves[0]) / opt
+    naive, robust = _learn([samples], [alpha], 0.01, "mhr", (False, True))
+    (naive_ratio, _, opt, _), (robust_ratio, *_) = _ratios(
+        _benchmark(truths, "mhr"), [naive, robust], truths, 0, 0)  # no draws
     spike_x = c / alpha
     bound = spike_x * np.exp(-spike_x) / opt
     fooled = naive.reserves[0] >= spike_x / 2.0

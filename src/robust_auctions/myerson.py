@@ -211,15 +211,12 @@ class Mechanism:
                 raise ValueError(f"mechanism kind {self.kind!r} but bidder "
                                  f"{j + 1} is {b.kind!r}")
         self.vvs = [VirtualValueFn(b) for b in self.bidders]
+        self.reserves = [vv.reserve for vv in self.vvs]
         self._reserve_tab = np.array([0.0] + self.reserves)  # by winner + 1
 
     @property
     def n(self) -> int:
         return len(self.bidders)
-
-    @property
-    def reserves(self) -> list:
-        return [vv.reserve for vv in self.vvs]
 
     def payments_batch(self, profiles: np.ndarray, _ranked=None, _out=None):
         """Vectorized truthful auction over rows of `profiles`.
@@ -255,19 +252,18 @@ class Mechanism:
         # its reserve: inverse(0.0), taken once per mechanism
         payments = self._reserve_tab.take(win, out=_out, mode="clip")
         # else the winner beats a higher-index runner-up weakly and a
-        # lower-index one strictly; -0.0 is >= 0 and is sent as +0.0
+        # lower-index one strictly; -0.0 is >= 0, read as +0.0 by _rank_key
         contested = np.flatnonzero(second >= 0.0)
         won = win.take(contested)
         for j, vv in enumerate(self.vvs, 1):
             at = contested[won == j]
-            payments[at] = vv.inverse(np.maximum(second.take(at), 0.0),
-                                      lower.take(at))
+            payments[at] = vv.inverse(second.take(at), lower.take(at))
         return win - 1, payments
 
     def to_dict(self) -> dict:
         return {"n": self.n, "kind": self.kind,
-                "bidders": [dict(b.to_dict(), reserve=vv.reserve)
-                            for b, vv in zip(self.bidders, self.vvs)],
+                "bidders": [dict(b.to_dict(), reserve=r)
+                            for b, r in zip(self.bidders, self.reserves)],
                 "alpha": self.alpha, "provenance": self.provenance}
 
     @classmethod

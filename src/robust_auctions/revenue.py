@@ -137,30 +137,39 @@ def truth_mechanism(d_true: ProductDist, kind: str) -> Mechanism:
                      provenance={"role": "benchmark", "grid": _TRUTH_GRID})
 
 
-def _ratio(est: RevenueEstimate, j: int):
-    """(ratio, ci, opt, rev) of mechanism j of a pass against mechanism 0."""
-    opt, rev, cov = est.means[0], est.means[j], est.cov
+def _benchmark(d_true: ProductDist, kind: str):
+    """OPT for one bidder; for n > 1 the mechanism whose revenue is OPT."""
+    return (opt_single(d_true.components[0])[1] if d_true.n == 1
+            else truth_mechanism(d_true, kind))
+
+
+def _ratios(bench, mechs, d_true: ProductDist, n_draws: int, seed: int):
+    """(ratio, ci, opt, rev) of each mechanism against `_benchmark`'s bench:
+    exact for n = 1; else one Monte Carlo pass and a 95% delta-method ci."""
+    if d_true.n == 1:     # no draws, so no variance
+        d = d_true.components[0]
+        opt, cov = bench, np.zeros((len(mechs) + 1,) * 2)
+        revs = [revenue_at_reserve(d, mech.reserves[0]) for mech in mechs]
+    else:
+        est = rev_monte_carlo([bench, *mechs], d_true, n_draws, seed)
+        (opt, *revs), cov = est.means, est.cov
     if opt <= 0:
         raise ValueError("zero OPT")
-    ratio = rev / opt
-    # the variance of the mean residual rev_i - ratio * opt_i (Cochran's
-    # ratio estimator); 0 for a mechanism against itself
-    var = max(cov[j, j] - 2 * ratio * cov[0, j] + ratio * ratio * cov[0, 0], 0.0)
-    return ratio, 1.96 * float(np.sqrt(var)) / opt, opt, rev
+    rows = []
+    for j, rev in enumerate(revs, 1):
+        r = rev / opt
+        # the variance of the mean residual rev_i - r * opt_i (Cochran's
+        # ratio estimator); 0 for a mechanism against itself
+        var = max(cov[j, j] - 2 * r * cov[0, j] + r * r * cov[0, 0], 0.0)
+        rows.append((r, 1.96 * float(np.sqrt(var)) / opt, opt, rev))
+    return rows
 
 
 def revenue_ratio_detail(mech: Mechanism, d_true: ProductDist, n_draws: int,
                          seed: int):
-    """(ratio, ci, opt, rev).  OPT is exact for n=1; for n>1 it is the Monte
-    Carlo revenue of the truth mechanism on mech's profiles.  The ci is the
-    paired 95% delta-method half width."""
+    """(ratio, ci, opt, rev) of mech against OPT (`_ratios`): exact for n=1,
+    else paired with the truth mechanism on n_draws Monte Carlo profiles."""
     if d_true.n != mech.n:
         raise ValueError("arity mismatch")
-    if mech.n == 1:     # exact: no draws, so no variance
-        d = d_true.components[0]
-        means = opt_single(d)[1], revenue_at_reserve(d, mech.reserves[0])
-        est = RevenueEstimate(means, np.zeros((2, 2)), 0)
-    else:
-        est = rev_monte_carlo([truth_mechanism(d_true, mech.kind), mech],
-                              d_true, n_draws, seed)
-    return _ratio(est, 1)
+    return _ratios(_benchmark(d_true, mech.kind), [mech], d_true, n_draws,
+                   seed)[0]

@@ -31,7 +31,8 @@ from robust_auctions.links import convex_envelope
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
-from robust_auctions.revenue import revenue_at_reserve, revenue_ratio_detail
+from robust_auctions.revenue import (opt_single, revenue_at_reserve,
+                                     revenue_ratio_detail)
 
 from _gen import per_cell_sweep, read_rows, time_limit
 
@@ -163,10 +164,9 @@ def test_sweep_builds_seed_free_work_once(monkeypatch):
     calls = {"corrupt": 0, "truth": 0}
     monkeypatch.setattr(harness, "corrupt",
                         _counting(calls, "corrupt", corrupt))
-    truth = _counting(calls, "truth", revenue.truth_mechanism)
-    monkeypatch.setattr(harness, "truth_mechanism", truth)
-    # revenue_ratio_detail's own
-    monkeypatch.setattr(revenue, "truth_mechanism", truth)
+    # revenue._benchmark builds it
+    monkeypatch.setattr(revenue, "truth_mechanism",
+                        _counting(calls, "truth", revenue.truth_mechanism))
     cfg = _small_config(true_dists=["exp:1.0", "exp:0.5"],
                         alphas=[0.0, 0.05, 0.05], seeds=[1, 2, 3])
     for workers in (1, 2):
@@ -202,13 +202,14 @@ def test_sweep_equals_the_per_cell_reference(monkeypatch, name):
     there are cells to spread; none for n = 1.  It builds one population
     mechanism per distinct alpha."""
     import robust_auctions.harness as harness
+    import robust_auctions.revenue as revenue
 
     overrides, passes = _SHARED_PASS_CONFIGS[name]
     cfg = _small_config(**overrides)
     expected = per_cell_sweep(cfg)
     calls = {"pass": 0, "population": 0}
-    monkeypatch.setattr(harness, "rev_monte_carlo",
-                        _counting(calls, "pass", harness.rev_monte_carlo))
+    monkeypatch.setattr(revenue, "rev_monte_carlo",
+                        _counting(calls, "pass", revenue.rev_monte_carlo))
     monkeypatch.setattr(harness, "population_robust_myerson",
                         _counting(calls, "population",
                                   harness.population_robust_myerson))
@@ -221,6 +222,21 @@ def test_sweep_equals_the_per_cell_reference(monkeypatch, name):
         assert rows == expected
         assert calls == {"pass": n_passes,
                          "population": 0 if cfg.ms else len(set(cfg.alphas))}
+
+
+def test_one_bidder_sweep_finds_opt_once(monkeypatch):
+    """A one-bidder sweep computes the exact OPT of its truth once, whatever
+    the number of cells and workers; it used to take one per cell."""
+    import robust_auctions.revenue as revenue
+
+    calls = {"opt": 0}
+    monkeypatch.setattr(revenue, "opt_single",
+                        _counting(calls, "opt", revenue.opt_single))
+    cfg = _small_config()
+    for workers in (1, 2, 8):
+        calls.update(opt=0)
+        assert len(run_sweep(cfg, workers=workers)) == 8
+        assert calls == {"opt": 1}
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -288,6 +304,15 @@ def test_reproduce_cex1_fooled_and_not_fooled():
     assert r2["fooled"] is False
     assert r2["naive_ratio"] >= 0.95
     assert r2["robust_ratio"] >= 0.95
+
+    # the ratios are the exact posted revenues over the exact OPT, bit for bit
+    truth = parse_dist_spec("exp:1.0")
+    _, opt = opt_single(truth)
+    for out in (r, r2):
+        assert out["opt"] == opt
+        for who in ("naive", "robust"):
+            assert out[f"{who}_ratio"] == revenue_at_reserve(
+                truth, out[f"{who}_reserve"]) / opt
 
 
 def test_reproduce_cex1_memory_peak():
@@ -632,10 +657,12 @@ def test_cli_reproduce_cex1_check_failure_exits_3(monkeypatch, capsys):
     """A fooled naive learner that earned more than the spike ceiling (here
     every reserve is reported to earn the true optimum) is exit 3 with one
     line."""
-    import robust_auctions.harness as harness
+    import robust_auctions.revenue as revenue
 
-    monkeypatch.setattr(harness, "revenue_at_reserve",
-                        lambda dist, r: revenue_at_reserve(dist, 1.0))
+    # scalar prices only: opt_single prices arrays through the same name
+    monkeypatch.setattr(revenue, "revenue_at_reserve",
+                        lambda dist, r: revenue_at_reserve(
+                            dist, 1.0 if np.ndim(r) == 0 else r))
     assert main(["reproduce-cex1", "--alpha", "0.05", "--c", "1.0",
                  "--m", "20000", "--seed", "3"]) == 3
     captured = capsys.readouterr()

@@ -29,7 +29,7 @@ from robust_auctions.revenue import (
     _BLOCK,
     _CHUNK,
     _OPT_GRID,
-    _ratio,
+    _ratios,
     opt_single,
     rev_monte_carlo,
     revenue_at_reserve,
@@ -208,8 +208,7 @@ def test_revenue_ratio_ci_covers_exact_ratio():
     posted = Mechanism(kind="mhr", bidders=[_exp_link(rate=0.5)] * 2)
     covered = 0
     for seed in range(200):
-        est = rev_monte_carlo([bench, posted], truth, 20_000, seed)
-        ratio, ci, _, _ = _ratio(est, 1)
+        ratio, ci, _, _ = _ratios(bench, [posted], truth, 20_000, seed)[0]
         covered += abs(ratio - exact) <= ci
     assert 0.92 <= covered / 200 <= 0.98
 
@@ -233,8 +232,7 @@ def test_chunk_moments_merge_to_the_one_pass_values(monkeypatch):
 
     monkeypatch.setattr(revenue, "_CHUNK", 997)
     mean, hw = mean_and_half_width(rev_monte_carlo([posted], truth, draws, seed))
-    got_ratio, ci, opt, rev = _ratio(
-        rev_monte_carlo([bench, posted], truth, draws, seed), 1)
+    got_ratio, ci, opt, rev = _ratios(bench, [posted], truth, draws, seed)[0]
     np.testing.assert_allclose([mean, rev, opt, got_ratio],
                                [rev_i.mean(), rev_i.mean(), opt_i.mean(), ratio],
                                rtol=1e-12)
