@@ -16,7 +16,9 @@ Conventions, fixed here and relied on by the payment logic:
     knot: the MHR form extends the last piece linearly and the regular form
     keeps its last constant, preserving monotonicity;
   * ties in virtual value are won by the lowest bidder index, so the winner
-    must beat lower-index opponents strictly and higher-index ones weakly.
+    must beat lower-index opponents strictly and higher-index ones weakly;
+  * `certified`: phi >= 0 exactly from the reserve on, which a slope dip at
+    a knot inside the convexity tolerance can break (see Mechanism._screen).
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ class VirtualValueFn:
         # by rank: 1/slope, phi = v - it (mhr), or phi itself (regular)
         self._phi_tab = (np.append(np.inf, self._inv_s) if self.kind == "mhr"
                          else np.concatenate(([_NEG_INF], self._sups, [self.top])))
+        # phi < 0 below the reserve and rises on each piece, so phi >= 0 at
+        # it and at each left past it certifies {phi >= 0} = [reserve, inf)
+        r = self.reserve = float(self.inverse(0.0))
+        self.certified = bool(np.all(self.phi(
+            np.append(r, self._lefts[self._lefts >= r])) >= 0.0))
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, v):
@@ -157,10 +164,6 @@ class VirtualValueFn:
         else:
             out = self._lefts.take(i)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-    @property
-    def reserve(self) -> float:
-        return float(self.inverse(0.0))
 
 
 def virtual_value(cdf: PiecewiseLinkCDF, v):
@@ -218,22 +221,45 @@ class Mechanism:
     def n(self) -> int:
         return len(self.bidders)
 
+    def _screen(self, B, out=None):
+        """Validate bids; (winner + 1, payments, contested), in n's narrowest
+        int.  A row where at most one bid clears its reserve is sold there or
+        not at all; the rest (all, if a bidder is uncertified) are contested."""
+        if B.ndim != 2 or B.shape[1] != self.n:
+            raise ValueError("profile matrix arity mismatch")
+        if not np.all(B >= 0.0):
+            raise ValueError("bids must be nonnegative")
+        win, count = np.zeros((2, len(B)), dtype=np.min_scalar_type(self.n))
+        for j, (col, r) in enumerate(zip(B.T, self.reserves), 1):
+            above = col >= r
+            count += above
+            win += above * win.dtype.type(j)    # j itself where count is 1
+        contested = count >= (2 if all(vv.certified for vv in self.vvs) else 0)
+        return win, self._reserve_tab.take(win, out=out, mode="clip"), contested
+
     def payments_batch(self, profiles: np.ndarray, _ranked=None, _out=None):
         """Vectorized truthful auction over rows of `profiles`.
 
         Returns (winners, payments); winner is -1 when nobody clears their
         reserve.  A bid at or above a bidder's support top has phi = top;
-        negative and NaN bids are rejected.  A Monte Carlo pass hands in
-        its shared ranks (`_ranked`, see `_pass_ranks`) and a row to fill.
+        negative and NaN bids are rejected.  Rows `_screen` leaves contested
+        run the auction; a Monte Carlo pass hands in screened rows with
+        their shared ranks (`_ranked`, see `_pass_ranks`) and a row to fill.
         """
         B = np.asarray(profiles, dtype=float)
-        if B.ndim != 2 or B.shape[1] != self.n:
-            raise ValueError("profile matrix arity mismatch")
-        if not np.all(B >= 0.0):
-            raise ValueError("bids must be nonnegative")
+        if _ranked is not None:
+            return self._auction(B, _ranked, _out)
+        win, payments, contested = self._screen(B, _out)
+        at = np.flatnonzero(contested)
+        sub = B.T.take(at, axis=1).T        # each bidder's bids contiguous
+        win = win.astype(np.intp) - 1
+        win[at], payments[at] = self._auction(sub, [
+            (vv._rank(col), vv._phi_tab) for vv, col in zip(self.vvs, sub.T)])
+        return win, payments
+
+    def _auction(self, B, ranked, out=None):
+        """(winners, payments) of every row of B, its bids ranked."""
         rows = B.shape[0]
-        ranked = _ranked or [(vv._rank(col), vv._phi_tab)      # own knots
-                             for vv, col in zip(self.vvs, B.T)]
         phis = (vv._phi(col, *r) for vv, col, r in zip(self.vvs, B.T, ranked))
         # the best phi and its bidder, the second largest, and whether the
         # runner-up (the first index among the maxima of the others) is below
@@ -250,7 +276,7 @@ class Mechanism:
         win = (win + 1) * (best >= 0)                # 0: nobody has phi >= 0
         # a runner-up with phi < 0 (or an all -inf field) leaves the winner
         # its reserve: inverse(0.0), taken once per mechanism
-        payments = self._reserve_tab.take(win, out=_out, mode="clip")
+        payments = self._reserve_tab.take(win, out=out, mode="clip")
         # else the winner beats a higher-index runner-up weakly and a
         # lower-index one strictly; -0.0 is >= 0, read as +0.0 by _rank_key
         contested = np.flatnonzero(second >= 0.0)

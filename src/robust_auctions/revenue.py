@@ -104,12 +104,16 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
             hi = min(lo + _BLOCK, take)
             profiles = d_true.sample_profiles(hi - lo, seed,
                                               first_profile=done + lo)
-            # each bid column is ranked once, for every mechanism
-            ranks = [rank(col) for rank, col in zip(rankers, profiles.T)]
+            # each screen pays its mechanism's uncontested rows; the rows any
+            # contests are gathered, and their bids ranked, once for all
+            at = np.flatnonzero(np.logical_or.reduce([mech._screen(
+                profiles, pay[lo:hi])[2] for pay, mech in zip(pays, mechs)]))
+            sub = profiles.T.take(at, axis=1).T
+            ranks = [rank(col) for rank, col in zip(rankers, sub.T)]
             for pay, mech, tabs in zip(pays, mechs, tables):
-                mech.payments_batch(profiles, list(zip(ranks, tabs)),
-                                    pay[lo:hi])
-        del profiles, ranks     # before the moments take their scratch array
+                pay[lo:hi][at] = mech.payments_batch(
+                    sub, list(zip(ranks, tabs)))[1]
+        del profiles, at, sub, ranks  # before the moments' scratch array
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take

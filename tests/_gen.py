@@ -74,6 +74,32 @@ def random_link_cdf(rng, kind, k_max=8, max_tries=50, from_zero=False):
     raise RuntimeError("could not draw a clean random link CDF")
 
 
+def dip_link_cdfs():
+    """Two mhr link CDFs whose slope dips at a knot by less than the 1e-9
+    convexity tolerance, so that phi < 0 at or just past the reserve: slopes
+    2 and 2 (1 - 5e-10) on knots x = 0, 0.5, 1.5 (reserve 0.5, phi(0.5) =
+    -2.5e-10), and 1 + 1e-10 then 1 - 4e-10 on knots x = 0, 1, 2 (reserve
+    1 - 1e-10, phi(1) = -4e-10)."""
+    out = []
+    for xs, slopes in (([0.0, 0.5, 1.5], [2.0, 2.0 * (1 - 5e-10)]),
+                       ([0.0, 1.0, 2.0], [1 + 1e-10, 1 - 4e-10])):
+        xs = np.array(xs)
+        hs = np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+        out.append(PiecewiseLinkCDF("mhr", xs, hs, xs[-1]))
+    return out
+
+
+def edge_bids(vv, rng, grid=16):
+    """Bids where a reserve screen could go wrong for one VirtualValueFn:
+    its reserve, each knot and its top, each one ulp either side; 0; and a
+    grid over [0, 1.1 top]."""
+    pts = np.append(vv.reserve, vv._lefts)
+    return np.concatenate([pts, np.nextafter(pts, np.inf),
+                           np.nextafter(pts, -np.inf).clip(0.0), [0.0],
+                           np.linspace(0.0, 1.1 * vv.top, grid),
+                           rng.uniform(0.0, 1.1 * vv.top, grid)])
+
+
 def random_step_cdf(rng, k_max=12, lo=0.0, hi=10.0):
     k = int(rng.integers(1, k_max + 1))
     values = np.unique(np.round(rng.uniform(lo, hi, size=k), 6))

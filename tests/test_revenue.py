@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _gen import (atomic_cases, mean_and_half_width, one_bracket_refine_max,
-                  random_link_cdf, searched_opt_single, time_limit, truncate,
-                  unblocked_rev_monte_carlo)
+from _gen import (atomic_cases, dip_link_cdfs, mean_and_half_width,
+                  one_bracket_refine_max, random_link_cdf, searched_opt_single,
+                  time_limit, truncate, unblocked_rev_monte_carlo)
 from _oracle import dominates
 
 from robust_auctions.adversary import corrupt
@@ -299,6 +299,31 @@ def test_a_pass_pays_each_mechanism_as_it_pays_alone(monkeypatch):
         one = rev_monte_carlo([mech], truth, _BLOCK + 17, seed=5)
         assert one.means[0] == est.means[j]
         assert one.cov[0, 0] == est.cov[j, j]
+
+
+def test_screened_pass_equals_the_unblocked_reference():
+    """A pass gathers the rows any of its mechanisms contests, once, and
+    scatters each mechanism's payments back: its means and covariance equal
+    `_gen.unblocked_rev_monte_carlo`'s bit for bit across a chunk edge, in a
+    pass with an uncertified (dip) mechanism, which contests every row, and
+    in passes whose certified mechanisms contest different rows."""
+    truth = ProductDist([Exponential(1.0), Uniform(0.0, 2.0)])
+    rng = np.random.default_rng(2626)
+    dip = Mechanism("mhr", [dip_link_cdfs()[0], random_link_cdf(rng, "mhr")])
+    certified = [Mechanism(kind, [random_link_cdf(rng, kind, from_zero=True)
+                                  for _ in range(2)])
+                 for kind in ("mhr", "mhr", "regular", "regular")]
+    assert not all(vv.certified for vv in dip.vvs)
+    profiles = truth.sample_profiles(1000, seed=4)
+    masks = [m._screen(profiles)[2] for m in certified]
+    assert not masks[0].all() and not np.array_equal(masks[0], masks[1])
+    assert not np.array_equal(masks[2], masks[3])
+    for mechs in ([dip, certified[0]], certified[:2], certified[2:]):
+        est = rev_monte_carlo(mechs, truth, _CHUNK + 4321, seed=9)
+        means, cov = unblocked_rev_monte_carlo(mechs, truth, _CHUNK + 4321,
+                                               seed=9)
+        assert est.means == means
+        assert est.cov.tobytes() == cov.tobytes()
 
 
 def test_monte_carlo_pass_holds_one_chunk_array_per_mechanism():
