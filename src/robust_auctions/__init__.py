@@ -17,9 +17,8 @@ from .harness import (CheckFailure, ConfigError, ExperimentConfig,
                       reproduce_counterexample1, run_sweep, write_rows)
 from .links import (PiecewiseLinearFn, convex_envelope, link_forward,
                     link_inverse)
-from .myerson import Mechanism, VirtualValueFn, inverse_virtual, virtual_value
-from .pipeline import (ShadingParams, population_robust_myerson,
-                       robust_empirical_myerson, shade_quantiles)
+from .myerson import Mechanism, VirtualValueFn
+from .pipeline import population_robust_myerson, robust_empirical_myerson
 from .revenue import (RevenueEstimate, opt_single, rev_monte_carlo,
                       revenue_at_reserve, revenue_ratio_detail)
 
@@ -29,13 +28,12 @@ __all__ = [
     "AdversaryError", "AppxC1", "AppxC2", "CheckFailure", "ConfigError",
     "Distribution", "DownShiftSpike", "EqualRevenue", "ExperimentConfig",
     "Exponential", "Mechanism", "PiecewiseLinearFn", "PiecewiseLinkCDF",
-    "PointMass", "ProductDist", "RevenueEstimate", "ShadingParams", "StepCDF",
-    "Uniform", "UpShift", "VirtualValueFn", "convex_envelope", "corrupt",
-    "dist_from_dict", "empirical_from_samples", "inverse_virtual",
-    "ks_distance", "link_forward", "link_inverse", "mhr_lb_radius",
-    "minimal_in_ks_ball", "opt_single", "parse_dist_spec",
-    "population_robust_myerson", "regular_lb_radius",
-    "reproduce_counterexample1", "rev_monte_carlo", "revenue_at_reserve",
-    "revenue_ratio_detail", "robust_empirical_myerson", "run_sweep",
-    "shade_quantiles", "virtual_value", "write_rows",
+    "PointMass", "ProductDist", "RevenueEstimate", "StepCDF", "Uniform",
+    "UpShift", "VirtualValueFn", "convex_envelope", "corrupt",
+    "dist_from_dict", "empirical_from_samples", "ks_distance",
+    "link_forward", "link_inverse", "mhr_lb_radius", "minimal_in_ks_ball",
+    "opt_single", "parse_dist_spec", "population_robust_myerson",
+    "regular_lb_radius", "reproduce_counterexample1", "rev_monte_carlo",
+    "revenue_at_reserve", "revenue_ratio_detail",
+    "robust_empirical_myerson", "run_sweep", "write_rows",
 ]

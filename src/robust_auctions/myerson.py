@@ -5,8 +5,12 @@ slope a contributes phi(v) = v - 1/a (the hazard rate is constant on the
 piece); a regular piece starting at knot (x, h) with slope a contributes the
 constant phi = x - h/a (equal-revenue pieces have phi = 0).  The closing top
 atom at the support top x_top has phi(x_top) = x_top.  Convexity of the knots
-makes phi non-decreasing, so no ironing is ever needed; construction rejects
-non-convex inputs.
+makes phi non-decreasing once the convexity check's tolerance is absorbed, so
+no ironing is ever needed: construction rejects non-convex inputs but accepts
+a slope that drops at a knot by up to 1e-9 max(1, slope), and phi reads the
+MHR 1/slopes through a running min and the regular constants through a
+running max.  So phi is non-decreasing in floating point, and {phi >= 0} is
+exactly [reserve, inf).
 
 Conventions, fixed here and relied on by the payment logic:
 
@@ -16,9 +20,7 @@ Conventions, fixed here and relied on by the payment logic:
     knot: the MHR form extends the last piece linearly and the regular form
     keeps its last constant, preserving monotonicity;
   * ties in virtual value are won by the lowest bidder index, so the winner
-    must beat lower-index opponents strictly and higher-index ones weakly;
-  * `certified`: phi >= 0 exactly from the reserve on, which a slope dip at
-    a knot inside the convexity tolerance can break (see Mechanism._screen).
+    must beat lower-index opponents strictly and higher-index ones weakly.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class VirtualValueFn:
         rights = np.append(xs[1:], self.top)
         inv_s = np.append(cdf.inv_slopes, np.append(np.inf, cdf.inv_slopes)[-1])
         if self.kind == "mhr":
+            # running min of 1/slope, the twin of the running max below: a
+            # slope drop inside the convexity tolerance would make phi dip
+            np.minimum.accumulate(inv_s, out=inv_s)
             vals = rights - inv_s
         else:
             vals = xs[:-1] - hs[:-1] * cdf.inv_slopes
@@ -118,11 +123,7 @@ class VirtualValueFn:
         # by rank: 1/slope, phi = v - it (mhr), or phi itself (regular)
         self._phi_tab = (np.append(np.inf, self._inv_s) if self.kind == "mhr"
                          else np.concatenate(([_NEG_INF], self._sups, [self.top])))
-        # phi < 0 below the reserve and rises on each piece, so phi >= 0 at
-        # it and at each left past it certifies {phi >= 0} = [reserve, inf)
-        r = self.reserve = float(self.inverse(0.0))
-        self.certified = bool(np.all(self.phi(
-            np.append(r, self._lefts[self._lefts >= r])) >= 0.0))
+        self.reserve = float(self.inverse(0.0))
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, v):
@@ -144,7 +145,7 @@ class VirtualValueFn:
     def inverse(self, t, strict=False):
         """inf{v : phi(v) >= t}, or > t where `strict` (a bool or one per
         target), vectorized.  Targets beyond the top-atom value clamp to the
-        support top (`inverse_virtual` raises instead); NaN raises ValueError."""
+        support top; NaN raises ValueError."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         low = arr.min(initial=np.inf)               # min propagates NaN
         if np.isnan(low):
@@ -164,24 +165,6 @@ class VirtualValueFn:
         else:
             out = self._lefts.take(i)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def virtual_value(cdf: PiecewiseLinkCDF, v):
-    """phi(v); errors if v is NaN, negative or beyond the support top."""
-    if np.any(np.asarray(v) > cdf.support_top() + 1e-12):
-        raise ValueError("v beyond support top")
-    if np.any(np.asarray(v) < 0):
-        raise ValueError("v must be nonnegative")
-    return VirtualValueFn(cdf).phi(v)
-
-
-def inverse_virtual(cdf: PiecewiseLinkCDF, t):
-    """Smallest v with phi(v) >= t; errors if t is NaN or exceeds the
-    top-atom value."""
-    top = cdf.support_top()
-    if np.any(np.asarray(t) > top):
-        raise ValueError("t exceeds max virtual value")
-    return VirtualValueFn(cdf).inverse(t)
 
 
 def _pass_ranks(mechs):
@@ -223,8 +206,9 @@ class Mechanism:
 
     def _screen(self, B, out=None):
         """Validate bids; (winner + 1, payments, contested), in n's narrowest
-        int.  A row where at most one bid clears its reserve is sold there or
-        not at all; the rest (all, if a bidder is uncertified) are contested."""
+        int.  phi >= 0 exactly from the reserve on, so a row where at most one
+        bid clears its reserve is sold there or not at all; the rest are
+        contested."""
         if B.ndim != 2 or B.shape[1] != self.n:
             raise ValueError("profile matrix arity mismatch")
         if not np.all(B >= 0.0):
@@ -234,22 +218,21 @@ class Mechanism:
             above = col >= r
             count += above
             win += above * win.dtype.type(j)    # j itself where count is 1
-        contested = count >= (2 if all(vv.certified for vv in self.vvs) else 0)
-        return win, self._reserve_tab.take(win, out=out, mode="clip"), contested
+        return win, self._reserve_tab.take(win, out=out, mode="clip"), count >= 2
 
-    def payments_batch(self, profiles: np.ndarray, _ranked=None, _out=None):
+    def payments_batch(self, profiles: np.ndarray, _ranked=None):
         """Vectorized truthful auction over rows of `profiles`.
 
         Returns (winners, payments); winner is -1 when nobody clears their
         reserve.  A bid at or above a bidder's support top has phi = top;
         negative and NaN bids are rejected.  Rows `_screen` leaves contested
         run the auction; a Monte Carlo pass hands in screened rows with
-        their shared ranks (`_ranked`, see `_pass_ranks`) and a row to fill.
+        their shared ranks (`_ranked`, see `_pass_ranks`).
         """
         B = np.asarray(profiles, dtype=float)
         if _ranked is not None:
-            return self._auction(B, _ranked, _out)
-        win, payments, contested = self._screen(B, _out)
+            return self._auction(B, _ranked)
+        win, payments, contested = self._screen(B)
         at = np.flatnonzero(contested)
         sub = B.T.take(at, axis=1).T        # each bidder's bids contiguous
         win = win.astype(np.intp) - 1
@@ -257,7 +240,7 @@ class Mechanism:
             (vv._rank(col), vv._phi_tab) for vv, col in zip(self.vvs, sub.T)])
         return win, payments
 
-    def _auction(self, B, ranked, out=None):
+    def _auction(self, B, ranked):
         """(winners, payments) of every row of B, its bids ranked."""
         rows = B.shape[0]
         phis = (vv._phi(col, *r) for vv, col, r in zip(self.vvs, B.T, ranked))
@@ -276,7 +259,7 @@ class Mechanism:
         win = (win + 1) * (best >= 0)                # 0: nobody has phi >= 0
         # a runner-up with phi < 0 (or an all -inf field) leaves the winner
         # its reserve: inverse(0.0), taken once per mechanism
-        payments = self._reserve_tab.take(win, out=out, mode="clip")
+        payments = self._reserve_tab.take(win, mode="clip")
         # else the winner beats a higher-index runner-up weakly and a
         # lower-index one strictly; -0.0 is >= 0, read as +0.0 by _rank_key
         contested = np.flatnonzero(second >= 0.0)

@@ -18,8 +18,6 @@ ablation returns a plain Mechanism too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ball import minimal_in_ks_ball
@@ -40,36 +38,14 @@ def confidence_log(m: int, n: int, delta: float):
     return L
 
 
-@dataclass(frozen=True)
-class ShadingParams:
-    m: int
-    n: int
-    delta: float
-    alpha: tuple
-
-    def __post_init__(self):
-        if int(self.m) < 1:
-            raise ValueError("m must be at least 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
-        confidence_log(self.m, self.n, self.delta)
-        object.__setattr__(self, "alpha", tuple(map(check_alpha, self.alpha)))
-        if len(self.alpha) != self.n:
-            raise ValueError("need one alpha per bidder")
-
-
-def _shave(E: StepCDF, params: ShadingParams):
+def _shave(E: StepCDF, m: int, L: float):
     """E's atoms, with a zero atom put first if E has none, and the
     confidence-shaved survival q - sqrt(2 q (1-q) L / m) - 4 L / m at each,
-    where q(v) = Pr[V >= v] and L = ln(2 m n / delta)."""
-    m = params.m
+    where q(v) = Pr[V >= v] and L = `confidence_log`."""
     xs, q = E.table()[:2]
     if xs[0] > 0.0:
         xs, q = np.concatenate(([0.0], xs)), np.concatenate(([0.0], q))
     q = np.subtract(1.0, q, out=q)      # Pr[V >= v], atom v included
-    L = confidence_log(m, params.n, params.delta)
     shaved = np.sqrt(2.0 * q * (1.0 - q) * L / m)
     np.subtract(q, shaved, out=shaved)      # q less the root, in place
     shaved -= 4.0 * L / m
@@ -89,10 +65,12 @@ def _cut(xs, shaved, alpha: float) -> StepCDF:
     return StepCDF(xs[keep], q_hat[keep])
 
 
-def shade_quantiles(E: StepCDF, params: ShadingParams, bidder_index: int) -> StepCDF:
-    """Shaded pessimistic version of an empirical CDF: the confidence shave
-    of every atom's survival, then bidder_index's budget cut."""
-    return _cut(*_shave(E, params), params.alpha[bidder_index])
+def shade_quantiles(E: StepCDF, m: int, L: float, alpha: float) -> StepCDF:
+    """Shaded pessimistic version of an empirical CDF of m samples: the
+    confidence shave of every atom's survival, then the budget cut.  Off
+    the learner's path (`_learn` shaves once per bidder and cuts once per
+    mechanism); perfbench's traced run names it as a span target."""
+    return _cut(*_shave(E, m, L), alpha)
 
 
 def population_robust_myerson(f_tilde: ProductDist, alpha, kind: str) -> Mechanism:
@@ -124,24 +102,29 @@ def _learn(samples, alpha, delta: float, kind: str, envelopes) -> list:
     m = cols[0].size
     if any(c.size != m for c in cols):
         raise ValueError("inconsistent m across bidders")
-    n = len(cols)
-    params = ShadingParams(m=m, n=n, delta=float(delta), alpha=tuple(alpha))
+    n, delta = len(cols), float(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    L = confidence_log(m, n, delta)
+    alphas = [check_alpha(a) for a in alpha]
+    if len(alphas) != n:
+        raise ValueError("need one alpha per bidder")
     if not (all(envelopes) or n == 1):
         raise ValueError("the no-envelope ablation is single-bidder only")
     bidders = [[] for _ in envelopes]
     for i, col in enumerate(cols):
-        xs, shaved = _shave(empirical_from_samples(col), params)
+        xs, shaved = _shave(empirical_from_samples(col), m, L)
         if not all(envelopes):
             # the ablation: the confidence shave alone, no budget cut
             price, _ = opt_single(_cut(xs, shaved, 0.0))
         if any(envelopes):
-            shaded = _cut(xs, shaved, params.alpha[i])
+            shaded = _cut(xs, shaved, alphas[i])
         del xs, shaved      # freed before the ball's working arrays exist
         for env, out in zip(envelopes, bidders):
             out.append(minimal_in_ks_ball(shaded, 0.0, kind) if env else
                        PiecewiseLinkCDF(kind, [price], [link_origin(kind)],
                                         price))
-    return [Mechanism(kind=kind, bidders=b, alpha=list(params.alpha),
+    return [Mechanism(kind=kind, bidders=b, alpha=list(alphas),
                       provenance={"algorithm": "empirical", "m": m,
-                                  "delta": float(delta), "with_envelope": env})
+                                  "delta": delta, "with_envelope": env})
             for env, b in zip(envelopes, bidders)]

@@ -75,11 +75,12 @@ def random_link_cdf(rng, kind, k_max=8, max_tries=50, from_zero=False):
 
 
 def dip_link_cdfs():
-    """Two mhr link CDFs whose slope dips at a knot by less than the 1e-9
-    convexity tolerance, so that phi < 0 at or just past the reserve: slopes
-    2 and 2 (1 - 5e-10) on knots x = 0, 0.5, 1.5 (reserve 0.5, phi(0.5) =
-    -2.5e-10), and 1 + 1e-10 then 1 - 4e-10 on knots x = 0, 1, 2 (reserve
-    1 - 1e-10, phi(1) = -4e-10)."""
+    """Two mhr link CDFs whose slope drops at a knot by less than the 1e-9
+    convexity tolerance, so that phi from each piece's own 1/slope would dip
+    below 0 at or just past the reserve: slopes 2 and 2 (1 - 5e-10) on knots
+    x = 0, 0.5, 1.5 (reserve 0.5, phi(0.5) = -2.5e-10), and 1 + 1e-10 then
+    1 - 4e-10 on knots x = 0, 1, 2 (reserve 1 - 1e-10, phi(1) = -4e-10).
+    The running min of 1/slope gives phi(0.5) = 0 and phi(1) = 1e-10."""
     out = []
     for xs, slopes in (([0.0, 0.5, 1.5], [2.0, 2.0 * (1 - 5e-10)]),
                        ([0.0, 1.0, 2.0], [1 + 1e-10, 1 - 4e-10])):
@@ -311,17 +312,16 @@ def bracketwise_ks_distance(d1, d2):
     return best
 
 
-def reference_shade_quantiles(E, params, bidder_index):
+def reference_shade_quantiles(E, m, n, delta, alpha):
     """pipeline.shade_quantiles as it was before the shave and the budget
     cut were split: one body, survival pinned by an `xs == 0` mask and the
     zero atom put first after the running minimum.  A reference for
     bit-identity."""
-    m = params.m
     xs, q = jump_table(E)[:2]
     q = 1.0 - q
-    L = np.log(2.0 * m * params.n / params.delta)
+    L = np.log(2.0 * m * n / delta)
     shaved = q - np.sqrt(2.0 * q * (1.0 - q) * L / m) - 4.0 * L / m
-    q_hat = np.maximum(shaved - params.alpha[bidder_index], 0.0)
+    q_hat = np.maximum(shaved - alpha, 0.0)
     q_hat[xs == 0.0] = 1.0
     q_hat = np.minimum.accumulate(q_hat)
     if xs[0] > 0.0:

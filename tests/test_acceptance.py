@@ -9,6 +9,7 @@ with the tolerances pinned in the assertions.
 import ast
 import json
 import pkgutil
+import re
 import time
 from pathlib import Path
 
@@ -328,10 +329,32 @@ def _package_imports(path):
     return {n.split(".")[1] for n in names if n.startswith("robust_auctions.")}
 
 
+def _name_uses(path):
+    """(identifier, line) of every name, attribute, imported name and
+    string constant in the module at `path`, and (name, first line, last
+    line) of each of its top-level definitions."""
+    tree = ast.parse(path.read_text())
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            uses += [(a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.append((node.value, node.lineno))
+    defs = [(node.name, node.lineno, node.end_lineno) for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+    return uses, defs
+
+
 def test_no_package_module_is_test_only():
     """Every module of the package is imported, directly or through other
     package modules, by the package itself or by its CLI: code that only
-    tests need (such as the brute-force references) lives in tests/."""
+    tests need (such as the brute-force references) lives in tests/.  And
+    every name in `__all__` is used outside its own definition and
+    `__init__.py`: by the package, the demos, the README or perfbench."""
     src = Path(robust_auctions.__file__).parent
     modules = {m.name for m in pkgutil.iter_modules(robust_auctions.__path__)}
     reached, todo = set(), {"__init__", "cli"}
@@ -340,3 +363,15 @@ def test_no_package_module_is_test_only():
         reached.add(name)
         todo |= (_package_imports(src / f"{name}.py") & modules) - reached
     assert modules <= reached, f"imported only by tests: {modules - reached}"
+    root = src.parents[1]
+    used = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in (*src.glob("*.py"), *root.glob("demos/*.py"),
+                 *root.glob("perfbench/*.py")):
+        if path.name == "__init__.py":
+            continue
+        uses, defs = _name_uses(path)
+        used |= {name for name, line in uses
+                 if not any(name == d and lo <= line <= hi
+                            for d, lo, hi in defs)}
+    unused = sorted(set(robust_auctions.__all__) - used)
+    assert not unused, f"public names used only by tests: {unused}"

@@ -14,8 +14,6 @@ from robust_auctions.myerson import (
     VirtualValueFn,
     _pass_ranks,
     _rank_key,
-    inverse_virtual,
-    virtual_value,
 )
 from robust_auctions.revenue import opt_single
 
@@ -83,30 +81,24 @@ def test_optimal_reserve_interior_stationary_point():
 
 
 def test_public_wrappers_validate():
-    d = _exp_link()
-    assert_allclose(virtual_value(d, 2.0), 1.0, atol=1e-12)
-    with pytest.raises(ValueError, match="v beyond support top"):
-        virtual_value(d, 4.5)
-    with pytest.raises(ValueError, match="v must be nonnegative"):
-        virtual_value(d, -0.5)
-    assert inverse_virtual(d, 1.0) == 2.0
-    with pytest.raises(ValueError, match="t exceeds max virtual value"):
-        inverse_virtual(d, 4.5)
+    vv = VirtualValueFn(_exp_link())
+    assert_allclose(vv.phi(2.0), 1.0, atol=1e-12)
+    assert vv.inverse(1.0) == 2.0
 
 
 def test_public_wrappers_reject_nan():
-    # a NaN used to come back as NaN from virtual_value and as the support
-    # top from inverse_virtual
-    d = _exp_link()
+    # a NaN used to come back as NaN from phi and as the support top from
+    # inverse
+    vv = VirtualValueFn(_exp_link())
     for x in (np.nan, [1.0, np.nan]):
         with pytest.raises(ValueError, match="v must not be NaN"):
-            virtual_value(d, x)
+            vv.phi(x)
         with pytest.raises(ValueError, match="t must not be NaN"):
-            inverse_virtual(d, x)
+            vv.inverse(x)
     # and -inf on a flat first piece (phi = -inf there) gave NaN, not 0
     flat = PiecewiseLinkCDF("mhr", [0.0, 1.0, 3.0], [0.0, 0.0, 2.0], 3.0)
-    assert inverse_virtual(flat, -np.inf) == 0.0
-    assert inverse_virtual(flat, -1e300) == 1.0
+    assert VirtualValueFn(flat).inverse(-np.inf) == 0.0
+    assert VirtualValueFn(flat).inverse(-1e300) == 1.0
 
 
 def test_reserve_matches_argmax_without_gap():
@@ -807,8 +799,8 @@ def _kernel_case(rng, kind, n, k):
 
 
 def _assert_kernel_is_topped(mechs, profiles):
-    """Each mechanism's payments_batch, alone and on a pass's shared ranks
-    written into a given row, equals the parent kernel bit for bit.
+    """Each mechanism's payments_batch, alone and on a pass's shared ranks,
+    equals the parent kernel bit for bit.
     Returns the count of rows whose runner-up phi is -0.0."""
     rankers, tables = _pass_ranks(mechs)
     for B in (profiles, np.asfortranarray(profiles)):
@@ -819,12 +811,9 @@ def _assert_kernel_is_topped(mechs, profiles):
             winners, payments = mech.payments_batch(B)
             assert np.array_equal(winners, ref_w)
             assert payments.tobytes() == ref_p.tobytes()
-            out = np.full(B.shape[0], np.nan)
-            winners, payments = mech.payments_batch(B, list(zip(ranks, tabs)),
-                                                    out)
-            assert payments is out
+            winners, payments = mech.payments_batch(B, list(zip(ranks, tabs)))
             assert np.array_equal(winners, ref_w)
-            assert out.tobytes() == ref_p.tobytes()
+            assert payments.tobytes() == ref_p.tobytes()
     neg = 0
     for mech in mechs:
         if mech.n > 1:
@@ -871,23 +860,21 @@ def test_topped_kernel_cases_reach_every_row_kind(kind):
 
 @pytest.mark.parametrize("from_zero", [False, True])
 @pytest.mark.parametrize("kind", ["mhr", "regular"])
-def test_certified_phi_is_nonnegative_exactly_from_the_reserve(kind,
-                                                               from_zero):
-    """Every certified VirtualValueFn has phi(v) >= 0 exactly where v >=
-    reserve, at the reserve, each knot and the top, one ulp either side of
-    each, 0 and a grid: the one fact the reserve screen rests on.  Random
-    link CDFs are all certified; the two dip curves are not."""
+def test_phi_is_nonnegative_exactly_from_the_reserve(kind, from_zero):
+    """Every VirtualValueFn has phi(v) >= 0 exactly where v >= reserve, and
+    phi non-decreasing, over its reserve, each knot and the top, one ulp
+    either side of each, 0 and a grid: the one fact the reserve screen
+    rests on.  This holds for the two dip curves too, whose slope drops at
+    a knot inside the convexity tolerance."""
     rng = np.random.default_rng(26 + 2 * len(kind) + from_zero)
-    for _ in range(300):
-        vv = VirtualValueFn(random_link_cdf(rng, kind, from_zero=from_zero))
-        assert vv.certified
-        v = edge_bids(vv, rng)
-        assert np.array_equal(vv.phi(v) >= 0.0, v >= vv.reserve)
-    for d in dip_link_cdfs():
-        vv = VirtualValueFn(d)
-        assert not vv.certified
-        v = edge_bids(vv, rng)
-        assert not np.array_equal(vv.phi(v) >= 0.0, v >= vv.reserve)
+    cdfs = [random_link_cdf(rng, kind, from_zero=from_zero)
+            for _ in range(300)]
+    for cdf in cdfs + (dip_link_cdfs() if kind == "mhr" else []):
+        vv = VirtualValueFn(cdf)
+        v = np.sort(edge_bids(vv, rng))
+        phi = vv.phi(v)
+        assert np.array_equal(phi >= 0.0, v >= vv.reserve)
+        assert np.all(phi[1:] >= phi[:-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -896,8 +883,9 @@ def test_screened_payments_equal_the_reference_on_edge_bids(case, n):
     """payments_batch, which pays rows with at most one bid at or above its
     reserve without phi, gives the winners and payments of
     `_gen.reference_payments` bit for bit on bids at every screen edge of
-    every bidder, for certified mechanisms in both kinds, mechanisms of dip
-    bidders alone, and dip bidders mixed with certified ones."""
+    every bidder, for mechanisms of random link CDFs in both kinds
+    ("certified"), of dip bidders alone ("uncertified") and of dip bidders
+    mixed with random ones."""
     rng = np.random.default_rng(260 + 3 * n + len(case))
     dips = dip_link_cdfs()
     for trial in range(12):
@@ -909,7 +897,6 @@ def test_screened_payments_equal_the_reference_on_edge_bids(case, n):
         elif case == "mixed":
             bidders[int(rng.integers(n))] = dips[trial % 2]
         mech = Mechanism(kind, bidders)
-        assert all(vv.certified for vv in mech.vvs) == (case == "certified")
         rows = 2000
         profiles = np.column_stack([rng.choice(edge_bids(vv, rng), rows)
                                     for vv in mech.vvs])
@@ -919,12 +906,13 @@ def test_screened_payments_equal_the_reference_on_edge_bids(case, n):
         assert payments.tobytes() == ref_p.tobytes()
 
 
-def test_a_dip_bidder_loses_alone_at_or_past_its_reserve():
-    """The dip defect as it stands (CHANGES.md FOUND): a lone bid at the
-    posted reserve (first dip curve) or at the knot just past it (second)
-    has phi < 0 and goes unsold, though it clears the reserve."""
+def test_a_dip_bidder_wins_alone_at_its_reserve():
+    """A lone bid at the posted reserve (first dip curve) or at the knot
+    just past it (second), where the slope drops inside the convexity
+    tolerance, has phi >= 0: it wins and pays the reserve, bit for bit."""
     for d, bid in zip(dip_link_cdfs(), (0.5, 1.0)):
         mech = Mechanism("mhr", [d, d])
-        assert mech.reserves[0] <= bid and mech.vvs[0].phi(bid) < 0.0
+        assert mech.reserves[0] <= bid and mech.vvs[0].phi(bid) >= 0.0
         winners, payments = mech.payments_batch(np.array([[bid, 0.0]]))
-        assert winners[0] == -1 and payments[0] == 0.0
+        assert winners[0] == 0
+        assert payments[0].tobytes() == np.float64(mech.reserves[0]).tobytes()

@@ -21,8 +21,8 @@ from robust_auctions.distributions import (
 from robust_auctions.links import link_origin
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (
-    ShadingParams,
     _learn,
+    confidence_log,
     population_robust_myerson,
     robust_empirical_myerson,
     shade_quantiles,
@@ -34,22 +34,27 @@ from _oracle import dominates
 
 
 def test_shading_params_validation():
-    ok = dict(m=100, n=2, delta=0.1, alpha=(0.0, 0.1))
-    ShadingParams(**ok)
-    with pytest.raises(ValueError, match="m must be at least 1"):
-        ShadingParams(**dict(ok, m=0))
+    ok = dict(samples=[np.ones(100)] * 2, delta=0.1, alpha=(0.0, 0.1),
+              kind="mhr")
+    robust_empirical_myerson(**ok)
+    with pytest.raises(ValueError, match="empty samples"):
+        robust_empirical_myerson(**dict(ok, samples=[np.ones(0)] * 2))
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
-        ShadingParams(**dict(ok, delta=0.0))
+        robust_empirical_myerson(**dict(ok, delta=0.0))
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
-        ShadingParams(**dict(ok, delta=1.0))
+        robust_empirical_myerson(**dict(ok, delta=1.0))
     # L = ln(2 m n / delta) must be finite: 400 / 5e-324 overflows
-    ShadingParams(**dict(ok, delta=1e-300))
+    robust_empirical_myerson(**dict(ok, delta=1e-300))
     with pytest.raises(ValueError, match="delta 5e-324 is too small"):
-        ShadingParams(**dict(ok, delta=5e-324))
+        robust_empirical_myerson(**dict(ok, delta=5e-324))
     with pytest.raises(ValueError, match="need one alpha per bidder"):
-        ShadingParams(**dict(ok, alpha=(0.1,)))
+        robust_empirical_myerson(**dict(ok, alpha=(0.1,)))
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
-        ShadingParams(**dict(ok, alpha=(0.0, 1.0)))
+        robust_empirical_myerson(**dict(ok, alpha=(0.0, 1.0)))
+
+
+def _shade(E, m, n, delta, alpha):
+    return shade_quantiles(E, m, confidence_log(m, n, delta), alpha)
 
 
 def test_shade_quantiles_worked_example():
@@ -59,8 +64,7 @@ def test_shade_quantiles_worked_example():
     0.5 - sqrt(2 * 0.25 * L / m) - 4 L / m - 0.05 = 0.417263.
     """
     E = StepCDF([0.0, 1.0], [0.5, 0.5])
-    params = ShadingParams(m=10_000, n=1, delta=0.01, alpha=(0.05,))
-    shaded = shade_quantiles(E, params, 0)
+    shaded = _shade(E, 10_000, 1, 0.01, 0.05)
     np.testing.assert_allclose(shaded.values, [0.0, 1.0], rtol=0, atol=0)
     np.testing.assert_allclose(shaded.masses, [1 - 0.417263, 0.417263],
                                rtol=0, atol=1e-6)
@@ -71,8 +75,7 @@ def test_shade_quantiles_worked_example():
 def test_shade_quantiles_truncates_thin_tail():
     # at m=100 the confidence term exceeds a 0.1 tail, so the top atom dies
     E = StepCDF([0.0, 5.0], [0.9, 0.1])
-    params = ShadingParams(m=100, n=1, delta=0.05, alpha=(0.0,))
-    shaded = shade_quantiles(E, params, 0)
+    shaded = _shade(E, 100, 1, 0.05, 0.0)
     np.testing.assert_allclose(shaded.values, [0.0])
     np.testing.assert_allclose(shaded.masses, [1.0])
     assert shaded.support_top() == 0.0
@@ -85,8 +88,7 @@ def test_shading_monotone_in_alpha():
     E = empirical_from_samples(samples)
     shadeds = []
     for a in [0.0, 0.05, 0.1, 0.3]:
-        params = ShadingParams(m=400, n=1, delta=0.05, alpha=(a,))
-        shadeds.append(shade_quantiles(E, params, 0))
+        shadeds.append(_shade(E, 400, 1, 0.05, a))
     for lighter, heavier in zip(shadeds, shadeds[1:]):
         assert dominates(lighter, heavier)
         assert heavier.support_top() <= lighter.support_top()
@@ -94,8 +96,7 @@ def test_shading_monotone_in_alpha():
 
 def test_shading_vanishes_with_many_samples():
     E = StepCDF([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
-    params = ShadingParams(m=10**9, n=1, delta=0.5, alpha=(0.0,))
-    shaded = shade_quantiles(E, params, 0)
+    shaded = _shade(E, 10**9, 1, 0.5, 0.0)
     np.testing.assert_allclose(shaded.values, E.values)
     np.testing.assert_allclose(shaded.masses, E.masses, rtol=0, atol=1e-3)
 
@@ -268,9 +269,9 @@ def _assert_sharing_changes_nothing(samples, alpha, delta, kind):
         _assert_same_bits(shared, alone)
     E = empirical_from_samples(samples)
     for a in (0.0, alpha):
-        params = ShadingParams(m=samples.size, n=1, delta=delta, alpha=(a,))
-        got = shade_quantiles(E, params, 0)
-        want = reference_shade_quantiles(E, params, 0)
+        params = (samples.size, 1, delta, a)
+        got = _shade(E, *params)
+        want = reference_shade_quantiles(E, *params)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.masses.tobytes() == want.masses.tobytes()
     return naive, robust
@@ -293,8 +294,7 @@ def test_shared_naive_cut_to_the_zero_atom():
     # zero atom alone is left, and the naive learner posts price 0
     samples = np.array([0.5, 1.0, 2.0])
     naive, robust = _assert_sharing_changes_nothing(samples, 0.1, 0.01, "mhr")
-    params = ShadingParams(m=3, n=1, delta=0.01, alpha=(0.0,))
-    shaded = shade_quantiles(empirical_from_samples(samples), params, 0)
+    shaded = _shade(empirical_from_samples(samples), 3, 1, 0.01, 0.0)
     assert shaded.values.tolist() == [0.0] and shaded.masses.tolist() == [1.0]
     assert naive.reserves == [0.0]
 
@@ -331,8 +331,8 @@ def test_learner_survives_a_subnormal_anchor_gap(kind):
     mech = robust_empirical_myerson([samples], [0.6], 1e-6, kind)
     learned = mech.bidders[0]
     assert np.all(np.isfinite(np.diff(learned.hs) / np.diff(learned.xs)))
-    params = ShadingParams(m=samples.size, n=1, delta=1e-6, alpha=(0.6,))
-    shaded = shade_quantiles(empirical_from_samples(samples), params, 0)
+    shaded = _shade(empirical_from_samples(samples), samples.size, 1, 1e-6,
+                    0.6)
     atoms = shaded.values
     assert atoms.tolist() == [0.0, 2.2250738585072014e-308, 1.0]
     assert np.all(learned.cdf(atoms) <= shaded.cdf(atoms))

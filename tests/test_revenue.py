@@ -305,20 +305,19 @@ def test_screened_pass_equals_the_unblocked_reference():
     """A pass gathers the rows any of its mechanisms contests, once, and
     scatters each mechanism's payments back: its means and covariance equal
     `_gen.unblocked_rev_monte_carlo`'s bit for bit across a chunk edge, in a
-    pass with an uncertified (dip) mechanism, which contests every row, and
-    in passes whose certified mechanisms contest different rows."""
+    pass with a dip mechanism, and in passes whose mechanisms contest
+    different rows."""
     truth = ProductDist([Exponential(1.0), Uniform(0.0, 2.0)])
     rng = np.random.default_rng(2626)
     dip = Mechanism("mhr", [dip_link_cdfs()[0], random_link_cdf(rng, "mhr")])
-    certified = [Mechanism(kind, [random_link_cdf(rng, kind, from_zero=True)
-                                  for _ in range(2)])
-                 for kind in ("mhr", "mhr", "regular", "regular")]
-    assert not all(vv.certified for vv in dip.vvs)
+    plain = [Mechanism(kind, [random_link_cdf(rng, kind, from_zero=True)
+                              for _ in range(2)])
+             for kind in ("mhr", "mhr", "regular", "regular")]
     profiles = truth.sample_profiles(1000, seed=4)
-    masks = [m._screen(profiles)[2] for m in certified]
+    masks = [m._screen(profiles)[2] for m in plain]
     assert not masks[0].all() and not np.array_equal(masks[0], masks[1])
     assert not np.array_equal(masks[2], masks[3])
-    for mechs in ([dip, certified[0]], certified[:2], certified[2:]):
+    for mechs in ([dip, plain[0]], plain[:2], plain[2:]):
         est = rev_monte_carlo(mechs, truth, _CHUNK + 4321, seed=9)
         means, cov = unblocked_rev_monte_carlo(mechs, truth, _CHUNK + 4321,
                                                seed=9)
