@@ -228,6 +228,7 @@ def _pass(px, py, x, y, n, d, scratch):
     return w + d
 
 
+@np.errstate(over="ignore", invalid="ignore")    # as Python floats do
 def _chain(xs, ys):
     """Monotone-chain lower hull (Andrew 1979) of points sorted by x, as
     (vertex xs, vertex ys) arrays.
@@ -236,15 +237,25 @@ def _chain(xs, ys):
     (a, b, c) is not strictly convex for the next point c: slope(a, b) >=
     slope(b, c), i.e. cross >= 0, with a tolerance of 1e-12 merging ties.
     Nothing pops before the first consecutive triple with cross >= -1e-12,
-    so that prefix is taken whole; a relative tie predicate must move both.
+    so that prefix is taken whole, and the collinear run from there is found
+    in numpy too; a relative tie predicate must move all three.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-        tie = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
-               - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]) >= -_HULL_TOL)
+    tie = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
+           - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]) >= -_HULL_TOL)
     start = int(np.argmax(np.append(tie, True))) + 2    # past the prefix
     if start >= xs.size:    # every point is a vertex
         return xs.copy(), ys.copy()
-    hull_x, hull_y = xs[:start].tolist(), ys[:start].tolist()
+    # while each next c ties with the anchor a and the last point b (and not
+    # with a and the point before a), c pops b alone: the loop skips the run
+    a, b, c = start - 2, slice(start - 1, -1), slice(start, None)
+    run = ((ys[b] - ys[a]) * (xs[c] - xs[b])
+           - (ys[c] - ys[b]) * (xs[b] - xs[a]) >= -_HULL_TOL)
+    if a:
+        run &= ~((ys[a] - ys[a - 1]) * (xs[c] - xs[a])
+                 - (ys[c] - ys[a]) * (xs[a] - xs[a - 1]) >= -_HULL_TOL)
+    start += int(np.argmin(np.append(run, False)))
+    first = np.append(np.arange(a + 1), start - 1)
+    hull_x, hull_y = xs[first].tolist(), ys[first].tolist()
     for x, y in zip(xs[start:].tolist(), ys[start:].tolist()):
         while len(hull_x) >= 2:
             ax, ay = hull_x[-2], hull_y[-2]

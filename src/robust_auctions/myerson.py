@@ -44,40 +44,65 @@ def _rank_key(t, strict):
 
 
 class _KnotRank:
-    """np.searchsorted(knots, a, side) for a nonempty non-decreasing table
-    of finite span and non-NaN a.  The bucket f(x) = floor((clip(x, lo, hi)
-    - lo) * s), s = 2 len(knots) / (hi - lo), is monotone in floating point,
-    so knots in lower buckets than a are < a and in higher ones > a: the
-    rank is start[f(a)] plus ceil(log2(occupancy + 1)) steps in a's bucket,
+    """np.searchsorted(table, a, side) for sorted tables and arrays a, no NaN
+    in either, `which` naming a's table (one, or one per a).  The bucket f(x)
+    = floor(clip(x s - lo s, 0, nb - 1)), s = 2 len / (hi - lo), is monotone
+    in floating point, so knots in lower buckets than a are < a and in higher
+    ones > a: the rank is start[f(a)] plus ceil(log2(occupancy + 1)) steps,
     step 2^k adding the bool (knot <= a) ("right") or (knot < a) ("left")
-    << k.  The tables depend on the knots alone: one rank serves both sides."""
+    << k.  Table w is stacked at offsets[w], padded by 2^steps NaNs."""
 
-    def __init__(self, knots):
-        knots = np.asarray(knots, dtype=float)
-        self._lo, self._hi = knots[0], knots[-1]
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = 2 * knots.size / (self._hi - self._lo)   # numpy: 1/0 is inf
-        # one knot, or a span so small that the scale overflows: one bucket
-        self._scale = scale if scale < np.inf else 1.0
-        counts = np.bincount(self._bucket(knots))
-        self._start = np.cumsum(counts) - counts
-        steps = int(counts.max()).bit_length()
-        # NaN compares false, so a step never counts past the table's end
-        padded = np.concatenate((knots, np.full(1 << steps, np.nan)))
-        self._steps = [(k, padded[(1 << k) - 1:]) for k in range(steps)][::-1]
+    def __init__(self, *tables):
+        tables = [np.asarray(t, dtype=float) for t in tables]
+        sizes = np.array([t.size for t in tables])
+        # an empty table has no span: like one knot, it is one bucket
+        lo, hi = np.array([t[[0, -1]] if t.size else (0.0, 0.0)
+                           for t in tables]).T
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = 2.0 * sizes / (hi - lo)     # numpy: 1/0 is inf
+        # no span, one that overflows, or one so small that the scale does
+        self._scale = np.where((scale > 0.0) & (scale < np.inf), scale, 1.0)
+        self._shift = -lo * self._scale
+        self._nb = 2 * int(sizes.max()) + 2     # buckets per table
+        counts = [np.bincount(self._bucket(t, w), minlength=self._nb)
+                  for w, t in enumerate(tables)]
+        self.pad = 1 << int(max(c.max() for c in counts)).bit_length()
+        self.offsets = np.cumsum(sizes + self.pad) - sizes - self.pad
+        self._start = np.concatenate([np.cumsum(c) - c + at for c, at
+                                      in zip(counts, self.offsets)])
+        # NaN compares false, so a step never counts past its table's end
+        padded = np.concatenate([np.append(t, np.full(self.pad, np.nan))
+                                 for t in tables])
+        self._steps = [(k, padded[(1 << k) - 1:])
+                       for k in range(self.pad.bit_length() - 1)][::-1]
 
-    def _bucket(self, a):
-        b = np.clip(a, self._lo, self._hi) - self._lo
-        b *= self._scale                    # so b >= 0: truncation floors it
-        return b.astype(np.intp)
+    @np.errstate(over="ignore")     # x s beyond the floats is inf: clipped
+    def _bucket(self, a, which):
+        b = a * self._scale.take(which)
+        b += self._shift.take(which)
+        np.clip(b, 0.0, self._nb - 1, out=b)    # truncation floors b >= 0
+        b = b.astype(np.intp)
+        if np.ndim(which):                  # table w's buckets start at w nb
+            b += which * self._nb
+        return b
 
-    def __call__(self, a, side="right"):
+    def __call__(self, a, side="right", which=0):
         before = np.less_equal if side == "right" else np.less
-        rank = self._start.take(self._bucket(a))
+        rank = self._start.take(self._bucket(a, which))
         for k, ahead in self._steps:
             le = before(ahead.take(rank), a)
             rank += le << k if k else le
         return rank
+
+
+def _threshold(kind, t, i, lefts, inv_s, rights):
+    """inf{v : phi(v) >= t} on the piece rows i of the targets t."""
+    if kind != "mhr":
+        return lefts.take(i)
+    # a flat piece (1/slope inf) meets t = -inf at its left end
+    with np.errstate(invalid="ignore"):
+        out = np.fmax(lefts.take(i), t + inv_s.take(i))
+    return np.minimum(out, rights.take(i), out=out)
 
 
 class VirtualValueFn:
@@ -106,13 +131,10 @@ class VirtualValueFn:
         # running max of each piece's largest virtual value: its right end
         # (mhr) or its constant (regular)
         self._sups = np.maximum.accumulate(vals)
-        # inverse ranks targets t >= 0 among the non-negative sups only, past
-        # the negative ones: a near-flat first piece can put a sup at -1e16,
-        # and a bucket table spanning it would squeeze every other sup into
-        # one bucket
+        # payments rank targets t >= 0 among the sups >= 0 only: a near-flat
+        # first piece can put a sup at -1e16, and a bucket table spanning it
+        # would squeeze every other sup into one bucket
         self._neg_sups = int(np.searchsorted(self._sups, 0.0))
-        nonneg = self._sups[self._neg_sups:]
-        self._sup_rank = _KnotRank(nonneg) if nonneg.size else None
         # a closing piece [top, top] with 1/slope 0 ends the piece tables;
         # phi's tables also start with the part below the first knot, where
         # phi is v - inf (mhr) or -inf (regular)
@@ -147,23 +169,13 @@ class VirtualValueFn:
         target), vectorized.  Targets beyond the top-atom value clamp to the
         support top; NaN raises ValueError."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        low = arr.min(initial=np.inf)               # min propagates NaN
-        if np.isnan(low):
+        if np.isnan(arr.min(initial=0.0)):          # min propagates NaN
             raise ValueError("t must not be NaN")
-        # phi(v) > t is phi(v) >= the next float up: one left rank serves both
-        key = _rank_key(arr, strict)
-        # a target above every sup lands on the closing piece: the top
-        if self._sup_rank is not None and low >= 0.0:
-            i = self._sup_rank(key, "left") + self._neg_sups
-        else:   # no sup >= 0, or a target < 0, which payments never send
-            i = np.searchsorted(self._sups, key)
-        if self.kind == "mhr":
-            # a flat piece (1/slope inf) meets t = -inf at its left end
-            with np.errstate(invalid="ignore"):
-                out = np.fmax(self._lefts.take(i), arr + self._inv_s.take(i))
-            np.minimum(out, self._rights.take(i), out=out)
-        else:
-            out = self._lefts.take(i)
+        # phi(v) > t is phi(v) >= the next float up: one left rank serves
+        # both; a target above every sup lands on the closing piece: the top
+        i = np.searchsorted(self._sups, _rank_key(arr, strict))
+        out = _threshold(self.kind, arr, i, self._lefts, self._inv_s,
+                         self._rights)
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -199,6 +211,14 @@ class Mechanism:
         self.vvs = [VirtualValueFn(b) for b in self.bidders]
         self.reserves = [vv.reserve for vv in self.vvs]
         self._reserve_tab = np.array([0.0] + self.reserves)  # by winner + 1
+        if self.n > 1:      # else no row is contested
+            # each bidder's pieces from its first sup >= 0 to the closing one
+            self._paid = _KnotRank(*(vv._sups[vv._neg_sups:]
+                                     for vv in self.vvs))
+            fill = np.zeros(self._paid.pad - 1)     # never read
+            self._pieces = [np.concatenate([
+                np.append(getattr(vv, tab)[vv._neg_sups:], fill)
+                for vv in self.vvs]) for tab in ("_lefts", "_inv_s", "_rights")]
 
     @property
     def n(self) -> int:
@@ -263,10 +283,11 @@ class Mechanism:
         # else the winner beats a higher-index runner-up weakly and a
         # lower-index one strictly; -0.0 is >= 0, read as +0.0 by _rank_key
         contested = np.flatnonzero(second >= 0.0)
-        won = win.take(contested)
-        for j, vv in enumerate(self.vvs, 1):
-            at = contested[won == j]
-            payments[at] = vv.inverse(second.take(at), lower.take(at))
+        if contested.size:
+            t = second.take(contested)
+            i = self._paid(_rank_key(t, lower.take(contested)), "left",
+                           win.take(contested) - 1)
+            payments[contested] = _threshold(self.kind, t, i, *self._pieces)
         return win - 1, payments
 
     def to_dict(self) -> dict:
@@ -291,6 +312,14 @@ class Mechanism:
         bidders = [dist_from_dict(b) for b in d["bidders"]]
         if not all(isinstance(b, PiecewiseLinkCDF) for b in bidders):
             raise ValueError("mechanism bidders must be link_cdf entries")
-        return cls(kind=check_kind(d.get("kind")), bidders=bidders, alpha=alpha,
-                   provenance=provenance)
+        mech = cls(kind=check_kind(d.get("kind")), bidders=bidders,
+                   alpha=alpha, provenance=provenance)
+        # n and each reserve follow from the curves: a saved one must agree
+        for field, saved, own in [("field 'n'", d.get("n", mech.n), mech.n)] + [
+                (f"bidder {j}'s field 'reserve'", b.get("reserve", r), r)
+                for j, (b, r) in enumerate(zip(d["bidders"], mech.reserves), 1)]:
+            if saved != own:
+                raise ValueError(f"mechanism: {field} is {saved!r}, but the "
+                                 f"curves give {own!r}")
+        return mech
 

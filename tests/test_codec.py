@@ -229,6 +229,13 @@ def test_mechanism_dict_errors_name_the_field():
         ({"kind": "mhr", "bidders": [{"type": "link_cdf", "kind": "mhr",
                                       "knots": [[0.0, 0.0]]}]},
          "link_cdf: missing field 'support_top'"),
+        # n and the reserves are derived: saved ones that disagree are errors
+        ({"n": 3, "kind": "mhr", "bidders": [link]},
+         "field 'n' is 3, but the curves give 1"),
+        ({"kind": "mhr", "bidders": [link, dict(link, reserve=123.0)]},
+         "bidder 2's field 'reserve' is 123.0, but the curves give 1.0"),
+        ({"kind": "mhr", "bidders": [dict(link, reserve=None)]},
+         "bidder 1's field 'reserve' is None"),
     ]
     for d, match in cases:
         with pytest.raises(ValueError, match=match):

@@ -757,6 +757,12 @@ def test_cli_malformed_json_is_a_config_error(tmp_path, capsys):
         (["eval", "--mech", write("nullm.json", {
             "kind": "mhr", "bidders": [link], "provenance": {"m": None}}),
           "--true", "exp:1.0", "--draws", "10"], "provenance.m"),
+        (["eval", "--mech", write("n3.json", {
+            "n": 3, "kind": "mhr", "bidders": [link]}), "--true", "exp:1.0"],
+         "field 'n' is 3"),
+        (["eval", "--mech", write("reserve.json", {
+            "kind": "mhr", "bidders": [dict(link, reserve=123.0)]}),
+          "--true", "exp:1.0"], "bidder 1's field 'reserve' is 123.0"),
     ]
     for argv, match in cases:
         capsys.readouterr()

@@ -557,6 +557,49 @@ def test_chain_is_the_loop_past_a_convex_prefix():
         _assert_chain_is_the_loop(np.array(xs), np.array(ys))
 
 
+def _collinear_run_cases():
+    """(name, xs, ys) of collinear runs that _chain finds in numpy: from the
+    first point, ending mid-input (a convex turn at x = 10), over the whole
+    input (its last point below the line), and ending at a cross that
+    overflows to NaN (x = 1.7e308, then the loop); from past a convex
+    prefix, ending mid-input when a point below the prefix's line pops its
+    anchor too."""
+    xs = np.arange(16, dtype=float)
+    turn = 0.5 * xs + 0.1 * np.maximum(xs - 9.0, 0.0) ** 2
+    whole = 0.5 * xs
+    whole[-1] -= 1.0
+    big = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.7e308, 1.75e308, 1.79e308])
+    big_y = np.append(big[:6], [1.6e308, 1.79e308])
+    back = np.array([1.0, 0.0, 1.0, 2.0, 3.0, -10.0, -9.0, 0.0])
+    return [("mid-input", xs, turn), ("whole input", xs, whole),
+            ("NaN cross", big, big_y), ("anchor popped", xs[:8], back)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_chain_is_the_loop_over_a_collinear_run(case):
+    """Each collinear run case above reaches what it is named for, and _chain
+    is the stack loop over every point there, bit for bit."""
+    name, xs, ys = _collinear_run_cases()[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = _consecutive_crosses(xs, ys)
+        run = ((ys[1:-1] - ys[0]) * (xs[2:] - xs[1:-1])
+               - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[0]))
+    if name == "anchor popped":     # a convex prefix, then a run from x = 1
+        assert cross[0] < -links._HULL_TOL <= cross[1] == cross[2]
+    else:
+        assert cross[0] >= -links._HULL_TOL
+    if name == "mid-input":
+        assert np.all(run[:8] >= 0.0) and run[8] < -links._HULL_TOL
+    elif name == "whole input":
+        assert np.all(run >= -links._HULL_TOL)
+    elif name == "NaN cross":
+        assert np.all(run[:3] == 0.0) and np.isnan(run[3])
+    _assert_chain_is_the_loop(xs, ys)
+    hx, _ = links._chain(xs, ys)
+    assert hx.size == {"mid-input": 8, "whole input": 2, "NaN cross": 4,
+                       "anchor popped": 4}[name]
+
+
 def test_chain_is_the_loop_on_near_collinear_points():
     """2,000 near-collinear inputs, whose crosses sit in and around the
     1e-12 tie band: _chain is the stack loop over every point, bit for

@@ -1,12 +1,15 @@
 """Virtual values, reserves, and the truthful auction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from robust_auctions.distributions import PiecewiseLinkCDF
+from robust_auctions.distributions import (PiecewiseLinkCDF, ProductDist,
+                                           StepCDF, Uniform)
 from robust_auctions.links import link_origin
 from robust_auctions.myerson import (
     Mechanism,
@@ -15,10 +18,11 @@ from robust_auctions.myerson import (
     _pass_ranks,
     _rank_key,
 )
-from robust_auctions.revenue import opt_single
+from robust_auctions.revenue import opt_single, rev_monte_carlo, truth_mechanism
 
 from _gen import (dip_link_cdfs, edge_bids, random_link_cdf,
-                  reference_payments, searched_inverse, topped_payments)
+                  reference_payments, searched_inverse, topped_payments,
+                  unblocked_rev_monte_carlo)
 from _oracle import grid_reserve
 
 
@@ -333,15 +337,28 @@ def test_knot_rank_equals_searchsorted(seed, log_size, log_scale, spacing,
 
 
 def test_knot_rank_degenerate_tables():
-    for knots in ([0.0], [3.5], [0.0, 5e-324], [0.0, 1e-310, 1.0],
-                  [1e-300, 1e300], [2.0, 2.0], [0.0, 0.0, 1.0, 1.0, 1.0]):
-        knots = np.asarray(knots)
-        q = np.concatenate([knots, np.nextafter(knots, -np.inf),
-                            np.nextafter(knots, np.inf), [0.0, np.inf]])
-        rank = _KnotRank(knots)
-        for side in ("left", "right"):
-            assert np.array_equal(rank(q, side),
-                                  np.searchsorted(knots, q, side=side))
+    """Each degenerate table alone, and all of them stacked in one rank with
+    an empty table and a wide one, each query naming its table: the rank in
+    a table, less its offset, is np.searchsorted there."""
+    tables = [np.asarray(knots) for knots in (
+        [0.0], [3.5], [0.0, 5e-324], [0.0, 1e-310, 1.0], [1e-300, 1e300],
+        [2.0, 2.0], [0.0, 0.0, 1.0, 1.0, 1.0], [], np.linspace(0.0, 3.0, 999))]
+    qs = [np.concatenate([knots, np.nextafter(knots, -np.inf),
+                          np.nextafter(knots, np.inf), [0.0, 2.0, np.inf]])
+          for knots in tables]
+    which = np.repeat(np.arange(len(tables)), [q.size for q in qs])
+    order = np.random.default_rng(25).permutation(which.size)
+    q, which = np.concatenate(qs)[order], which[order]
+    stacked = _KnotRank(*tables)
+    for side in ("left", "right"):
+        for knots, qw in zip(tables, qs):
+            if knots.size:
+                assert np.array_equal(_KnotRank(knots)(qw, side),
+                                      np.searchsorted(knots, qw, side=side))
+        want = np.choose(which, [np.searchsorted(knots, q, side=side)
+                                 for knots in tables])
+        got = stacked(q, side, which) - stacked.offsets.take(which)
+        assert np.array_equal(got, want)
 
 
 # the targets a strict rank must step past: the infinities, both zeros, the
@@ -916,3 +933,96 @@ def test_a_dip_bidder_wins_alone_at_its_reserve():
         winners, payments = mech.payments_batch(np.array([[bid, 0.0]]))
         assert winners[0] == 0
         assert payments[0].tobytes() == np.float64(mech.reserves[0]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stacked threshold lookup
+# ---------------------------------------------------------------------------
+
+
+def _stack_edge_bidders():
+    """Three mhr bidders of unlike threshold tables: one whose running sups
+    are all negative (knots (0, 0) and (1, 0.1), top 1: phi = v - 10 below
+    the top, sups -9, reserve 1.0), an Exp-like one (knots (0, 0) and (4, 4):
+    phi = v - 1, reserve 1, top 4) and the 8,193-knot U(0, 3) truth grid."""
+    neg = PiecewiseLinkCDF("mhr", [0.0, 1.0], [0.0, 0.1], 1.0)
+    exp = PiecewiseLinkCDF("mhr", [0.0, 4.0], [0.0, 4.0], 4.0)
+    grid = truth_mechanism(ProductDist([Uniform(0.0, 3.0)]), "mhr").bidders[0]
+    return [neg, exp, grid]
+
+
+def _stack_edge_atoms(rng):
+    """Bids at every screen edge of the three bidders, and half the mass on
+    those where a bidder's phi is 0 or 1.0 (the negative bidder's top), as
+    (atoms, masses)."""
+    vvs = [VirtualValueFn(c) for c in _stack_edge_bidders()]
+    ties = np.unique([vv.inverse(t) for vv in vvs for t in (0.0, 1.0)])
+    edges = np.unique(np.concatenate([edge_bids(vv, rng, grid=8)
+                                      for vv in vvs]))
+    atoms, at = np.unique(np.concatenate([ties, edges]), return_inverse=True)
+    masses = np.bincount(at, np.append(np.full(ties.size, 0.5 / ties.size),
+                                       np.full(edges.size, 0.5 / edges.size)))
+    return atoms, masses
+
+
+def test_stacked_lookup_bidders_reach_their_edges():
+    """The negative bidder has no sup >= 0 and posts its top; the Exp-like
+    bidder's phi is 0 and 1.0 at 1 and 2; and the three sup tables take 0,
+    2 and 1 bucket steps, so the stacked rank pads each to 2 steps."""
+    vvs = [VirtualValueFn(c) for c in _stack_edge_bidders()]
+    neg, exp, grid = vvs
+    assert np.all(neg._sups == -9.0) and neg.reserve == neg.top == 1.0
+    assert (neg.phi(np.array([0.5, 1.0, 2.0])) == [-9.5, 1.0, 1.0]).all()
+    assert exp.reserve == 1.0
+    assert (exp.phi(np.array([1.0, 2.0])) == [0.0, 1.0]).all()
+    assert grid._lefts.size == 8194 and grid.phi(grid.inverse(0.0)) == 0.0
+    assert [len(_KnotRank(vv._sups[vv._neg_sups:])._steps)
+            for vv in vvs] == [0, 2, 1]
+    assert len(Mechanism("mhr", _stack_edge_bidders())._paid._steps) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_lookup_equals_the_reference_at_ties(n):
+    """Mechanisms of n of the three bidders above, in every order: on bids
+    at every bidder's edges, the runner-up's phi ties the winner's at 0 and
+    at the top 1.0, weakly (a higher-index runner-up) and strictly (a lower
+    one), and the negative bidder wins contested rows.  payments_batch, and
+    one Monte Carlo pass of all these mechanisms across a block edge whose
+    truths draw the same bids, give the winners and payment bytes of
+    `_gen.reference_payments`."""
+    rng = np.random.default_rng(2800 + n)
+    cdfs = _stack_edge_bidders()
+    atoms, masses = _stack_edge_atoms(rng)
+    mechs = [Mechanism("mhr", [cdfs[i] for i in order])
+             for order in itertools.permutations(range(3), n)]
+    ties = {(t, strict): 0 for t in (0.0, 1.0) for strict in (False, True)}
+    neg_wins = 0
+    for mech, order in zip(mechs, itertools.permutations(range(3), n)):
+        profiles = rng.choice(atoms, (4000, n), p=masses)
+        winners, payments = mech.payments_batch(profiles)
+        ref_w, ref_p = reference_payments(mech, profiles)
+        assert np.array_equal(winners, ref_w)
+        assert payments.tobytes() == ref_p.tobytes()
+        phis = np.column_stack([vv.phi(profiles[:, j]) for j, vv
+                                in enumerate(mech.vvs)])
+        sold = np.flatnonzero(winners >= 0)
+        phis[sold, winners[sold]] = -np.inf
+        runner = np.argmax(phis[sold], axis=1)
+        second = phis[sold, runner]
+        lower = runner < winners[sold]
+        for t, strict in ties:
+            ties[t, strict] += int(np.sum((second == t) & (lower == strict)))
+        if 0 in order:
+            neg_wins += int(np.sum((second >= 0.0)
+                                   & (winners[sold] == order.index(0))))
+    assert min(ties.values()) > 50 and neg_wins > 50, (ties, neg_wins)
+    draws = (1 << 16) + 4321
+    d_true = ProductDist([StepCDF(atoms, masses) for _ in range(n)])
+    means, cov = unblocked_rev_monte_carlo(mechs, d_true, draws, 7)
+    est = rev_monte_carlo(mechs, d_true, draws, 7)
+    assert np.array(est.means).tobytes() == np.array(means).tobytes()
+    assert est.cov.tobytes() == cov.tobytes()
+    profiles = d_true.sample_profiles(draws, 7)
+    for mech, mean in zip(mechs, means):
+        ref_p = reference_payments(mech, profiles)[1]
+        assert mean == float(np.sum(ref_p)) / draws
