@@ -12,14 +12,25 @@ remainder after a block-aligned advance.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 from numpy.random import Generator, Philox
 
 _DRAWS_PER_BLOCK = 4
 
 
+def check_int(x, what: str) -> int:
+    """x as an int if it is a whole number, as numpy ints and 1e6 are."""
+    with suppress(TypeError, ValueError, OverflowError):
+        if int(x) == x:     # int() raises on None, NaN and inf
+            return int(x)
+    raise ValueError(f"{what} must be a whole number, not {x!r}")
+
+
 def check_seed(seed: int) -> int:
-    """The one seed rule: 0 <= seed < 2**128, Philox's key range."""
+    """The one seed rule: a whole number in [0, 2**128), Philox's keys."""
+    seed = check_int(seed, "seed")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} is not in [0, 2**128)")
     return seed
@@ -27,10 +38,9 @@ def check_seed(seed: int) -> int:
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """float64 uniforms at stream positions [start, start + count)."""
-    check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    bg = Philox(key=seed)
+    bg = Philox(key=check_seed(seed))
     blocks, skip = divmod(start, _DRAWS_PER_BLOCK)
     if blocks:
         bg.advance(blocks)

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from ._rng import check_seed
+from ._rng import check_int, check_seed
 from .adversary import AdversaryError, corrupt
 from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
@@ -101,12 +101,7 @@ def _cmd_learn(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.mech) as fh:
         mech = Mechanism.from_dict(json.load(fh))
-    m = (mech.provenance or {}).get("m", 0)
-    try:
-        m = int(m)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{args.mech}: provenance.m must be an integer, "
-                          f"got {m!r}")
+    m = check_int((mech.provenance or {}).get("m", 0), f"{args.mech}: provenance.m")
     truths = ProductDist(_load_dists(args.true))
     alpha = float((mech.alpha or [0.0])[0])
     row = result_row(mech.n, mech.kind, "none", alpha, m, args.seed,

@@ -141,7 +141,6 @@ class VirtualValueFn:
         self._lefts = np.append(xs, self.top)
         self._rights = np.append(rights, self.top)
         self._inv_s = np.append(inv_s, 0.0)
-        self._rank = _KnotRank(self._lefts)
         # by rank: 1/slope, phi = v - it (mhr), or phi itself (regular)
         self._phi_tab = (np.append(np.inf, self._inv_s) if self.kind == "mhr"
                          else np.concatenate(([_NEG_INF], self._sups, [self.top])))
@@ -154,7 +153,7 @@ class VirtualValueFn:
         arr = np.ascontiguousarray(v, dtype=float)  # copies strided columns
         if np.isnan(arr.min(initial=0.0)):          # min propagates NaN
             raise ValueError("v must not be NaN")
-        out = self._phi(arr, self._rank(arr), self._phi_tab)
+        out = self._phi(arr, self._lefts.searchsorted(arr, "right"), self._phi_tab)
         return float(out[0]) if np.ndim(v) == 0 else out
 
     def _phi(self, v, i, tab):
@@ -192,6 +191,26 @@ def _pass_ranks(mechs):
     return rankers, [list(tabs) for tabs in zip(*tables)]
 
 
+def _pay(mechs, profiles, ranks, pays):
+    """The one auction kernel: writes each mechanism's payments on the rows
+    of `profiles` into its row of `pays`, and returns its winners + 1 (0: no
+    sale).  Bids are validated, and the rows any mechanism contests gathered
+    and ranked by `ranks` (`_pass_ranks(mechs)`), once for all mechanisms."""
+    B = np.asarray(profiles, dtype=float)
+    if B.ndim != 2 or B.shape[1] != mechs[0].n:
+        raise ValueError("profile matrix arity mismatch")
+    if not np.all(B >= 0.0):
+        raise ValueError("bids must be nonnegative")
+    wins, contested = zip(*[m._screen(B, p) for m, p in zip(mechs, pays)])
+    at = np.flatnonzero(np.logical_or.reduce(contested))
+    sub = B.T.take(at, axis=1).T        # each bidder's bids contiguous
+    rankers, tables = ranks
+    cols = [rank(col) for rank, col in zip(rankers, sub.T)]
+    for mech, win, pay, tabs in zip(mechs, wins, pays, tables):
+        win[at], pay[at] = mech._auction(sub, list(zip(cols, tabs)))
+    return wins
+
+
 @dataclass
 class Mechanism:
     """A Myerson auction: one link CDF (hence one virtual value fn) per bidder."""
@@ -205,6 +224,8 @@ class Mechanism:
         if not self.bidders:
             raise ValueError("need at least one bidder")
         for j, b in enumerate(self.bidders):
+            if not isinstance(b, PiecewiseLinkCDF):
+                raise ValueError("mechanism bidders must be link_cdf entries")
             if b.kind != self.kind:
                 raise ValueError(f"mechanism kind {self.kind!r} but bidder "
                                  f"{j + 1} is {b.kind!r}")
@@ -224,44 +245,28 @@ class Mechanism:
     def n(self) -> int:
         return len(self.bidders)
 
-    def _screen(self, B, out=None):
-        """Validate bids; (winner + 1, payments, contested), in n's narrowest
-        int.  phi >= 0 exactly from the reserve on, so a row where at most one
-        bid clears its reserve is sold there or not at all; the rest are
-        contested."""
-        if B.ndim != 2 or B.shape[1] != self.n:
-            raise ValueError("profile matrix arity mismatch")
-        if not np.all(B >= 0.0):
-            raise ValueError("bids must be nonnegative")
+    def _screen(self, B, pay):
+        """(winner + 1 in n's narrowest int, contested) of valid bids B; pays
+        into `pay` each row where at most one bid clears its reserve: phi >= 0
+        exactly from the reserve on, so it sells there or not at all."""
         win, count = np.zeros((2, len(B)), dtype=np.min_scalar_type(self.n))
         for j, (col, r) in enumerate(zip(B.T, self.reserves), 1):
             above = col >= r
             count += above
             win += above * win.dtype.type(j)    # j itself where count is 1
-        return win, self._reserve_tab.take(win, out=out, mode="clip"), count >= 2
+        self._reserve_tab.take(win, out=pay, mode="clip")
+        return win, count >= 2
 
-    def payments_batch(self, profiles: np.ndarray, _ranked=None):
-        """Vectorized truthful auction over rows of `profiles`.
-
-        Returns (winners, payments); winner is -1 when nobody clears their
-        reserve.  A bid at or above a bidder's support top has phi = top;
-        negative and NaN bids are rejected.  Rows `_screen` leaves contested
-        run the auction; a Monte Carlo pass hands in screened rows with
-        their shared ranks (`_ranked`, see `_pass_ranks`).
-        """
-        B = np.asarray(profiles, dtype=float)
-        if _ranked is not None:
-            return self._auction(B, _ranked)
-        win, payments, contested = self._screen(B)
-        at = np.flatnonzero(contested)
-        sub = B.T.take(at, axis=1).T        # each bidder's bids contiguous
-        win = win.astype(np.intp) - 1
-        win[at], payments[at] = self._auction(sub, [
-            (vv._rank(col), vv._phi_tab) for vv, col in zip(self.vvs, sub.T)])
-        return win, payments
+    def payments_batch(self, profiles: np.ndarray):
+        """(winners, payments) on each row of `profiles`: `_pay` over this
+        mechanism alone, winner -1 if no bid clears its reserve.  A bid at or
+        above its support top has phi = top; negative and NaN bids raise."""
+        pays = np.empty((1, *np.shape(profiles)[:1]))
+        win, = _pay([self], profiles, _pass_ranks([self]), pays)
+        return win.astype(np.intp) - 1, pays[0]
 
     def _auction(self, B, ranked):
-        """(winners, payments) of every row of B, its bids ranked."""
+        """(winner + 1, payments) of every row of B, its bids ranked."""
         rows = B.shape[0]
         phis = (vv._phi(col, *r) for vv, col, r in zip(self.vvs, B.T, ranked))
         # the best phi and its bidder, the second largest, and whether the
@@ -288,7 +293,7 @@ class Mechanism:
             i = self._paid(_rank_key(t, lower.take(contested)), "left",
                            win.take(contested) - 1)
             payments[contested] = _threshold(self.kind, t, i, *self._pieces)
-        return win - 1, payments
+        return win, payments
 
     def to_dict(self) -> dict:
         return {"n": self.n, "kind": self.kind,
@@ -309,11 +314,9 @@ class Mechanism:
                 ("provenance", isinstance(provenance, dict), "an object")):
             if not ok:
                 raise ValueError(f"mechanism: field {field!r} must be {what}")
-        bidders = [dist_from_dict(b) for b in d["bidders"]]
-        if not all(isinstance(b, PiecewiseLinkCDF) for b in bidders):
-            raise ValueError("mechanism bidders must be link_cdf entries")
-        mech = cls(kind=check_kind(d.get("kind")), bidders=bidders,
-                   alpha=alpha, provenance=provenance)
+        mech = cls(bidders=[dist_from_dict(b) for b in d["bidders"]],
+                   kind=check_kind(d.get("kind")), alpha=alpha,
+                   provenance=provenance)
         # n and each reserve follow from the curves: a saved one must agree
         for field, saved, own in [("field 'n'", d.get("n", mech.n), mech.n)] + [
                 (f"bidder {j}'s field 'reserve'", b.get("reserve", r), r)

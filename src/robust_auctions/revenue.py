@@ -14,7 +14,8 @@ import numpy as np
 from .ball import minimal_in_ks_ball
 from .distributions import (Distribution, PiecewiseLinkCDF, ProductDist,
                             _refine_max)
-from .myerson import Mechanism, _pass_ranks
+from ._rng import check_int
+from .myerson import Mechanism, _pass_ranks, _pay
 
 _CHUNK = 1 << 20
 _BLOCK = 1 << 16     # rows sampled and paid at a time within a chunk
@@ -82,38 +83,29 @@ class RevenueEstimate:
 
 def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
                     seed: int) -> RevenueEstimate:
-    """The one Monte Carlo pass: each chunk of n_draws sampled profiles is
-    run through every mechanism in `mechs`, a cache-sized block of profiles
-    at a time.  The sums and co-moments (of the payments' deviations, made
-    in place) are taken over the whole chunk, and the covariance comes from
-    chunk co-moments merged by Chan, Golub and LeVeque's pairwise update."""
+    """The one Monte Carlo pass: `myerson._pay` pays every mechanism in
+    `mechs` on n_draws sampled profiles, a cache-sized block at a time.  Sums
+    and co-moments (of the deviations, made in place) are per chunk, merged
+    by Chan, Golub and LeVeque's pairwise update into the covariance."""
+    if not mechs:
+        raise ValueError("need at least one mechanism")
     if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
-    n_draws = int(n_draws)
+    n_draws = check_int(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     totals = [0.0] * len(mechs)
     mean = np.zeros(len(mechs))
     co = np.zeros((len(mechs), len(mechs)))
-    rankers, tables = _pass_ranks(mechs)
+    ranks = _pass_ranks(mechs)
     done = 0
     while done < n_draws:
         take = min(_CHUNK, n_draws - done)
         pays = np.empty((len(mechs), take))
         for lo in range(0, take, _BLOCK):
             hi = min(lo + _BLOCK, take)
-            profiles = d_true.sample_profiles(hi - lo, seed,
-                                              first_profile=done + lo)
-            # each screen pays its mechanism's uncontested rows; the rows any
-            # contests are gathered, and their bids ranked, once for all
-            at = np.flatnonzero(np.logical_or.reduce([mech._screen(
-                profiles, pay[lo:hi])[2] for pay, mech in zip(pays, mechs)]))
-            sub = profiles.T.take(at, axis=1).T
-            ranks = [rank(col) for rank, col in zip(rankers, sub.T)]
-            for pay, mech, tabs in zip(pays, mechs, tables):
-                pay[lo:hi][at] = mech.payments_batch(
-                    sub, list(zip(ranks, tabs)))[1]
-        del profiles, at, sub, ranks  # before the moments' scratch array
+            _pay(mechs, d_true.sample_profiles(hi - lo, seed, done + lo),
+                 ranks, pays[:, lo:hi])
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take

@@ -25,7 +25,7 @@ from robust_auctions.distributions import (
     ks_distance,
     parse_dist_spec,
 )
-from robust_auctions._rng import uniform_stream
+from robust_auctions._rng import check_seed, uniform_stream
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.links import KINDS, link_forward
@@ -297,10 +297,22 @@ def test_constructors_reject_non_finite_parameters():
     (lambda: ProductDist([]), "need at least one component"),
     (lambda: uniform_stream(0, -1, 4), "start and count must be nonnegative"),
     (lambda: uniform_stream(0, 0, -1), "start and count must be nonnegative"),
+    (lambda: check_seed(1.5), "seed must be a whole number, not 1.5"),
+    (lambda: uniform_stream(1.5, 0, 3), "seed must be a whole number"),
+    (lambda: uniform_stream(float("inf"), 0, 3), "seed must be a whole number"),
+    (lambda: uniform_stream(-1.0, 0, 3), r"seed -1 is not in \[0, 2\*\*128\)"),
 ])
 def test_bad_arguments_raise_typed_errors(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_whole_number_seeds_are_their_ints():
+    """numpy ints and whole floats are seeds, the stream of the same int."""
+    want = uniform_stream(3, 5, 7)
+    for seed in (np.int64(3), np.uint8(3), 3.0, np.float64(3.0)):
+        assert check_seed(seed) == 3 and type(check_seed(seed)) is int
+        assert uniform_stream(seed, 5, 7).tobytes() == want.tobytes()
 
 
 def test_link_cdf_validation():

@@ -16,6 +16,7 @@ from robust_auctions.myerson import (
     _KnotRank,
     VirtualValueFn,
     _pass_ranks,
+    _pay,
     _rank_key,
 )
 from robust_auctions.revenue import opt_single, rev_monte_carlo, truth_mechanism
@@ -286,6 +287,12 @@ def test_auction_validation():
     regular = PiecewiseLinkCDF("regular", [1.0, 2.0], [1.0, 2.0], 4.0)
     with pytest.raises(ValueError, match="kind 'mhr' but bidder 1 is 'regular'"):
         Mechanism("mhr", [regular, _exp_link()])
+    # a bidder with no piece table: the constructor names it, as from_dict
+    # does (it used to raise AttributeError on the bidder's `kind`)
+    for bidders in ([Uniform(0.0, 1.0)], [_exp_link(), StepCDF([1.0], [1.0])]):
+        with pytest.raises(ValueError,
+                           match="mechanism bidders must be link_cdf entries"):
+            Mechanism("mhr", bidders)
 
 
 # ---------------------------------------------------------------------------
@@ -816,21 +823,21 @@ def _kernel_case(rng, kind, n, k):
 
 
 def _assert_kernel_is_topped(mechs, profiles):
-    """Each mechanism's payments_batch, alone and on a pass's shared ranks,
-    equals the parent kernel bit for bit.
+    """Each mechanism's payments_batch, and its row of one `_pay` over all
+    the mechanisms on a pass's shared ranks, equal the parent kernel bit
+    for bit, in C and in Fortran order.
     Returns the count of rows whose runner-up phi is -0.0."""
-    rankers, tables = _pass_ranks(mechs)
+    ranks = _pass_ranks(mechs)
     for B in (profiles, np.asfortranarray(profiles)):
-        ranks = [rank(np.ascontiguousarray(col))
-                 for rank, col in zip(rankers, B.T)]
-        for mech, tabs in zip(mechs, tables):
+        pays = np.empty((len(mechs), len(B)))
+        wins = _pay(mechs, B, ranks, pays)
+        for mech, win, pay in zip(mechs, wins, pays):
             ref_w, ref_p = topped_payments(mech, B)
             winners, payments = mech.payments_batch(B)
             assert np.array_equal(winners, ref_w)
             assert payments.tobytes() == ref_p.tobytes()
-            winners, payments = mech.payments_batch(B, list(zip(ranks, tabs)))
-            assert np.array_equal(winners, ref_w)
-            assert payments.tobytes() == ref_p.tobytes()
+            assert np.array_equal(win.astype(np.intp) - 1, ref_w)
+            assert pay.tobytes() == ref_p.tobytes()
     neg = 0
     for mech in mechs:
         if mech.n > 1:

@@ -273,27 +273,31 @@ def test_blocks_leave_the_chunk_moments_unchanged():
 
 def test_a_pass_pays_each_mechanism_as_it_pays_alone(monkeypatch):
     """In a pass over k mechanisms, which share each block's bid ranks, every
-    mechanism pays what its own payments_batch pays on the block, bit for
-    bit; so its mean and variance are those of a pass over it alone."""
+    mechanism's row of the block's one `_pay` is what its own payments_batch
+    pays on the block, bit for bit; so its mean and variance are those of a
+    pass over it alone."""
+    import robust_auctions.revenue as revenue
+
     truth, mechs = _three_bidder_mechanisms()
     rng = np.random.default_rng(8)
     kinds = [m.kind for m in mechs]
     mechs += [Mechanism(kind, [random_link_cdf(rng, kind) for _ in range(3)])
               for kind in kinds]
-    paid = Mechanism.payments_batch
-    calls = []
+    pay = revenue._pay
+    blocks = []
 
-    def checked(self, profiles, *shared):
-        winners, payments = paid(self, profiles, *shared)
-        alone = paid(self, profiles)
-        assert shared and np.array_equal(winners, alone[0])
-        assert payments.tobytes() == alone[1].tobytes()
-        calls.append(self)
-        return winners, payments
+    def checked(pass_mechs, profiles, ranks, pays):
+        wins = pay(pass_mechs, profiles, ranks, pays)
+        for mech, win, row in zip(pass_mechs, wins, pays):
+            alone = mech.payments_batch(profiles)
+            assert np.array_equal(win.astype(np.intp) - 1, alone[0])
+            assert row.tobytes() == alone[1].tobytes()
+        blocks.append(len(profiles))
+        return wins
 
-    monkeypatch.setattr(Mechanism, "payments_batch", checked)
+    monkeypatch.setattr(revenue, "_pay", checked)
     est = rev_monte_carlo(mechs, truth, _BLOCK + 17, seed=5)
-    assert len(calls) == 2 * len(mechs)
+    assert blocks == [_BLOCK, 17]
     monkeypatch.undo()
     for j, mech in enumerate(mechs):
         one = rev_monte_carlo([mech], truth, _BLOCK + 17, seed=5)
@@ -314,7 +318,7 @@ def test_screened_pass_equals_the_unblocked_reference():
                               for _ in range(2)])
              for kind in ("mhr", "mhr", "regular", "regular")]
     profiles = truth.sample_profiles(1000, seed=4)
-    masks = [m._screen(profiles)[2] for m in plain]
+    masks = [m._screen(profiles, np.empty(len(profiles)))[1] for m in plain]
     assert not masks[0].all() and not np.array_equal(masks[0], masks[1])
     assert not np.array_equal(masks[2], masks[3])
     for mechs in ([dip, plain[0]], plain[:2], plain[2:]):
@@ -354,6 +358,34 @@ def test_revenue_ratio_errors():
         rev_monte_carlo([mech], ProductDist([Exponential(1.0)]), 0, seed=0)
     with pytest.raises(ValueError, match="zero OPT"):
         revenue_ratio_detail(mech, ProductDist([PointMass(0.0)]), 10, seed=0)
+
+
+def test_a_pass_over_no_mechanism_raises_before_drawing(monkeypatch):
+    """An empty mechanism list is a ValueError, and no profile is drawn."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("a profile was drawn")
+
+    monkeypatch.setattr(ProductDist, "sample_profiles", drawn)
+    with pytest.raises(ValueError, match="need at least one mechanism"):
+        rev_monte_carlo([], ProductDist([Exponential(1.0)] * 2), 10, seed=0)
+
+
+def test_a_pass_takes_whole_numbers_only():
+    """A seed or draw count that is not a whole number is a ValueError: a
+    seed of 1.5 used to reuse seed 1's stream, 2.5 draws drew 2 profiles,
+    and inf draws raised OverflowError.  numpy ints and whole floats such
+    as 1e4 are the same pass as the ints."""
+    mech = Mechanism(kind="mhr", bidders=[_exp_link()] * 2)
+    truth = ProductDist([Exponential(1.0)] * 2)
+    for draws, seed in ((10, 1.5), (2.5, 0), (float("inf"), 0),
+                        (float("nan"), 0), (None, 0), (10, None)):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            rev_monte_carlo([mech], truth, draws, seed)
+    est = rev_monte_carlo([mech], truth, 10_000, seed=7)
+    for draws, seed in ((np.int64(10_000), np.uint64(7)), (1e4, 7.0)):
+        same = rev_monte_carlo([mech], truth, draws, seed)
+        assert same.means == est.means and same.n_draws == 10_000
+        assert same.cov.tobytes() == est.cov.tobytes()
 
 
 # ---------------------------------------------------------------------------
