@@ -26,6 +26,7 @@ Conventions, fixed here and relied on by the payment logic:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -191,11 +192,10 @@ def _pass_ranks(mechs):
     return rankers, [list(tabs) for tabs in zip(*tables)]
 
 
-def _pay(mechs, profiles, ranks, pays):
-    """The one auction kernel: writes each mechanism's payments on the rows
-    of `profiles` into its row of `pays`, and returns its winners + 1 (0: no
-    sale).  Bids are validated, and the rows any mechanism contests gathered
-    and ranked by `ranks` (`_pass_ranks(mechs)`), once for all mechanisms."""
+def _pay(mechs, profiles, pays, rankers, tables):
+    """The one auction kernel: pays each mechanism on the rows of `profiles`
+    into its row of `pays` and returns its winners + 1 (0: no sale).  Bids are
+    validated, and contested rows gathered and ranked (`_pass_ranks`), once."""
     B = np.asarray(profiles, dtype=float)
     if B.ndim != 2 or B.shape[1] != mechs[0].n:
         raise ValueError("profile matrix arity mismatch")
@@ -204,7 +204,6 @@ def _pay(mechs, profiles, ranks, pays):
     wins, contested = zip(*[m._screen(B, p) for m, p in zip(mechs, pays)])
     at = np.flatnonzero(np.logical_or.reduce(contested))
     sub = B.T.take(at, axis=1).T        # each bidder's bids contiguous
-    rankers, tables = ranks
     cols = [rank(col) for rank, col in zip(rankers, sub.T)]
     for mech, win, pay, tabs in zip(mechs, wins, pays, tables):
         win[at], pay[at] = mech._auction(sub, list(zip(cols, tabs)))
@@ -219,6 +218,7 @@ class Mechanism:
     bidders: list
     alpha: list | None = None
     provenance: dict = field(default_factory=dict)
+    _ranks = cached_property(lambda self: _pass_ranks([self]))  # payments_batch's
 
     def __post_init__(self):
         if not self.bidders:
@@ -262,7 +262,7 @@ class Mechanism:
         mechanism alone, winner -1 if no bid clears its reserve.  A bid at or
         above its support top has phi = top; negative and NaN bids raise."""
         pays = np.empty((1, *np.shape(profiles)[:1]))
-        win, = _pay([self], profiles, _pass_ranks([self]), pays)
+        win, = _pay([self], profiles, pays, *self._ranks)
         return win.astype(np.intp) - 1, pays[0]
 
     def _auction(self, B, ranked):

@@ -105,7 +105,7 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
         for lo in range(0, take, _BLOCK):
             hi = min(lo + _BLOCK, take)
             _pay(mechs, d_true.sample_profiles(hi - lo, seed, done + lo),
-                 ranks, pays[:, lo:hi])
+                 pays[:, lo:hi], *ranks)
         sums = [float(np.sum(pay)) for pay in pays]
         totals = [t + s for t, s in zip(totals, sums)]
         chunk_mean = np.array(sums) / take

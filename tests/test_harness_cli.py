@@ -757,7 +757,7 @@ def test_cli_malformed_json_is_a_config_error(tmp_path, capsys):
         (["eval", "--mech", write("nullm.json", {
             "kind": "mhr", "bidders": [link], "provenance": {"m": None}}),
           "--true", "exp:1.0", "--draws", "10"], "provenance.m"),
-        # a sample count of 2.5 used to be written into the row as m = 2
+        # a sample count of 2.5 is an error, not m = 2 in the row
         (["eval", "--mech", write("halfm.json", {
             "kind": "mhr", "bidders": [link], "provenance": {"m": 2.5}}),
           "--true", "exp:1.0", "--draws", "10"],

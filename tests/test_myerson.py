@@ -287,8 +287,8 @@ def test_auction_validation():
     regular = PiecewiseLinkCDF("regular", [1.0, 2.0], [1.0, 2.0], 4.0)
     with pytest.raises(ValueError, match="kind 'mhr' but bidder 1 is 'regular'"):
         Mechanism("mhr", [regular, _exp_link()])
-    # a bidder with no piece table: the constructor names it, as from_dict
-    # does (it used to raise AttributeError on the bidder's `kind`)
+    # a bidder that is not a link CDF has no piece table: the constructor
+    # names it with from_dict's message, rather than fail on its `kind`
     for bidders in ([Uniform(0.0, 1.0)], [_exp_link(), StepCDF([1.0], [1.0])]):
         with pytest.raises(ValueError,
                            match="mechanism bidders must be link_cdf entries"):
@@ -830,7 +830,7 @@ def _assert_kernel_is_topped(mechs, profiles):
     ranks = _pass_ranks(mechs)
     for B in (profiles, np.asfortranarray(profiles)):
         pays = np.empty((len(mechs), len(B)))
-        wins = _pay(mechs, B, ranks, pays)
+        wins = _pay(mechs, B, pays, *ranks)
         for mech, win, pay in zip(mechs, wins, pays):
             ref_w, ref_p = topped_payments(mech, B)
             winners, payments = mech.payments_batch(B)

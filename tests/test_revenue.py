@@ -286,8 +286,8 @@ def test_a_pass_pays_each_mechanism_as_it_pays_alone(monkeypatch):
     pay = revenue._pay
     blocks = []
 
-    def checked(pass_mechs, profiles, ranks, pays):
-        wins = pay(pass_mechs, profiles, ranks, pays)
+    def checked(pass_mechs, profiles, pays, *ranks):
+        wins = pay(pass_mechs, profiles, pays, *ranks)
         for mech, win, row in zip(pass_mechs, wins, pays):
             alone = mech.payments_batch(profiles)
             assert np.array_equal(win.astype(np.intp) - 1, alone[0])
@@ -371,10 +371,10 @@ def test_a_pass_over_no_mechanism_raises_before_drawing(monkeypatch):
 
 
 def test_a_pass_takes_whole_numbers_only():
-    """A seed or draw count that is not a whole number is a ValueError: a
-    seed of 1.5 used to reuse seed 1's stream, 2.5 draws drew 2 profiles,
-    and inf draws raised OverflowError.  numpy ints and whole floats such
-    as 1e4 are the same pass as the ints."""
+    """A seed or draw count that is not a whole number is a ValueError,
+    never rounded down (a seed of 1.5 would reuse seed 1's stream, and 2.5
+    draws would draw 2), and inf is no OverflowError.  numpy ints and whole
+    floats such as 1e4 are the same pass as the ints."""
     mech = Mechanism(kind="mhr", bidders=[_exp_link()] * 2)
     truth = ProductDist([Exponential(1.0)] * 2)
     for draws, seed in ((10, 1.5), (2.5, 0), (float("inf"), 0),
