@@ -21,9 +21,10 @@ _DRAWS_PER_BLOCK = 4
 
 
 def check_int(x, what: str) -> int:
-    """x as an int if it is a whole number, as numpy ints and 1e6 are."""
-    with suppress(TypeError, ValueError, OverflowError):
-        if int(x) == x:     # int() raises on None, NaN and inf
+    """x as an int if it is a whole number, as numpy ints and 1e6 are, and
+    a bool or a string is not."""
+    with suppress(TypeError, ValueError, OverflowError):   # None, NaN, inf
+        if int(x) == x and not isinstance(x, (bool, np.bool_)):
             return int(x)
     raise ValueError(f"{what} must be a whole number, not {x!r}")
 

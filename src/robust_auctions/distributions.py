@@ -31,12 +31,14 @@ class Distribution:
     scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
     Pr[V < x], which differs from the CDF only at atoms.  Each constructor
     sets `_top`, the support top, and `_breaks`, the finite discontinuities
-    and kinks.  A type with a dict form names it in TYPE and its constructor
-    arguments, in dict order, in FIELDS: the table the JSON codec and the
-    spec strings read."""
+    and kinks; a parametric one also `_prices`, closed-form prices among
+    which the best posted price lies (opt_single).  A type with a dict form
+    names it in TYPE and its constructor arguments, in dict order, in
+    FIELDS: the table the JSON codec and the spec strings read."""
 
     TYPE, FIELDS = None, ()
     purely_atomic = False
+    _prices = None
 
     # -- array core, overridden by subclasses ------------------------------
     def _cdf(self, arr: np.ndarray, left: bool = False) -> np.ndarray:
@@ -265,6 +267,7 @@ class Exponential(Distribution):
             raise ValueError("rate must be positive")
         self.rate = rate
         self._top, self._breaks = np.inf, np.array([0.0])
+        self._prices = [1.0 / rate]     # revenue x e^{-rate x} peaks there
 
     # rate * x and the quantiles may pass the float range; their IEEE
     # limits (F = 1, x = inf) are the answers
@@ -290,6 +293,7 @@ class Uniform(Distribution):
             raise ValueError("need 0 <= lo < hi")
         self.lo, self.hi = lo, hi
         self._top, self._breaks = hi, np.array([lo, hi])
+        self._prices = [max(lo, 0.5 * hi)]  # x (hi - x) peaks at hi / 2
 
     def _cdf(self, arr, left=False):
         with np.errstate(over="ignore"):    # a subnormal width: clipped to 0 or 1
@@ -317,6 +321,8 @@ class EqualRevenue(Distribution):
             raise ValueError("cap must exceed lo")
         self.lo, self.cap = lo, cap
         self._top, self._breaks = cap, np.array([lo, cap])
+        # every price earns lo; the smallest, lo, with no rounding in F(lo-)
+        self._prices = [lo]
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -371,6 +377,9 @@ class AppxC1(Distribution):
         self._top = self.v1
         self._breaks = np.array([0.0, self.v1] if self.which == "l"
                                 else [0.0, self.v2, self.v1])
+        # an exponential piece's revenue x S(x) peaks at 1/rate: 1 ('l'),
+        # a/b ('h' below v2; past v2, rate 2 and x > 1/2, it falls)
+        self._prices = [*self._breaks, 1.0, self.a / self.b_]
 
     def _cdf(self, arr, left=False):
         ge = np.greater if left else np.greater_equal
@@ -411,6 +420,7 @@ class AppxC2(Distribution):
         self._top = np.inf
         self._breaks = np.array([self.bottom] if self.which == "l"
                                 else [self.bottom, self.v2])
+        self._prices = self._breaks     # revenue x S(x) falls on each piece
 
     def _cdf(self, arr, left=False):
         out = np.zeros(arr.shape)
@@ -459,11 +469,8 @@ class UpShift(Distribution):
     TYPE, FIELDS = "upshift", ("alpha", "base")
 
     def __init__(self, base: Distribution, alpha):
-        alpha = float(alpha)
-        if not 0 < alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
         self.base = base
-        self.alpha = alpha
+        self.alpha = alpha = links.check_alpha(alpha, open_at_0=True)
         self._top = float(base.ppf(1.0 - alpha))
         self.purely_atomic = base.purely_atomic
 
@@ -493,10 +500,8 @@ class DownShiftSpike(Distribution):
     TYPE, FIELDS = "downshift_spike", ("alpha", "spike_x", "base")
 
     def __init__(self, base: Distribution, alpha, spike_x):
-        alpha = float(alpha)
+        alpha = links.check_alpha(alpha, open_at_0=True)
         spike_x = float(spike_x)
-        if not 0 < alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
         if not np.isfinite(spike_x) or spike_x <= 0:
             raise ValueError("spike location must be positive and finite")
         self.base = base
@@ -620,13 +625,26 @@ def _refine_max(f, cand, idx, best, tol):
 def ks_distance(d1: Distribution, d2: Distribution) -> float:
     """sup-norm distance between the two CDFs.
 
-    With a piecewise-constant (purely atomic) side the gap peaks at a
-    breakpoint, and the union of both sides' breakpoints with one-sided
-    limits is exact.  Otherwise (two link CDFs too, between knots) a dense
-    grid, zoomed around its five best points to 1e-13 relative, finds
+    Exact in two cases, from one-sided limits at a few points.  With a
+    piecewise-constant (purely atomic) side the gap peaks at a breakpoint of
+    either side.  With an UpShift or DownShiftSpike whose `base` is the
+    other side, the gap is piecewise linear in u = F(x) of the base, kinked
+    at u = alpha and 1 - alpha: it peaks at 0, at those quantiles, at a
+    base breakpoint or at the wrapper's top (a float step either side too).
+    Any other pair (two link CDFs too, between knots) takes a dense grid,
+    zoomed around its five best points to 1e-13 relative, which finds
     interior maxima between breakpoints.
     """
-    cand, exact = _candidate_points(d1, d2)
+    # only the two wrappers have a base
+    wrap, base = (d1, d2) if getattr(d1, "base", None) is d2 else (d2, d1)
+    if getattr(wrap, "base", None) is base:
+        pts = np.concatenate(([0.0, wrap.support_top()], base.breakpoints(),
+                              base.ppf([wrap.alpha, 1.0 - wrap.alpha])))
+        cand = np.concatenate((np.nextafter(pts, -np.inf), pts,
+                               np.nextafter(pts, np.inf)))
+        cand, exact = cand[np.isfinite(cand)], True
+    else:
+        cand, exact = _candidate_points(d1, d2)
     gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
     gap_l = np.abs(np.asarray(d1.cdf_left(cand)) - np.asarray(d2.cdf_left(cand)))
     best = float(max(gap_r.max(), gap_l.max()))

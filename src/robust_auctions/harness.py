@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rng import check_seed
+from ._rng import check_int, check_seed
 from .adversary import AdversaryError, corrupt, parse_adversary
 from .distributions import (Exponential, ProductDist, dist_from_dict,
                             parse_dist_spec)
@@ -49,8 +49,8 @@ class CheckFailure(RuntimeError):
 
 def _check_seeds(v):
     """Seeds valid for learning (s) and for evaluation (s + the offset)."""
-    seeds = list(map(int, v))
-    for s in map(check_seed, seeds):
+    seeds = list(map(check_seed, v))
+    for s in seeds:
         try:
             check_seed(s + _EVAL_SEED_OFFSET)
         except ValueError:
@@ -62,9 +62,9 @@ def _check_seeds(v):
 # numeric config fields and their conversions, in checking order
 _CONVERSIONS = (("alphas", lambda v: list(map(check_alpha, v))),
                 ("seeds", _check_seeds),
-                ("ms", lambda v: list(map(int, v))),
+                ("ms", lambda v: [check_int(m, "m") for m in v]),
                 ("delta", float),
-                ("mc_draws", int))
+                ("mc_draws", lambda v: check_int(v, "mc_draws")))
 
 
 @dataclass
@@ -207,9 +207,11 @@ def reproduce_counterexample1(alpha: float, c: float, m: int,
     shading removes the spike on its own, nobody is fooled, and both ratios
     are close to 1.
     """
-    alpha, c, m = float(alpha), float(c), int(m)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    try:
+        alpha = check_alpha(alpha, open_at_0=True)
+        c, m = float(c), check_int(m, "m")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if c <= 0:
         raise ConfigError("c must be positive")
     if m < 1:

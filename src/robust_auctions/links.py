@@ -46,11 +46,12 @@ def check_kind(kind: str) -> str:
     return kind
 
 
-def check_alpha(alpha) -> float:
-    """A corruption budget, as a float in [0, 1)."""
+def check_alpha(alpha, open_at_0: bool = False) -> float:
+    """A corruption budget, as a float in [0, 1), or (0, 1) if open_at_0."""
     alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
+    if not (0.0 < alpha if open_at_0 else 0.0 <= alpha) or not alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)" if open_at_0
+                         else "alpha must lie in [0, 1)")
     return alpha
 
 

@@ -44,21 +44,24 @@ def opt_single(dist: Distribution):
     """(reserve, revenue) of the best posted price for one bidder; the
     smallest argmax on ties.
 
-    The candidates: for a PiecewiseLinkCDF its knots, its support top and
-    (MHR only) each piece's interior stationary point 1/slope, which are
-    exact (regular pieces have monotone revenue, so their ends suffice);
-    for anything else the points of its table at a quantile-uniform grid
-    (`Distribution.table`: the atoms alone when purely atomic, which are
-    exact), whose best point is refined locally to 1e-6 by the zoom
-    `ks_distance` shares.  Between atoms revenue rises to the next atom, so
-    the zoom never beats an atom.
+    The candidates, exact: a PiecewiseLinkCDF's knots, its support top and
+    (MHR only) each piece's interior stationary point 1/slope (regular
+    pieces have monotone revenue), or a parametric type's `_prices` (1/rate
+    for Exp, max(lo, hi/2) for U, lo for `eqrev`, piece ends and stationary
+    points for `appxC1`/`appxC2`).  Anything else (step CDFs, the wrappers)
+    takes the points of its table at a quantile-uniform grid (the atoms
+    alone when purely atomic, which are exact), whose best point is refined
+    locally to 1e-6 by the zoom `ks_distance` shares.  Between atoms
+    revenue rises to the next atom, so the zoom never beats an atom.
     """
+    cand = dist._prices
     if isinstance(dist, PiecewiseLinkCDF):
         cand = [dist.xs, [dist.support_top()]]
         if dist.kind == "mhr":
             stat = dist.inv_slopes
             cand.append(stat[(stat > dist.xs[:-1]) & (stat < dist.xs[1:])])
-        cand = np.unique(np.concatenate(cand))
+    if cand is not None:
+        cand = np.unique(np.hstack(cand))
         cand = cand[cand > 0] if cand.size > 1 else cand
         revs = revenue_at_reserve(dist, cand)
         i = int(np.argmax(revs))

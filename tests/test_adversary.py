@@ -4,7 +4,9 @@ lower-bound families' exact radii."""
 import numpy as np
 import pytest
 
+from robust_auctions import adversary
 from robust_auctions.adversary import (
+    _VERIFY_TOL,
     AdversaryError,
     corrupt,
     mhr_lb_radius,
@@ -12,17 +14,25 @@ from robust_auctions.adversary import (
     regular_lb_radius,
 )
 from robust_auctions.distributions import (
+    _TYPES,
     AppxC1,
     AppxC2,
     DownShiftSpike,
+    EqualRevenue,
     Exponential,
+    PiecewiseLinkCDF,
     PointMass,
+    StepCDF,
+    Uniform,
+    UpShift,
     appx_c1,
     appx_c2,
     ks_distance,
 )
 
-from _gen import atom_masses, mhr_lb_family, regular_lb_family
+from _gen import (atom_masses, mhr_lb_family, random_link_cdf,
+                  regular_lb_family)
+from _oracle import grid_ks_distance
 
 
 def test_tail_spike_exponential():
@@ -58,6 +68,58 @@ def test_tail_spike_verifies_its_own_budget():
     # it, so the generated corruption exceeds alpha and must be refused
     with pytest.raises(AdversaryError, match="corruption KS"):
         corrupt(PointMass(1.0), "tailspike:0.2", 0.3)
+
+
+def test_self_check_is_exact_on_a_corpus_of_every_type(monkeypatch):
+    """corrupt's self-check reads ks_distance's exact path: a wrapper
+    against its own base.  On 600 (base, adversary, alpha) triples, the
+    bases of every type a corrupt spec accepts (purely atomic ones and the
+    wrappers themselves included) and alpha from 1e-4 to 0.9, the KS it
+    measured is never below the grid reference (`_oracle.grid_ks_distance`,
+    the path that every other pair takes) by more than 4 ulp of alpha plus
+    half an ulp of 1.  The second term is the rounding of F + alpha and
+    F - alpha, which the grid's max over ~10^5 points picks up: measured at
+    up to 4.4e-17, thousands of ulp of alpha = 1e-4.  Every verdict,
+    refused or not, is the one the reference gives."""
+    rng = np.random.default_rng(12)
+    values = np.sort(rng.choice(np.arange(1, 60) / 7.0, 12, replace=False))
+    bases = [
+        StepCDF(values, rng.dirichlet(np.ones(values.size))),
+        StepCDF([0.0, 1.0, 2.5], [0.3, 0.3, 0.4]), PointMass(1.0),
+        PointMass(0.0), PiecewiseLinkCDF("mhr", [2.0], [0.0], 2.0),
+        random_link_cdf(rng, "mhr"), random_link_cdf(rng, "regular"),
+        Exponential(1.0), Exponential(2.0 ** 20), Uniform(0.0, 3.0),
+        Uniform(1.0, 4.0), EqualRevenue(1.0, 50.0), EqualRevenue(2.0, 1e6),
+        AppxC1(3, 0.5, "l"), AppxC1(3, 0.5, "h"), AppxC2(3, 0.5, "l"),
+        AppxC2(3, 0.5, "h"), UpShift(Exponential(1.0), 0.1),
+        DownShiftSpike(Uniform(0.0, 3.0), 0.1, 5.0),
+        DownShiftSpike(PointMass(2.0), 0.25, 3.0)]
+    assert set(map(type, bases)) == set(_TYPES.values())
+    seen = []
+
+    def measured(d, base):
+        seen.append((d, base, ks_distance(d, base)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(adversary, "ks_distance", measured)
+    verdicts = []
+    for base in bases:
+        for spec in ("shift:up", "shift:down", "tailspike:0.2",
+                     "tailspike:1.0", "tailspike:20.0"):
+            for alpha in (1e-4, 1e-3, 0.02, 0.05, 0.3, 0.9):
+                try:
+                    corrupt(base, spec, alpha)
+                    refused = False
+                except AdversaryError:
+                    refused = True
+                d, other, ks = seen.pop()
+                assert d.base is base and other is base
+                ref = grid_ks_distance(d, base)
+                assert ref - ks <= 4 * np.spacing(alpha) + np.spacing(1.0) / 2, \
+                    (base, spec, alpha, ks, ref)
+                assert refused == (ref > alpha + _VERIFY_TOL), (base, spec, alpha)
+                verdicts.append(refused)
+    assert len(verdicts) == 600 and 0 < sum(verdicts) < 600
 
 
 def test_cdf_shift_up():

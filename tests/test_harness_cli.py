@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from robust_auctions.adversary import corrupt
 from robust_auctions.cli import main
-from robust_auctions.distributions import ProductDist, parse_dist_spec
+from robust_auctions.distributions import (DownShiftSpike, Exponential,
+                                           ProductDist, UpShift,
+                                           parse_dist_spec)
 from robust_auctions.harness import (
     RESULT_COLUMNS,
     ConfigError,
@@ -27,7 +29,7 @@ from robust_auctions.harness import (
     run_sweep,
     write_rows,
 )
-from robust_auctions.links import convex_envelope
+from robust_auctions.links import check_alpha, convex_envelope
 from robust_auctions.myerson import Mechanism
 from robust_auctions.pipeline import (population_robust_myerson,
                                       robust_empirical_myerson)
@@ -332,8 +334,56 @@ def test_reproduce_cex1_memory_peak():
     assert peak < 11.5 * 8 * m, peak / (8 * m)
 
 
+def test_counts_are_whole_numbers(tmp_path, capsys):
+    """Seeds, sample sizes and draw counts go through one whole-number rule
+    (`_rng.check_int`): a fraction, a bool or a string is a ConfigError
+    naming its field, where int() used to truncate or parse it.  numpy ints
+    and whole floats such as 1e6 keep working."""
+    cases = [(dict(seeds=[1.5]), "seeds"), (dict(seeds=[True]), "seeds"),
+             (dict(seeds=["3"]), "seeds"), (dict(ms=[100.7]), "ms"),
+             (dict(ms=["100"]), "ms"), (dict(ms=[True]), "ms"),
+             (dict(mc_draws=2.5), "mc_draws"), (dict(mc_draws="7"), "mc_draws"),
+             (dict(mc_draws=np.True_), "mc_draws")]
+    for overrides, name in cases:
+        with pytest.raises(ConfigError, match=f"^{name}: .*must be a whole number"):
+            _small_config(**overrides)
+    for m in (2000.7, True, "2000"):
+        with pytest.raises(ConfigError, match="^m must be a whole number"):
+            reproduce_counterexample1(0.05, 20.0, m, 0)
+    cfg = _small_config(seeds=[np.int64(1), 2.0], ms=[np.int32(200), 4e2],
+                        mc_draws=1e6)
+    assert (cfg.seeds, cfg.ms, cfg.mc_draws) == ([1, 2], [200, 400], 10 ** 6)
+    assert all(type(v) is int for v in [*cfg.seeds, *cfg.ms, cfg.mc_draws])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "true_dists": ["exp:1.0"], "adversary": "shift:up", "kind": "mhr",
+        "alphas": [0.05], "seeds": [0], "ms": [100.7]}))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out",
+                 str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ms: m must be a whole number, not 100.7\n"
+
+
+def test_one_alpha_rule_for_open_budgets(capsys):
+    """The corruption wrappers and the tail-spike reproduction take alpha in
+    (0, 1) from `links.check_alpha`, which gives every other budget
+    [0, 1)."""
+    for alpha in (0.0, -0.5, 1.0, np.nan, np.inf):
+        for build in (lambda: check_alpha(alpha, open_at_0=True),
+                      lambda: UpShift(Exponential(1.0), alpha),
+                      lambda: DownShiftSpike(Exponential(1.0), alpha, 2.0),
+                      lambda: reproduce_counterexample1(alpha, 1.0, 10, 0)):
+            with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)$"):
+                build()
+    assert check_alpha(0.0) == 0.0 and check_alpha(0.5, open_at_0=True) == 0.5
+    assert main(["reproduce-cex1", "--alpha", "0", "--m", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: alpha must be in (0, 1)\n"
+
+
 def test_reproduce_cex1_validation():
-    with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
+    with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
         reproduce_counterexample1(0.0, 1.0, 100, 0)
     with pytest.raises(ConfigError, match="c must be positive"):
         reproduce_counterexample1(0.1, 0.0, 100, 0)

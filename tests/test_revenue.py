@@ -8,11 +8,12 @@ import pytest
 from _gen import (atomic_cases, dip_link_cdfs, mean_and_half_width,
                   one_bracket_refine_max, random_link_cdf, searched_opt_single,
                   time_limit, truncate, unblocked_rev_monte_carlo)
-from _oracle import dominates
+from _oracle import dominates, grid_opt_single
 
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
+    AppxC1,
     AppxC2,
     EqualRevenue,
     Exponential,
@@ -89,11 +90,14 @@ def test_opt_single_frozen_values():
 def test_opt_single_zoom_is_the_one_bracket_zoom():
     """opt_single's zoom, one bracket of the batched helper it shares with
     ks_distance, gives the price and revenue of the one-bracket zoom
-    (`_gen.one_bracket_refine_max`) bit for bit."""
-    for d in (Exponential(1.0), Exponential(0.3), Uniform(0.5, 3.0),
-              EqualRevenue(1.0, 20.0), AppxC2(3, 0.5, "h"),
-              UpShift(Exponential(1.0), 0.05),
-              corrupt(Uniform(0.0, 3.0), "shift:down", 0.05)):
+    (`_gen.one_bracket_refine_max`) bit for bit, on the types that still
+    zoom: the corruption wrappers.  The parametric types price in closed
+    form (`test_opt_single_closed_forms_against_the_grid`)."""
+    for d in (UpShift(Exponential(1.0), 0.05),
+              UpShift(EqualRevenue(1.0, 20.0), 0.05),
+              corrupt(Uniform(0.0, 3.0), "shift:down", 0.05),
+              corrupt(Exponential(0.3), "tailspike:1.0", 0.05),
+              corrupt(AppxC2(3, 0.5, "h"), "shift:down", 0.05)):
         cand, f_left = d.table(np.linspace(0.0, 1.0, _OPT_GRID,
                                            endpoint=False))[:2]
         revs = cand * (1.0 - f_left)
@@ -101,6 +105,41 @@ def test_opt_single_zoom_is_the_one_bracket_zoom():
         want = one_bracket_refine_max(lambda p: revenue_at_reserve(d, p),
                                       cand, i, float(revs[i]), 1e-6)
         assert opt_single(d) == want
+
+
+def test_opt_single_closed_forms_against_the_grid():
+    """Exp, U, eqrev, appxC1 and appxC2 price in closed form, and beat the
+    grid path (`_oracle.grid_opt_single`, what they took before and what
+    the wrappers still take): never below its revenue by more than 2 ulp,
+    the rounding of p (1 - F(p-)) at the grid's prices next to the peak,
+    with the reserve within 1e-6 relative of its reserve.  Below a reserve
+    of 1 the grid's 1e-6 stop is absolute, so its reserve is that of its
+    quantile grid, 5e-6 apart in F: within 1e-5 relative there.  The scale
+    families run over 2^-40 .. 2^40 (eqrev, which needs lo >= 1, over
+    2^0 .. 2^40); the confusable families are not scale families and run
+    over their (n, beta) instead.  eqrev earns lo at every price in
+    [lo, cap], and its smallest argmax is lo with revenue lo, exactly,
+    where the grid overstates it."""
+    dists = [AppxC1(n, beta, which) for n in (3, 5, 10, 100)
+             for beta in (0.1, 0.3164, 0.5, 0.9) for which in "lh"]
+    dists += [AppxC2(n, beta, which) for n in (1, 3, 10)
+              for beta in (0.1, 0.3164, 0.5, 0.9) for which in "lh"]
+    for k in range(-40, 41, 8):
+        c = 2.0 ** k
+        dists += [Exponential(1.0 / c), Exponential(0.3 / c),
+                  Uniform(0.0, c), Uniform(0.5 * c, 3.0 * c),
+                  Uniform(0.6 * c, c)]
+    for d in dists:
+        (x, rev), (gx, grev) = opt_single(d), grid_opt_single(d)
+        assert rev >= grev - 2 * np.spacing(grev), (d, rev, grev)
+        assert abs(x - gx) <= (1e-6 if x >= 1.0 else 1e-5) * x, (d, x, gx)
+    assert opt_single(EqualRevenue(1.0, 50.0)) == (1.0, 1.0)
+    assert opt_single(EqualRevenue(1.0, 1e10))[1] == 1.0
+    assert grid_opt_single(EqualRevenue(1.0, 50.0))[1] > 1.0
+    for k in range(0, 41, 8):
+        c = 2.0 ** k
+        for cap in (1.0 + 2.0 ** -30, 20.0, 1e10):
+            assert opt_single(EqualRevenue(c, cap * c)) == (c, c)
 
 
 def test_opt_single_equal_revenue_is_flat():
@@ -121,7 +160,8 @@ def test_opt_single_returns_at_large_value_scales():
     by a power of two c scales its OPT by c."""
     makers = (lambda c: Exponential(1.0 / c),
               lambda c: Uniform(0.5 * c, 2.0 * c),
-              lambda c: EqualRevenue(c, 20.0 * c))
+              lambda c: EqualRevenue(c, 20.0 * c),
+              lambda c: UpShift(Exponential(1.0 / c), 0.05))
     for make in makers:
         _, unit = opt_single(make(1.0))
         for k in (34, 40, 100):
