@@ -628,9 +628,10 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     Exact in two cases, from one-sided limits at a few points.  With a
     piecewise-constant (purely atomic) side the gap peaks at a breakpoint of
     either side.  With an UpShift or DownShiftSpike whose `base` is the
-    other side, the gap is piecewise linear in u = F(x) of the base, kinked
-    at u = alpha and 1 - alpha: it peaks at 0, at those quantiles, at a
-    base breakpoint or at the wrapper's top (a float step either side too).
+    other side, the gap is monotone on each side of the wrapper's top: on
+    x >= 0 it is min(alpha, 1 - F), which never rises (UpShift), or
+    min(alpha, F) below the spike, which never falls, and 1 - F from it
+    (DownShiftSpike).  So the limits at 0 and at the top reach the sup.
     Any other pair (two link CDFs too, between knots) takes a dense grid,
     zoomed around its five best points to 1e-13 relative, which finds
     interior maxima between breakpoints.
@@ -638,11 +639,7 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     # only the two wrappers have a base
     wrap, base = (d1, d2) if getattr(d1, "base", None) is d2 else (d2, d1)
     if getattr(wrap, "base", None) is base:
-        pts = np.concatenate(([0.0, wrap.support_top()], base.breakpoints(),
-                              base.ppf([wrap.alpha, 1.0 - wrap.alpha])))
-        cand = np.concatenate((np.nextafter(pts, -np.inf), pts,
-                               np.nextafter(pts, np.inf)))
-        cand, exact = cand[np.isfinite(cand)], True
+        cand, exact = np.array([0.0, wrap.support_top()]), True
     else:
         cand, exact = _candidate_points(d1, d2)
     gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))

@@ -5,10 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from robust_auctions.distributions import (Distribution, _candidate_points,
-                                           _refine_max)
+from robust_auctions.distributions import Distribution, _candidate_points
 from robust_auctions.links import PiecewiseLinearFn
-from robust_auctions.revenue import _OPT_GRID, revenue_at_reserve
 
 
 def naive_envelope(xs, ys) -> PiecewiseLinearFn:
@@ -56,31 +54,3 @@ def dominates(d1: Distribution, d2: Distribution, slack: float = 1e-9) -> bool:
     f1r, f2r = np.asarray(d1.cdf(cand)), np.asarray(d2.cdf(cand))
     f1l, f2l = np.asarray(d1.cdf_left(cand)), np.asarray(d2.cdf_left(cand))
     return bool(np.all(f1r <= f2r + slack) and np.all(f1l <= f2l + slack))
-
-
-def grid_ks_distance(d1: Distribution, d2: Distribution) -> float:
-    """ks_distance without its exact path for a corruption against its base:
-    every pair that is not purely atomic takes the dense grid and the
-    five-bracket zoom.  Its value is a lower bound on the sup, up to the
-    rounding of the CDFs at its ~10^5 points."""
-    cand, exact = _candidate_points(d1, d2)
-    gap_r = np.abs(np.asarray(d1.cdf(cand)) - np.asarray(d2.cdf(cand)))
-    gap_l = np.abs(np.asarray(d1.cdf_left(cand)) - np.asarray(d2.cdf_left(cand)))
-    best = float(max(gap_r.max(), gap_l.max()))
-    if exact:
-        return best
-    gap = lambda x: np.abs(d1.cdf(x) - d2.cdf(x))
-    idx = np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]
-    return _refine_max(gap, cand, idx, best,
-                       1e-13 * np.maximum(1.0, np.abs(cand[idx])))[1]
-
-
-def grid_opt_single(dist: Distribution):
-    """opt_single without closed-form prices: the input's table on a
-    200,000-point quantile grid, its best point zoomed to 1e-6."""
-    cand, f_left = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
-                                          endpoint=False))[:2]
-    revs = cand * (1.0 - f_left)
-    i = int(np.argmax(revs))
-    return _refine_max(lambda p: revenue_at_reserve(dist, p), cand, i,
-                       float(revs[i]), 1e-6)

@@ -30,9 +30,8 @@ from robust_auctions.distributions import (
     ks_distance,
 )
 
-from _gen import (atom_masses, mhr_lb_family, random_link_cdf,
-                  regular_lb_family)
-from _oracle import grid_ks_distance
+from _gen import (atom_masses, bracketwise_ks_distance, mhr_lb_family,
+                  random_link_cdf, regular_lb_family)
 
 
 def test_tail_spike_exponential():
@@ -75,9 +74,9 @@ def test_self_check_is_exact_on_a_corpus_of_every_type(monkeypatch):
     against its own base.  On 600 (base, adversary, alpha) triples, the
     bases of every type a corrupt spec accepts (purely atomic ones and the
     wrappers themselves included) and alpha from 1e-4 to 0.9, the KS it
-    measured is never below the grid reference (`_oracle.grid_ks_distance`,
-    the path that every other pair takes) by more than 4 ulp of alpha plus
-    half an ulp of 1.  The second term is the rounding of F + alpha and
+    measured is never below the grid reference
+    (`_gen.bracketwise_ks_distance`, the path every other pair takes) by
+    more than 4 ulp of alpha plus half an ulp of 1.  The second term is the rounding of F + alpha and
     F - alpha, which the grid's max over ~10^5 points picks up: measured at
     up to 4.4e-17, thousands of ulp of alpha = 1e-4.  Every verdict,
     refused or not, is the one the reference gives."""
@@ -114,7 +113,7 @@ def test_self_check_is_exact_on_a_corpus_of_every_type(monkeypatch):
                     refused = True
                 d, other, ks = seen.pop()
                 assert d.base is base and other is base
-                ref = grid_ks_distance(d, base)
+                ref = bracketwise_ks_distance(d, base)
                 assert ref - ks <= 4 * np.spacing(alpha) + np.spacing(1.0) / 2, \
                     (base, spec, alpha, ks, ref)
                 assert refused == (ref > alpha + _VERIFY_TOL), (base, spec, alpha)

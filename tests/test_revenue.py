@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _gen import (atomic_cases, dip_link_cdfs, mean_and_half_width,
-                  one_bracket_refine_max, random_link_cdf, searched_opt_single,
+from _gen import (atomic_cases, dip_link_cdfs, grid_opt_single,
+                  mean_and_half_width, random_link_cdf, searched_opt_single,
                   time_limit, truncate, unblocked_rev_monte_carlo)
-from _oracle import dominates, grid_opt_single
+from _oracle import dominates
 
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
@@ -29,7 +29,6 @@ from robust_auctions.pipeline import population_robust_myerson
 from robust_auctions.revenue import (
     _BLOCK,
     _CHUNK,
-    _OPT_GRID,
     _ratios,
     opt_single,
     rev_monte_carlo,
@@ -90,26 +89,20 @@ def test_opt_single_frozen_values():
 def test_opt_single_zoom_is_the_one_bracket_zoom():
     """opt_single's zoom, one bracket of the batched helper it shares with
     ks_distance, gives the price and revenue of the one-bracket zoom
-    (`_gen.one_bracket_refine_max`) bit for bit, on the types that still
-    zoom: the corruption wrappers.  The parametric types price in closed
-    form (`test_opt_single_closed_forms_against_the_grid`)."""
+    (`_gen.grid_opt_single`) bit for bit, on the types that still zoom:
+    the corruption wrappers.  The parametric types price in closed form
+    (`test_opt_single_closed_forms_against_the_grid`)."""
     for d in (UpShift(Exponential(1.0), 0.05),
               UpShift(EqualRevenue(1.0, 20.0), 0.05),
               corrupt(Uniform(0.0, 3.0), "shift:down", 0.05),
               corrupt(Exponential(0.3), "tailspike:1.0", 0.05),
               corrupt(AppxC2(3, 0.5, "h"), "shift:down", 0.05)):
-        cand, f_left = d.table(np.linspace(0.0, 1.0, _OPT_GRID,
-                                           endpoint=False))[:2]
-        revs = cand * (1.0 - f_left)
-        i = int(np.argmax(revs))
-        want = one_bracket_refine_max(lambda p: revenue_at_reserve(d, p),
-                                      cand, i, float(revs[i]), 1e-6)
-        assert opt_single(d) == want
+        assert opt_single(d) == grid_opt_single(d)
 
 
 def test_opt_single_closed_forms_against_the_grid():
     """Exp, U, eqrev, appxC1 and appxC2 price in closed form, and beat the
-    grid path (`_oracle.grid_opt_single`, what they took before and what
+    grid path (`_gen.grid_opt_single`, what they took before and what
     the wrappers still take): never below its revenue by more than 2 ulp,
     the rounding of p (1 - F(p-)) at the grid's prices next to the peak,
     with the reserve within 1e-6 relative of its reserve.  Below a reserve
