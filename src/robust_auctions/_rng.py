@@ -29,6 +29,13 @@ def check_int(x, what: str) -> int:
     raise ValueError(f"{what} must be a whole number, not {x!r}")
 
 
+def check_count(x, what: str) -> int:
+    """The one count rule: a whole number (check_int) of at least 1."""
+    if (x := check_int(x, what)) < 1:
+        raise ValueError(f"{what} must be at least 1")
+    return x
+
+
 def check_seed(seed: int) -> int:
     """The one seed rule: a whole number in [0, 2**128), Philox's keys."""
     seed = check_int(seed, "seed")

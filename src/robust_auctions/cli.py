@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from ._rng import check_int, check_seed
+from ._rng import check_count, check_int, check_seed
 from .adversary import AdversaryError, corrupt
 from .distributions import ProductDist, dist_from_dict, parse_dist_spec
 from .harness import (CheckFailure, ConfigError, ExperimentConfig,
@@ -59,8 +59,7 @@ def _read_csv(path, header_ok, expected: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.m < 1:
-        raise ConfigError("--m must be at least 1")
+    check_count(args.m, "--m")
     dists = _load_dists(args.dist)
     profiles = ProductDist(dists).sample_profiles(args.m, args.seed)
     write_csv(args.out, [f"bidder_{j + 1}" for j in range(len(dists))],

@@ -31,9 +31,9 @@ class Distribution:
     scalar handling lives here.  `_cdf(arr, left=True)` is the left limit
     Pr[V < x], which differs from the CDF only at atoms.  Each constructor
     sets `_top`, the support top, and `_breaks`, the finite discontinuities
-    and kinks; a parametric one also `_prices`, closed-form prices among
-    which the best posted price lies (opt_single).  A type with a dict form
-    names it in TYPE and its constructor arguments, in dict order, in
+    and kinks; a parametric one or a link CDF also `_prices`, its own exact
+    candidates for the best posted price (opt_single).  A type with a dict
+    form names it in TYPE and its constructor arguments, in dict order, in
     FIELDS: the table the JSON codec and the spec strings read."""
 
     TYPE, FIELDS = None, ()
@@ -196,12 +196,15 @@ class PiecewiseLinkCDF(Distribution):
         self.hs = hs
         with np.errstate(divide="ignore", over="ignore"):
             # 1/slope of each piece: inf for a flat (or subnormal) slope
-            self.inv_slopes = 1.0 / slopes
+            self.inv_slopes = inv = 1.0 / slopes
         self._top = support_top
         self._breaks = np.unique(np.append(xs, support_top))
         self.f_knots = np.asarray(links.link_inverse(kind, hs))
         self.top_atom = 1.0 - float(self.f_knots[-1])
         self.purely_atomic = xs.size == 1
+        # an MHR piece's revenue peaks at 1/slope; a regular one's is monotone
+        stat = inv[(inv > xs[:-1]) & (inv < xs[1:])] if kind == "mhr" else []
+        self._prices = [xs, [support_top], stat]
 
     def _interp_cdf(self, arr):
         return links.link_inverse(self.kind, np.interp(arr, self.xs, self.hs))
@@ -475,10 +478,12 @@ class UpShift(Distribution):
         self.purely_atomic = base.purely_atomic
 
     def _cdf(self, arr, left=False):
-        below = np.less_equal if left else np.less
+        below, ge = ((np.less_equal, np.greater) if left
+                     else (np.less, np.greater_equal))
         base = self.base.cdf_left if left else self.base.cdf
-        return np.where(below(arr, 0), 0.0,
-                        np.minimum(np.asarray(base(arr)) + self.alpha, 1.0))
+        out = np.minimum(np.asarray(base(arr)) + self.alpha, 1.0)
+        out[ge(arr, self._top)] = 1.0    # where F + alpha may round below 1
+        return np.where(below(arr, 0), 0.0, out)
 
     def _ppf(self, q):
         at_zero = self.alpha + float(self.base.cdf(0.0))
@@ -600,25 +605,21 @@ def _candidate_points(d1, d2):
     return cand[np.isfinite(cand)], exact
 
 
-def _refine_max(f, cand, idx, best, tol):
-    """(x, f(x)) of the best point seen from `best` at cand[idx[0]] on, as
-    a 33-point grid zooms on the bracket around each cand[i], i in idx, all
-    at once (f is elementwise), each until it is within its tol or stops
-    shrinking (adjacent floats).  A bracket's zoom does not depend on best."""
-    idx = np.atleast_1d(idx)
-    best_x = float(cand[idx[0]])
-    lo, hi = cand[np.maximum(idx - 1, 0)], cand[np.minimum(idx + 1, cand.size - 1)]
-    tol, width = np.broadcast_to(tol, lo.shape), np.full(lo.shape, np.inf)
-    while (go := (tol < hi - lo) & (hi - lo < width)).any():
-        lo, hi, tol = lo[go], hi[go], tol[go]
+def _refine_max(f, cand, i, best, tol):
+    """(x, f(x)) of the best point seen from `best` at cand[i] on, as a
+    33-point grid zooms on the bracket around cand[i] (f is elementwise)
+    until it is within tol or stops shrinking (adjacent floats)."""
+    best_x = float(cand[i])
+    lo, hi = cand[max(i - 1, 0)], cand[min(i + 1, cand.size - 1)]
+    width = np.inf
+    while tol < hi - lo < width:
         width = hi - lo
-        grid = np.linspace(lo, hi, 33, axis=-1)
-        vals = f(grid.ravel()).reshape(grid.shape)
-        rows, j = np.arange(lo.size), np.argmax(vals, axis=1)
-        k = int(np.argmax(vals[rows, j]))
-        if vals[k, j[k]] > best:
-            best_x, best = float(grid[k, j[k]]), float(vals[k, j[k]])
-        lo, hi = grid[rows, np.maximum(j - 1, 0)], grid[rows, np.minimum(j + 1, 32)]
+        grid = np.linspace(lo, hi, 33)
+        vals = f(grid)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best_x, best = float(grid[j]), float(vals[j])
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 32)]
     return best_x, best
 
 
@@ -633,8 +634,8 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
     min(alpha, F) below the spike, which never falls, and 1 - F from it
     (DownShiftSpike).  So the limits at 0 and at the top reach the sup.
     Any other pair (two link CDFs too, between knots) takes a dense grid,
-    zoomed around its five best points to 1e-13 relative, which finds
-    interior maxima between breakpoints.
+    whose five best points are zoomed one bracket at a time, best first,
+    to 1e-13 relative, which finds interior maxima between breakpoints.
     """
     # only the two wrappers have a base
     wrap, base = (d1, d2) if getattr(d1, "base", None) is d2 else (d2, d1)
@@ -649,9 +650,10 @@ def ks_distance(d1: Distribution, d2: Distribution) -> float:
         return best
     # refine around the best few grid points; the gap is continuous there
     gap = lambda x: np.abs(d1.cdf(x) - d2.cdf(x))
-    idx = np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]
-    return _refine_max(gap, cand, idx, best,
-                       1e-13 * np.maximum(1.0, np.abs(cand[idx])))[1]
+    for i in np.argsort(np.maximum(gap_r, gap_l))[::-1][:5]:
+        best = _refine_max(gap, cand, i, best,
+                           1e-13 * max(1.0, abs(cand[i])))[1]
+    return best
 
 
 # ---------------------------------------------------------------------------

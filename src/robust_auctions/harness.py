@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rng import check_int, check_seed
+from ._rng import check_count, check_seed
 from .adversary import AdversaryError, corrupt, parse_adversary
 from .distributions import (Exponential, ProductDist, dist_from_dict,
                             parse_dist_spec)
@@ -62,9 +62,9 @@ def _check_seeds(v):
 # numeric config fields and their conversions, in checking order
 _CONVERSIONS = (("alphas", lambda v: list(map(check_alpha, v))),
                 ("seeds", _check_seeds),
-                ("ms", lambda v: [check_int(m, "m") for m in v]),
+                ("ms", lambda v: [check_count(m, "m") for m in v]),
                 ("delta", float),
-                ("mc_draws", lambda v: check_int(v, "mc_draws")))
+                ("mc_draws", lambda v: check_count(v, "mc_draws")))
 
 
 @dataclass
@@ -87,8 +87,6 @@ class ExperimentConfig:
                 setattr(self, name, convert(getattr(self, name)))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}")
-        if any(m < 1 for m in self.ms):
-            raise ConfigError("sample sizes must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
         try:
@@ -106,8 +104,6 @@ class ExperimentConfig:
             check_kind(self.kind)
         except (TypeError, ValueError, OverflowError, AdversaryError) as exc:
             raise ConfigError(str(exc))
-        if self.mc_draws < 1:
-            raise ConfigError("mc_draws must be positive")
 
     def dists(self):
         return list(self._dists)
@@ -209,13 +205,11 @@ def reproduce_counterexample1(alpha: float, c: float, m: int,
     """
     try:
         alpha = check_alpha(alpha, open_at_0=True)
-        c, m = float(c), check_int(m, "m")
+        c, m = float(c), check_count(m, "m")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if c <= 0:
         raise ConfigError("c must be positive")
-    if m < 1:
-        raise ConfigError("m must be at least 1")
     truths = ProductDist([Exponential(1.0)])
     corrupted = corrupt(truths.components[0], f"tailspike:{c!r}", alpha)
     samples = corrupted.sample(m, seed)

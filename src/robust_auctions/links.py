@@ -239,21 +239,18 @@ def _chain(xs, ys):
     slope(b, c), i.e. cross >= 0, with a tolerance of 1e-12 merging ties.
     Nothing pops before the first consecutive triple with cross >= -1e-12,
     so that prefix is taken whole, and the collinear run from there is found
-    in numpy too; a relative tie predicate must move all three.
+    in numpy too (`_ties`); a relative tie predicate changes it and the loop.
     """
-    tie = ((ys[1:-1] - ys[:-2]) * (xs[2:] - xs[1:-1])
-           - (ys[2:] - ys[1:-1]) * (xs[1:-1] - xs[:-2]) >= -_HULL_TOL)
+    tie = _ties(xs, ys, slice(None, -2), slice(1, -1), slice(2, None))
     start = int(np.argmax(np.append(tie, True))) + 2    # past the prefix
     if start >= xs.size:    # every point is a vertex
         return xs.copy(), ys.copy()
     # while each next c ties with the anchor a and the last point b (and not
     # with a and the point before a), c pops b alone: the loop skips the run
     a, b, c = start - 2, slice(start - 1, -1), slice(start, None)
-    run = ((ys[b] - ys[a]) * (xs[c] - xs[b])
-           - (ys[c] - ys[b]) * (xs[b] - xs[a]) >= -_HULL_TOL)
+    run = _ties(xs, ys, a, b, c)
     if a:
-        run &= ~((ys[a] - ys[a - 1]) * (xs[c] - xs[a])
-                 - (ys[c] - ys[a]) * (xs[a] - xs[a - 1]) >= -_HULL_TOL)
+        run &= ~_ties(xs, ys, a - 1, a, c)
     start += int(np.argmin(np.append(run, False)))
     first = np.append(np.arange(a + 1), start - 1)
     hull_x, hull_y = xs[first].tolist(), ys[first].tolist()
@@ -270,3 +267,9 @@ def _chain(xs, ys):
         hull_x.append(x)
         hull_y.append(y)
     return np.array(hull_x), np.array(hull_y)
+
+
+def _ties(xs, ys, a, b, c):
+    """Whether c pops b after a (indices or slices), as the loop tests it."""
+    return ((ys[b] - ys[a]) * (xs[c] - xs[b])
+            - (ys[c] - ys[b]) * (xs[b] - xs[a]) >= -_HULL_TOL)

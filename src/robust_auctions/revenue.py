@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import minimal_in_ks_ball
-from .distributions import (Distribution, PiecewiseLinkCDF, ProductDist,
-                            _refine_max)
-from ._rng import check_int
+from .distributions import Distribution, ProductDist, _refine_max
+from ._rng import check_count
 from .myerson import Mechanism, _pass_ranks, _pay
 
 _CHUNK = 1 << 20
@@ -42,35 +41,22 @@ def revenue_at_reserve(dist: Distribution, price):
 
 def opt_single(dist: Distribution):
     """(reserve, revenue) of the best posted price for one bidder; the
-    smallest argmax on ties.
-
-    The candidates, exact: a PiecewiseLinkCDF's knots, its support top and
-    (MHR only) each piece's interior stationary point 1/slope (regular
-    pieces have monotone revenue), or a parametric type's `_prices` (1/rate
-    for Exp, max(lo, hi/2) for U, lo for `eqrev`, piece ends and stationary
-    points for `appxC1`/`appxC2`).  Anything else (step CDFs, the wrappers)
-    takes the points of its table at a quantile-uniform grid (the atoms
-    alone when purely atomic, which are exact), whose best point is refined
-    locally to 1e-6 by the zoom `ks_distance` shares.  Between atoms
-    revenue rises to the next atom, so the zoom never beats an atom.
-    """
+    smallest argmax on ties.  Exact on the prices a type states (`_prices`)
+    and on a purely atomic input's atoms, as revenue rises between atoms to
+    the next.  The wrappers over non-atomic bases take their table on a
+    quantile grid, its best point zoomed to 1e-6 as `ks_distance` zooms."""
     cand = dist._prices
-    if isinstance(dist, PiecewiseLinkCDF):
-        cand = [dist.xs, [dist.support_top()]]
-        if dist.kind == "mhr":
-            stat = dist.inv_slopes
-            cand.append(stat[(stat > dist.xs[:-1]) & (stat < dist.xs[1:])])
     if cand is not None:
         cand = np.unique(np.hstack(cand))
         cand = cand[cand > 0] if cand.size > 1 else cand
         revs = revenue_at_reserve(dist, cand)
-        i = int(np.argmax(revs))
-        return float(cand[i]), float(revs[i])
-    # F(x-) off the table, unsearched; its points are valid prices
-    cand, f_left = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
-                                          endpoint=False))[:2]
-    revs = _posted_revenue(cand, f_left)
+    else:   # F(x-) off the table, unsearched; its points are valid prices
+        cand, f_left = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
+                                              endpoint=False))[:2]
+        revs = _posted_revenue(cand, f_left)
     i = int(np.argmax(revs))
+    if dist._prices is not None or dist.purely_atomic:
+        return float(cand[i]), float(revs[i])
     return _refine_max(lambda p: revenue_at_reserve(dist, p), cand, i,
                        float(revs[i]), 1e-6)
 
@@ -94,9 +80,7 @@ def rev_monte_carlo(mechs, d_true: ProductDist, n_draws: int,
         raise ValueError("need at least one mechanism")
     if any(d_true.n != mech.n for mech in mechs):
         raise ValueError("arity mismatch")
-    n_draws = check_int(n_draws, "n_draws")
-    if n_draws < 1:
-        raise ValueError("n_draws must be at least 1")
+    n_draws = check_count(n_draws, "n_draws")
     totals = [0.0] * len(mechs)
     mean = np.zeros(len(mechs))
     co = np.zeros((len(mechs), len(mechs)))

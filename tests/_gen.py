@@ -277,9 +277,8 @@ def golden_ks_distance(d1, d2):
 
 
 def one_bracket_refine_max(f, cand, i, best, tol):
-    """distributions._refine_max as it was before it zoomed every bracket at
-    once: one bracket, one 33-point grid at a time.  A reference for
-    bit-identity."""
+    """distributions._refine_max written out on its own: one bracket, one
+    33-point grid at a time.  A reference for bit-identity."""
     best_x = float(cand[i])
     lo = cand[i - 1] if i > 0 else cand[i]
     hi = cand[i + 1] if i + 1 < cand.size else cand[i]
@@ -297,9 +296,9 @@ def one_bracket_refine_max(f, cand, i, best, tol):
 
 def grid_opt_single(dist):
     """opt_single without closed-form prices, as every type took it before
-    they had them and the wrappers still do: the input's table on a
-    200,000-point quantile grid, its best point zoomed to 1e-6 by
-    `one_bracket_refine_max`.  A reference for bit-identity."""
+    they had them and the wrappers over non-atomic bases still do: the
+    input's table on a 200,000-point quantile grid, its best point zoomed to
+    1e-6 by `one_bracket_refine_max`.  A reference for bit-identity."""
     cand, f_left = dist.table(np.linspace(0.0, 1.0, _OPT_GRID,
                                           endpoint=False))[:2]
     revs = cand * (1.0 - f_left)
@@ -309,7 +308,7 @@ def grid_opt_single(dist):
 
 
 def bracketwise_ks_distance(d1, d2):
-    """ks_distance as it was before its five brackets zoomed at once: one
+    """ks_distance's grid path written out on its own: one
     `one_bracket_refine_max` call per bracket, best first.  A reference for
     bit-identity."""
     cand, exact = _candidate_points(d1, d2)

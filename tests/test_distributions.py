@@ -389,10 +389,9 @@ def test_ks_zoom_matches_golden_section():
 
 
 def test_ks_zoom_of_all_brackets_at_once_is_the_bracketwise_zoom():
-    """ks_distance zooms its five brackets as one batch of grids and returns
-    what the bracket-at-a-time zoom (`_gen.bracketwise_ks_distance`)
-    returned, bit for bit: each bracket's zoom is independent of the best
-    value, and a row of linspace over arrays is the scalar linspace.  The
+    """ks_distance zooms its five brackets one at a time, best first, with
+    the one-bracket helper it shares with opt_single, and returns what the
+    reference (`_gen.bracketwise_ks_distance`) returns, bit for bit.  The
     cases: balls of four truths in both kinds, the lower-bound pairs, two
     parametric pairs, every adversary's self-check input and random link
     CDFs against each other and against parametric truths."""
@@ -439,6 +438,30 @@ def test_shift_wrappers_hit_their_radius():
         UpShift(base, 1.5)
     with pytest.raises(ValueError, match="spike location"):
         DownShiftSpike(base, 0.05, np.inf)
+
+
+def test_upshift_cdf_is_one_from_its_top():
+    """F_b(ppf(1 - alpha)) >= 1 - alpha, so UpShift's CDF is 1 from its top
+    on, though F_b + alpha can round below 1 there (U(0, 3) at four alphas
+    and appxC2:3:0.5:h at two read 1 - 1.1e-16 .. 1 - 3.3e-16 with the
+    formula alone).  Its table reads 1 at the top too, and the left limit
+    and every value below the top stay min(F_b + alpha, 1)."""
+    bases = [Exponential(1.0), Exponential(0.3), Uniform(0.0, 3.0),
+             EqualRevenue(1.0, 50.0), appx_c1(3, 0.5, "h"),
+             appx_c2(3, 0.5, "h")]
+    for base in bases:
+        for alpha in (1e-4, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9):
+            d = UpShift(base, alpha)
+            top = d.support_top()
+            assert d.cdf(top) == 1.0 and d.cdf(2.0 * top) == 1.0
+            xs, _, right = d.table(np.linspace(0.0, 1.0, 64, endpoint=False))
+            assert right[xs == top].tolist() == [1.0]
+            x = np.concatenate((np.linspace(0.0, top, 257)[1:], [2.0 * top]))
+            formula = np.minimum(base.cdf_left(x) + alpha, 1.0)
+            assert np.array_equal(d.cdf_left(x), formula)
+            below = x < top
+            assert np.array_equal(d.cdf(x[below]),
+                                  np.minimum(base.cdf(x[below]) + alpha, 1.0))
 
 
 def test_appx_c1_frozen_constants():

@@ -58,12 +58,12 @@ def test_config_validation_errors():
         (dict(alphas=[]), "alphas must be non-empty"),
         (dict(alphas=[1.0]), r"alpha must lie in \[0, 1\)"),
         (dict(seeds=[]), "seeds must be non-empty"),
-        (dict(ms=[0]), "sample sizes must be positive"),
+        (dict(ms=[0]), "^ms: m must be at least 1$"),
         (dict(kind="convex"), "kind must be one of"),
         (dict(delta=1.0), r"delta must lie in \(0, 1\)"),
         # the learner's confidence term ln(2 m n / delta) must be finite
         (dict(delta=5e-324), "delta 5e-324 is too small"),
-        (dict(mc_draws=0), "mc_draws must be positive"),
+        (dict(mc_draws=0), "^mc_draws: mc_draws must be at least 1$"),
         (dict(adversary="gremlin:1"), "unknown adversary"),
         (dict(adversary="shift:sideways"), "direction must be up or down"),
         (dict(adversary="tailspike:big"), "needs a numeric argument"),

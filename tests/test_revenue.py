@@ -6,15 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from _gen import (atomic_cases, dip_link_cdfs, grid_opt_single,
-                  mean_and_half_width, random_link_cdf, searched_opt_single,
-                  time_limit, truncate, unblocked_rev_monte_carlo)
+                  mean_and_half_width, random_link_cdf, random_step_cdf,
+                  searched_opt_single, time_limit, truncate,
+                  unblocked_rev_monte_carlo)
 from _oracle import dominates
 
+from robust_auctions import distributions, revenue
 from robust_auctions.adversary import corrupt
 from robust_auctions.ball import minimal_in_ks_ball
 from robust_auctions.distributions import (
     AppxC1,
     AppxC2,
+    DownShiftSpike,
     EqualRevenue,
     Exponential,
     PointMass,
@@ -87,11 +90,12 @@ def test_opt_single_frozen_values():
 
 
 def test_opt_single_zoom_is_the_one_bracket_zoom():
-    """opt_single's zoom, one bracket of the batched helper it shares with
-    ks_distance, gives the price and revenue of the one-bracket zoom
-    (`_gen.grid_opt_single`) bit for bit, on the types that still zoom:
-    the corruption wrappers.  The parametric types price in closed form
-    (`test_opt_single_closed_forms_against_the_grid`)."""
+    """opt_single's zoom, the one-bracket helper it shares with
+    ks_distance, gives the price and revenue of the reference zoom
+    (`_gen.grid_opt_single`) bit for bit, on the inputs that still zoom:
+    the corruption wrappers over non-atomic bases.  The parametric types
+    price in closed form (`test_opt_single_closed_forms_against_the_grid`),
+    atomic inputs by their best atom."""
     for d in (UpShift(Exponential(1.0), 0.05),
               UpShift(EqualRevenue(1.0, 20.0), 0.05),
               corrupt(Uniform(0.0, 3.0), "shift:down", 0.05),
@@ -581,8 +585,36 @@ def test_regular_shading_revenue_floor():
 
 
 def test_opt_single_atomic_matches_searched_scan():
-    """On purely atomic inputs opt_single reads F(atom-) off the atom table,
-    and its zoom never beats the best atom: the reserve and revenue are bit-
-    identical to searching every atom."""
+    """On purely atomic inputs opt_single reads F(atom-) off the atom table
+    and takes the best atom: the reserve and revenue are bit-identical to
+    searching every atom."""
     for dist in atomic_cases(np.random.default_rng(29)):
         assert repr(opt_single(dist)) == repr(searched_opt_single(dist))
+
+
+def test_opt_single_takes_the_best_atom_without_the_zoom(monkeypatch):
+    """A purely atomic input, bare or under either wrapper, gets its best
+    atom back unzoomed: bit for bit the grid path with its zoom
+    (`_gen.grid_opt_single`) and the searched scan, and the zoom
+    (`distributions._refine_max`) is never called."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return distributions._refine_max(*args)
+
+    assert revenue._refine_max is distributions._refine_max
+    monkeypatch.setattr(revenue, "_refine_max", spy)
+    rng = np.random.default_rng(31)
+    cases = atomic_cases(rng)
+    for _ in range(200):
+        E = random_step_cdf(rng)
+        cases += [E, UpShift(E, rng.uniform(0.01, 0.9)),
+                  DownShiftSpike(E, rng.uniform(0.01, 0.9),
+                                 rng.uniform(0.5, 15.0))]
+    for dist in cases:
+        assert dist.purely_atomic
+        got = repr(opt_single(dist))
+        assert got == repr(grid_opt_single(dist)), dist
+        assert got == repr(searched_opt_single(dist)), dist
+    assert calls == []
